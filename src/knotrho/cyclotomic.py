@@ -113,6 +113,18 @@ def euler_phi(d: int) -> int:
     return result
 
 
+def exact_degree(d: int) -> int:
+    """phi(d), or ConductorLimitError when exact arithmetic at conductor d
+    would exceed MAX_EXACT_DEGREE."""
+    degree = euler_phi(d)
+    if degree > MAX_EXACT_DEGREE:
+        raise ConductorLimitError(
+            f"exact arithmetic at conductor {d} needs degree {degree} > {MAX_EXACT_DEGREE};"
+            " use float mode for roots with huge reduced denominator"
+        )
+    return degree
+
+
 @dataclass(frozen=True)
 class UnitRoot:
     """The point omega = e^{2*pi*i*k/d} on the unit circle.
@@ -180,12 +192,7 @@ class CycField:
     __slots__ = ("d", "degree", "phi", "_phi_nonzero", "_xpow_row", "_xinv_row")
 
     def __init__(self, d: int):
-        degree = euler_phi(d)
-        if degree > MAX_EXACT_DEGREE:
-            raise ConductorLimitError(
-                f"exact arithmetic at conductor {d} needs degree {degree} > {MAX_EXACT_DEGREE};"
-                " use float mode for roots with huge reduced denominator"
-            )
+        degree = exact_degree(d)
         phi = cyclotomic_polynomial(d)
         self.d = d
         self.degree = degree
@@ -441,15 +448,25 @@ def _iv_number(c, iv):
 def _interval_real_sign(coeffs, num: int, den: int) -> tuple[int, float]:
     """Sign of Re(P(omega)) via outward-rounded interval arithmetic.
 
-    Precision doubles until zero is excluded; callers guarantee P(omega) is
-    a nonzero real number, so this terminates.
+    Precision doubles until zero is excluded, up to a cap that always
+    suffices for a nonzero real value.  Scaled by the common denominator L
+    of the coefficients, alpha = L*P(omega) is an algebraic integer whose
+    phi(den) conjugates are at most S = sum|L a_j| in modulus; its norm is
+    a nonzero integer, so |alpha| >= S^-(phi-1), and max_bits + 64 +
+    (phi-1)*ceil(log2 S) bits separate it from zero.  Callers guarantee
+    P(omega) is a nonzero real number, so reaching the cap without a sign
+    is an internal inconsistency.
     """
     iv = mpmath.iv
-    max_bits = max(_coeff_bits(c) for c in coeffs if c)
+    scale = math.lcm(*(c.denominator for c in coeffs if isinstance(c, Fraction)))
+    scaled = [int(c * scale) for c in coeffs if c]
+    max_bits = max(abs(c).bit_length() for c in scaled)
+    s_abs = sum(abs(c) for c in scaled)
+    cap = max_bits + 64 + (euler_phi(den) - 1) * (s_abs - 1).bit_length()
     prec = max(128, max_bits + 64)
     saved = iv.prec
     try:
-        for _ in range(60):
+        while True:
             iv.prec = prec
             two_pi = 2 * iv.pi
             total = iv.mpf(0)
@@ -461,11 +478,14 @@ def _interval_real_sign(coeffs, num: int, den: int) -> tuple[int, float]:
                 return 1, float(total.mid)
             if total.b < 0:
                 return -1, float(abs(total.mid))
-            prec *= 2
+            if prec >= cap:
+                break
+            prec = min(2 * prec, cap)
     finally:
         iv.prec = saved
     raise InternalInconsistencyError(
-        "interval refinement failed to separate a symbolically-nonzero value from zero"
+        f"interval refinement at {prec} bits failed to separate a symbolically-nonzero"
+        " value from zero"
     )
 
 

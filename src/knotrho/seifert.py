@@ -23,11 +23,9 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 
 def _is_tridiagonal(rows: IntMatrix) -> bool:
-    return all(
-        rows[i][j] == 0
-        for i in range(len(rows))
-        for j in range(len(rows))
-        if abs(i - j) >= 2
+    """Whether every entry two or more places off the diagonal is zero."""
+    return not any(
+        any(row[:max(i - 1, 0)]) or any(row[i + 2:]) for i, row in enumerate(rows)
     )
 
 

@@ -1,19 +1,27 @@
 """Signature engine: exact inertia of Hermitian forms at roots of unity.
 
-The form (1-w)A + (1-conj(w))A^T is assembled over the cyclotomic residue
-ring, and its inertia is computed exactly.  Exact mode runs a sound
-machine-float pass first (midpoint-radius arithmetic over the whole
-elimination) and falls back to fully symbolic elimination whenever a sign
-cannot be separated from zero; either way the result is certified.  Float
-mode is plain eigenvalue computation with a certification threshold.
+For an integer Seifert matrix A the form is H = (1-w)A + (1-conj(w))A^T.
+Exact mode first runs a sound machine-float pass (midpoint-radius
+arithmetic over the whole elimination) whose entries are read straight
+from the integer matrix: w is rounded once per root and every entry gets
+a rigorous radius, so the pass costs O(1) per entry whatever the
+conductor.  Tridiagonality and the split into unreduced blocks are read
+off the integers once per matrix.  Only signs the float pass cannot
+separate from zero are decided over the cyclotomic residue ring, and only
+from the residues that decision reads: the band of one tridiagonal block
+up to its last undecided minor, or the full entry table for generic
+elimination.  Either way the result is certified.  Float mode is plain
+eigenvalue computation with a certification threshold; float averages
+evaluate their roots in fixed chunks, one stacked eigensolve per chunk.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -23,19 +31,24 @@ from .cyclotomic import (
     certified_sign,
     cyc_field,
     eval_with_bound,
+    exact_degree,
     _divisors,
 )
 from .exceptions import (
     InternalInconsistencyError,
     InvalidParameterError,
 )
-from .seifert import SeifertMatrix
+from .seifert import SeifertMatrix, _is_tridiagonal
 
 _EPS = 2.0 ** -52
 _ETA = 4e-323  # absorbs underflow in radius arithmetic
+# Error of each component of the rounded root e^{2 pi i num/den}; derived in
+# cyclotomic._float_eval_with_bound.
+_ROOT_ERR = 21.0 * _EPS
 
 FLOAT_CERT_FACTOR = 1.0e6  # spec'd certification threshold, in units of eps*norm
 FLOAT_ZERO_FACTOR = 1.0e3  # eigenvalues below this band are classified zero
+FLOAT_CHUNK = 128  # roots per stacked eigensolve in float-mode averages
 
 
 @dataclass(frozen=True)
@@ -57,6 +70,17 @@ class InertiaTriple:
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.positive, self.zero, self.negative)
+
+
+def _sum_triples(triples) -> InertiaTriple:
+    p = z = n = 0
+    for t in triples:
+        p, z, n = p + t.positive, z + t.zero, n + t.negative
+    return InertiaTriple(p, z, n, certified=True)
+
+
+def _sign_triple(s: int) -> InertiaTriple:
+    return InertiaTriple(int(s > 0), int(s == 0), int(s < 0), certified=True)
 
 
 class HermitianForm:
@@ -106,33 +130,28 @@ class HermitianForm:
         return (h + h.conj().T) / 2.0
 
 
+# -- exact entries ---------------------------------------------------------
+
+
+def _herm_entry(fld, p: int, q: int) -> CyclotomicElement:
+    """(1-x)p + (1-x^{-1})q over the conductor-d ring."""
+    if p == 0 and q == 0:
+        return fld.zero()
+    return (fld.one() - fld.gen()) * p + (fld.one() - fld.gen_inv()) * q
+
+
 @lru_cache(maxsize=None)
-def _herm_entries_cached(a: SeifertMatrix, den: int):
-    """Entry matrix of (1-x)A + (1-x^{-1})A^T over the conductor-den ring.
+def _herm_residues(a: SeifertMatrix, den: int):
+    """Full entry table of (1-x)A + (1-x^{-1})A^T over the conductor-den ring.
 
     The residues depend only on the conductor, not on which primitive root
-    evaluates them, so one entry matrix serves every k/den grid point.
-    Returns (rows, is_tridiagonal).
+    evaluates them, so one table serves every k/den grid point.  Only
+    generic elimination and hermitian_form read it.
     """
     fld = cyc_field(den)
-    one_minus_x = fld.one() - fld.gen()
-    one_minus_xinv = fld.one() - fld.gen_inv()
-    zero = fld.zero()
     m = a.size
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            p, q = a.entries[i][j], a.entries[j][i]
-            if p == 0 and q == 0:
-                row.append(zero)
-            else:
-                row.append(one_minus_x * p + one_minus_xinv * q)
-        rows.append(tuple(row))
-    tridiag = all(
-        rows[i][j].is_zero for i in range(m) for j in range(m) if abs(i - j) >= 2
-    )
-    return tuple(rows), tridiag
+    e = a.entries
+    return tuple(tuple(_herm_entry(fld, e[i][j], e[j][i]) for j in range(m)) for i in range(m))
 
 
 def hermitian_form(a: SeifertMatrix, root: UnitRoot) -> HermitianForm:
@@ -141,8 +160,43 @@ def hermitian_form(a: SeifertMatrix, root: UnitRoot) -> HermitianForm:
     At w = 1 this is the zero matrix (the d = 1 residue ring collapses
     1 - x to 0), matching the convention that the signature there is 0.
     """
-    rows, _ = _herm_entries_cached(a, root.den)
-    return HermitianForm(root, rows)
+    return HermitianForm(root, _herm_residues(a, root.den))
+
+
+def _blocks(breaks) -> tuple[tuple[int, int], ...]:
+    """Half-open index ranges of the blocks of a tridiagonal matrix whose
+    off-diagonal i (between rows i and i+1) vanishes exactly when breaks[i]."""
+    out = []
+    start = 0
+    for i, brk in enumerate(breaks):
+        if brk:
+            out.append((start, i + 1))
+            start = i + 1
+    out.append((start, len(breaks) + 1))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _tridiag_layout(a: SeifertMatrix):
+    """(tridiagonal?, unreduced blocks for non-real w, unreduced blocks at
+    w = -1), read off the integer matrix.
+
+    h_ij = (1-w)a_ij + (1-conj(w))a_ji.  For non-real w, 1-w and
+    1-conj(w) are linearly independent over Q, so h_ij = 0 iff
+    a_ij = a_ji = 0; at w = -1, h_ij = 2(a_ij + a_ji).  The block lists are
+    None for a matrix that is not tridiagonal.
+    """
+    if not _is_tridiagonal(a.entries):
+        return False, None, None
+    if a.size == 0:
+        return True, (), ()
+    e = a.entries
+    pairs = [(e[i][i + 1], e[i + 1][i]) for i in range(a.size - 1)]
+    return (
+        True,
+        _blocks([p == 0 and q == 0 for p, q in pairs]),
+        _blocks([p + q == 0 for p, q in pairs]),
+    )
 
 
 # -- midpoint-radius float arithmetic (sound, Rump-style) --------------------
@@ -173,6 +227,41 @@ def _mr_entry(element: CyclotomicElement, root: UnitRoot):
     if ev is None:
         raise _FloatPassFailed
     return ev
+
+
+def _mr_int(x: int):
+    try:
+        v = float(x)
+    except OverflowError:
+        raise _FloatPassFailed from None
+    return v, (0.0 if abs(x) <= 1 << 53 else abs(v) * _EPS)
+
+
+def _mr_root(num: int, den: int):
+    """(1 - Re w, Im w), each as (value, radius), for w = e^{2 pi i num/den}."""
+    w = cmath.exp(2j * math.pi * num / den)
+    return _mr_sub(1.0, 0.0, w.real, _ROOT_ERR), (w.imag, _ROOT_ERR)
+
+
+def _mr_seifert_parts(p: int, q: int, omc, s):
+    """Real and imaginary parts of h = (1-w)p + (1-conj(w))q
+    = (p+q)(1 - Re w) - i(p-q) Im w, each as (value, radius)."""
+    return _mr_mul(*_mr_int(p + q), *omc), _mr_mul(*_mr_int(q - p), *s)
+
+
+def _mr_seifert_table(a: SeifertMatrix, omc, s):
+    """Every entry of H as (complex value, radius), or None on overflow."""
+    out = []
+    try:
+        for row, col in zip(a.entries, zip(*a.entries)):
+            out_row = []
+            for p, q in zip(row, col):
+                re, im = _mr_seifert_parts(p, q, omc, s)
+                out_row.append((complex(re[0], im[0]), re[1] + im[1]))
+            out.append(out_row)
+    except _FloatPassFailed:
+        return None
+    return out
 
 
 # -- tridiagonal kernel ------------------------------------------------------
@@ -210,40 +299,30 @@ def _sturm_inertia_from_signs(signs: list[int]) -> InertiaTriple:
     return InertiaTriple(m - neg - zero, zero, neg, certified=True)
 
 
-def _tridiag_float_signs(diag, off, root) -> list | None:
+def _tridiag_float_signs(diag, nrm) -> list | None:
     """Per-minor signs from a sound machine-float Sturm pass.
 
-    Returns a list with +1/-1 where certified and None where the interval
-    straddles zero (exact zeros of intermediate minors are routine on
-    root-of-unity grids), or None outright when evaluation overflows.
-    The running pair is renormalized by exact powers of two so exponential
-    minor growth or decay cannot erode relative precision, and radii
-    recover after passing a near-zero minor, so later signs stay sound.
+    diag holds the real diagonal entries and nrm the squared moduli of the
+    off-diagonals, each as (value, radius).  Returns a list with +1/-1
+    where certified and None where the interval straddles zero (exact
+    zeros of intermediate minors are routine on root-of-unity grids), or
+    None outright when the recurrence overflows.  The running pair is
+    renormalized by exact powers of two so exponential minor growth or
+    decay cannot erode relative precision, and radii recover after passing
+    a near-zero minor, so later signs stay sound.
     """
-    try:
-        a = []
-        for e in diag:
-            v, r = _mr_entry(e, root)
-            a.append((v.real, r))
-        es = []
-        for b in off:
-            v, r = _mr_entry(b, root)
-            av = abs(v)
-            es.append(_mr_mul(av, r, av, r))
-    except _FloatPassFailed:
-        return None
     signs = []
     d2v, d2r = 1.0, 0.0
-    d1v, d1r = a[0]
-    for i in range(1, len(a) + 1):
+    d1v, d1r = diag[0]
+    for i in range(1, len(diag) + 1):
         if abs(d1v) > d1r:
             signs.append(1 if d1v > 0 else -1)
         else:
             signs.append(None)
-        if i == len(a):
+        if i == len(diag):
             break
-        t1 = _mr_mul(a[i][0], a[i][1], d1v, d1r)
-        t2 = _mr_mul(es[i - 1][0], es[i - 1][1], d2v, d2r)
+        t1 = _mr_mul(diag[i][0], diag[i][1], d1v, d1r)
+        t2 = _mr_mul(nrm[i - 1][0], nrm[i - 1][1], d2v, d2r)
         d2v, d2r = d1v, d1r
         d1v, d1r = _mr_sub(t1[0], t1[1], t2[0], t2[1])
         if not math.isfinite(d1v) or not math.isfinite(d1r):
@@ -255,13 +334,10 @@ def _tridiag_float_signs(diag, off, root) -> list | None:
     return signs
 
 
-@lru_cache(maxsize=None)
-def _minor_chain(diag: tuple, off: tuple) -> tuple:
-    """Exact leading principal minors D_1..D_m of an unreduced tridiagonal.
+def _chain(diag, off) -> tuple:
+    """Exact leading principal minors D_1..D_k of an unreduced tridiagonal.
 
-    D_i = a_i D_{i-1} - |b_{i-1}|^2 D_{i-2}.  Like the entries themselves,
-    the chain depends only on the conductor, so it is shared by every
-    evaluation point k/den.
+    D_i = a_i D_{i-1} - |b_{i-1}|^2 D_{i-2}.
     """
     chain = []
     d2 = diag[0].field.one()
@@ -274,40 +350,65 @@ def _minor_chain(diag: tuple, off: tuple) -> tuple:
     return tuple(chain)
 
 
-def _tridiag_inertia_exact(diag, off, root) -> InertiaTriple:
-    """Exact inertia of an unreduced Hermitian tridiagonal block.
+@lru_cache(maxsize=None)
+def _minor_chain(a: SeifertMatrix, den: int, start: int, count: int) -> tuple:
+    """Exact leading minors D_1..D_count of the block of H that starts at
+    row start, built from that band alone over the conductor-den ring.
 
-    Float-certified minor signs are kept; only ambiguous indices are
-    resolved against the exact minor chain (symbolic zero test first,
-    interval refinement only for genuinely tiny nonzero values).
+    Like the entries themselves, the chain depends only on the conductor,
+    so it is shared by every evaluation point k/den.
     """
-    signs = _tridiag_float_signs(diag, off, root)
-    if signs is None:
-        signs = [None] * len(diag)
-    if any(s is None for s in signs):
-        chain = _minor_chain(tuple(diag), tuple(off))
-        for i, s in enumerate(signs):
-            if s is None:
-                if chain[i].is_zero:
-                    signs[i] = 0
-                else:
-                    signs[i] = certified_sign(chain[i], root)[0]
+    fld = cyc_field(den)
+    e = a.entries
+    stop = start + count
+    diag = [_herm_entry(fld, e[i][i], e[i][i]) for i in range(start, stop)]
+    off = [_herm_entry(fld, e[i][i + 1], e[i + 1][i]) for i in range(start, stop - 1)]
+    return _chain(diag, off)
+
+
+def _settle_signs(signs: list, chain_upto, root: UnitRoot) -> InertiaTriple:
+    """Inertia of an unreduced tridiagonal block from its float minor signs.
+
+    Float-certified signs are kept; only undecided ones (None) are read
+    off the exact minor chain, which chain_upto(k) builds up to D_k, the
+    last undecided minor: symbolic zero test first, interval refinement
+    only for genuinely tiny nonzero values.
+    """
+    undecided = [i for i, s in enumerate(signs) if s is None]
+    if undecided:
+        chain = chain_upto(undecided[-1] + 1)
+        for i in undecided:
+            signs[i] = 0 if chain[i].is_zero else certified_sign(chain[i], root)[0]
     return _sturm_inertia_from_signs(signs)
+
+
+def _seifert_block_float_signs(a: SeifertMatrix, start: int, stop: int, omc, s) -> list | None:
+    """Float Sturm signs of the block [start, stop) of H, read from the
+    integer matrix; omc and s come from _mr_root."""
+    e = a.entries
+    try:
+        diag = [_mr_mul(*_mr_int(2 * e[i][i]), *omc) for i in range(start, stop)]
+        nrm = []
+        for i in range(start, stop - 1):
+            re, im = _mr_seifert_parts(e[i][i + 1], e[i + 1][i], omc, s)
+            nrm.append(_mr_add(*_mr_mul(*re, *re), *_mr_mul(*im, *im)))
+    except _FloatPassFailed:
+        return None
+    return _tridiag_float_signs(diag, nrm)
 
 
 # -- generic elimination ------------------------------------------------------
 
 
-def _generic_float_pass(entries, root) -> InertiaTriple | None:
+def _generic_float_pass(mat) -> InertiaTriple | None:
     """Certified machine-float pivoted elimination; None on any ambiguity.
 
-    Works on pivot-scaled Schur complements so the recurrence mirrors the
-    exact path; a completed pass certifies a nonsingular form (z = 0).
+    mat holds the entries as (complex value, radius), or is None when they
+    could not be evaluated.  Works on pivot-scaled Schur complements so the
+    recurrence mirrors the exact path; a completed pass certifies a
+    nonsingular form (z = 0).
     """
-    size = len(entries)
-    try:
-        mat = [[_mr_entry(entries[i][j], root) for j in range(size)] for i in range(size)]
-    except _FloatPassFailed:
+    if mat is None:
         return None
     p = n = 0
     sigma = 1
@@ -421,63 +522,62 @@ def _generic_inertia_exact(entries, root) -> InertiaTriple:
     return InertiaTriple(p, z, n, certified=True)
 
 
-def _inertia_exact_impl(entries, tridiag: bool, root: UnitRoot) -> InertiaTriple:
+def _inertia_exact(form: HermitianForm) -> InertiaTriple:
+    """Exact inertia of a form given by residues: tridiagonality and block
+    splitting are decided on the residues themselves."""
+    entries = form.entries
+    root = form.root
     m = len(entries)
     if m == 0:
         return InertiaTriple(0, 0, 0, certified=True)
-    if not tridiag:
-        res = _generic_float_pass(entries, root)
-        if res is not None:
-            return res
-        return _generic_inertia_exact(entries, root)
-    # Split at symbolically-zero off-diagonals into unreduced blocks.
-    p = z = n = 0
-    start = 0
-    for end in range(m):
-        if end == m - 1 or entries[end][end + 1].is_zero:
-            if end == start:
-                s, _ = certified_sign(entries[start][start], root)
-                if s > 0:
-                    p += 1
-                elif s < 0:
-                    n += 1
-                else:
-                    z += 1
-            else:
-                diag = [entries[i][i] for i in range(start, end + 1)]
-                off = [entries[i][i + 1] for i in range(start, end)]
-                t = _tridiag_inertia_exact(diag, off, root)
-                p, z, n = p + t.positive, z + t.zero, n + t.negative
-            start = end + 1
-    return InertiaTriple(p, z, n, certified=True)
-
-
-def _inertia_exact(form: HermitianForm) -> InertiaTriple:
-    m = form.size
-    entries = form.entries
     tridiag = all(
         entries[i][j].is_zero
         for i in range(m)
         for j in range(m)
         if abs(i - j) >= 2
     )
-    return _inertia_exact_impl(entries, tridiag, form.root)
+    if not tridiag:
+        try:
+            mat = [[_mr_entry(e, root) for e in row] for row in entries]
+        except _FloatPassFailed:
+            mat = None
+        res = _generic_float_pass(mat)
+        return res if res is not None else _generic_inertia_exact(entries, root)
+    triples = []
+    for start, stop in _blocks([entries[i][i + 1].is_zero for i in range(m - 1)]):
+        if stop - start == 1:
+            triples.append(_sign_triple(certified_sign(entries[start][start], root)[0]))
+        else:
+            # Forms given by residues skip the float pass and read every
+            # sign off the exact chain.
+            diag = [entries[i][i] for i in range(start, stop)]
+            off = [entries[i][i + 1] for i in range(start, stop - 1)]
+            signs = [None] * (stop - start)
+            triples.append(_settle_signs(signs, lambda k: _chain(diag[:k], off[:k - 1]), root))
+    return _sum_triples(triples)
+
+
+def _numeric_inertias(h: np.ndarray):
+    """(positive counts, negative counts, certified flags) of a stack of
+    Hermitian matrices of shape (K, m, m), m > 0, from one eigensolve."""
+    eigs = np.linalg.eigvalsh(h)
+    mag = np.abs(eigs)
+    scale = np.max(mag, axis=-1, keepdims=True)
+    tau_zero = FLOAT_ZERO_FACTOR * _EPS * scale
+    tau_cert = FLOAT_CERT_FACTOR * _EPS * scale
+    p = np.sum(eigs > tau_zero, axis=-1)
+    n = np.sum(eigs < -tau_zero, axis=-1)
+    certified = ~np.any((mag > tau_zero) & (mag <= tau_cert), axis=-1)
+    return p, n, certified
 
 
 def _inertia_from_numeric(h: np.ndarray) -> InertiaTriple:
     m = h.shape[0]
     if m == 0:
         return InertiaTriple(0, 0, 0, certified=True)
-    eigs = np.linalg.eigvalsh(h)
-    scale = float(np.max(np.abs(eigs))) if m else 0.0
-    tau_zero = FLOAT_ZERO_FACTOR * _EPS * scale
-    tau_cert = FLOAT_CERT_FACTOR * _EPS * scale
-    p = int(np.sum(eigs > tau_zero))
-    n = int(np.sum(eigs < -tau_zero))
-    z = m - p - n
-    nonzero = np.abs(eigs)[np.abs(eigs) > tau_zero]
-    certified = bool(nonzero.size == 0 or np.min(nonzero) > tau_cert)
-    return InertiaTriple(p, z, n, certified=certified)
+    p, n, certified = _numeric_inertias(h[None])
+    p, n = int(p[0]), int(n[0])
+    return InertiaTriple(p, m - p - n, n, certified=bool(certified[0]))
 
 
 def inertia(form: HermitianForm, mode: str = "exact") -> InertiaTriple:
@@ -493,11 +593,12 @@ def inertia(form: HermitianForm, mode: str = "exact") -> InertiaTriple:
     raise InvalidParameterError(f"mode must be 'exact' or 'float', got {mode!r}")
 
 
-def _numeric_hermitian(a: SeifertMatrix, root: UnitRoot) -> np.ndarray:
-    omega = root.to_complex()
+def _numeric_hermitians(a: SeifertMatrix, omegas) -> np.ndarray:
+    """H at each w of omegas, stacked into shape (len(omegas), m, m)."""
+    w = np.array(omegas, dtype=complex).reshape(-1, 1, 1)
     arr = np.array(a.entries, dtype=complex).reshape(a.size, a.size)
-    h = (1 - omega) * arr + (1 - omega.conjugate()) * arr.T
-    return (h + h.conj().T) / 2.0
+    h = (1 - w) * arr + (1 - w.conj()) * arr.T
+    return (h + h.conj().swapaxes(-1, -2)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -510,8 +611,22 @@ class SignatureResult:
 
 @lru_cache(maxsize=None)
 def _signature_exact_cached(a: SeifertMatrix, num: int, den: int) -> InertiaTriple:
-    rows, tridiag = _herm_entries_cached(a, den)
-    return _inertia_exact_impl(rows, tridiag, UnitRoot(num, den))
+    exact_degree(den)  # refuse huge conductors even where floats would decide
+    root = UnitRoot(num, den)
+    omc, s = _mr_root(num, den)
+    tridiag, blocks, blocks_den2 = _tridiag_layout(a)
+    if not tridiag:
+        res = _generic_float_pass(_mr_seifert_table(a, omc, s))
+        return res if res is not None else _generic_inertia_exact(_herm_residues(a, den), root)
+    triples = []
+    for start, stop in blocks_den2 if den == 2 else blocks:
+        if stop - start == 1:
+            # h_ii = 2 a_ii (1 - Re w) with 1 - Re w > 0: the sign of a_ii.
+            triples.append(_sign_triple(a.entries[start][start]))
+        else:
+            signs = _seifert_block_float_signs(a, start, stop, omc, s) or [None] * (stop - start)
+            triples.append(_settle_signs(signs, partial(_minor_chain, a, den, start), root))
+    return _sum_triples(triples)
 
 
 def signature_details(a: SeifertMatrix, root: UnitRoot, mode: str = "exact") -> SignatureResult:
@@ -522,7 +637,7 @@ def signature_details(a: SeifertMatrix, root: UnitRoot, mode: str = "exact") -> 
     if mode == "exact":
         triple = _signature_exact_cached(a, root.num, root.den)
     elif mode == "float":
-        triple = _inertia_from_numeric(_numeric_hermitian(a, root))
+        triple = _inertia_from_numeric(_numeric_hermitians(a, [root.to_complex()])[0])
     else:
         raise InvalidParameterError(f"mode must be 'exact' or 'float', got {mode!r}")
     return SignatureResult(triple.signature, triple, triple.zero > 0, triple.certified)
@@ -593,13 +708,7 @@ def alexander_polynomial(a: SeifertMatrix) -> tuple[int, ...]:
         [[a.entries[j][i], -a.entries[i][j]] for j in range(m)]
         for i in range(m)
     ]
-    tridiag = all(
-        a.entries[i][j] == 0 and a.entries[j][i] == 0
-        for i in range(m)
-        for j in range(m)
-        if abs(i - j) >= 2
-    )
-    if tridiag:
+    if _tridiag_layout(a)[0]:
         prev2, prev1 = [1], mat[0][0]
         for i in range(1, m):
             term1 = _poly_mul(mat[i][i], prev1)
@@ -646,28 +755,32 @@ def alexander_at(a: SeifertMatrix, root: UnitRoot) -> CyclotomicElement:
 # -- averaged signatures -------------------------------------------------------
 
 
+def _primitive_numerators(den: int) -> tuple[list[int], int]:
+    """Numerators k of one primitive den-th root per conjugate pair, and the
+    weight 2 (or 1 at den = 2, whose only primitive root is real)."""
+    if den == 2:
+        return [1], 1
+    return [k for k in range(1, (den + 1) // 2) if math.gcd(k, den) == 1], 2
+
+
 @lru_cache(maxsize=None)
 def _primitive_signature_sum_exact(a: SeifertMatrix, den: int) -> int:
     """Sum of sigma over the primitive den-th roots of unity (den > 1)."""
-    if den == 2:
-        return levine_tristram(a, UnitRoot(1, 2))
-    total = 0
-    for k in range(1, (den + 1) // 2):
-        if math.gcd(k, den) == 1:
-            total += 2 * levine_tristram(a, UnitRoot(k, den))
-    return total
+    ks, weight = _primitive_numerators(den)
+    return weight * sum(levine_tristram(a, UnitRoot(k, den)) for k in ks)
 
 
 def _primitive_signature_sum_float(a: SeifertMatrix, den: int) -> tuple[int, bool]:
-    if den == 2:
-        res = signature_details(a, UnitRoot(1, 2), "float")
-        return res.value, res.certified
+    """Float-mode sum over the primitive den-th roots and whether every term
+    is certified; each chunk of FLOAT_CHUNK roots is one stacked eigensolve,
+    term for term equal to signature_details(a, root, "float")."""
+    ks, weight = _primitive_numerators(den)
     total, certified = 0, True
-    for k in range(1, (den + 1) // 2):
-        if math.gcd(k, den) == 1:
-            res = signature_details(a, UnitRoot(k, den), "float")
-            total += 2 * res.value
-            certified = certified and res.certified
+    for i in range(0, len(ks), FLOAT_CHUNK):
+        omegas = [UnitRoot(k, den).to_complex() for k in ks[i:i + FLOAT_CHUNK]]
+        p, n, cert = _numeric_inertias(_numeric_hermitians(a, omegas))
+        total += weight * int(np.sum(p - n))
+        certified = certified and bool(np.all(cert))
     return total, certified
 
 

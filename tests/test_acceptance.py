@@ -26,10 +26,11 @@ from knotrho.seifert import (
     unknot_seifert,
 )
 from knotrho.signature import (
-    _herm_entries_cached,
+    _herm_residues,
     _minor_chain,
     _primitive_signature_sum_exact,
     _signature_exact_cached,
+    _tridiag_layout,
     alexander_at,
     alexander_polynomial,
     avg_signature,
@@ -54,7 +55,8 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 def test_criterion_1_litherland_oracle():
     for cache in (
         _signature_exact_cached,
-        _herm_entries_cached,
+        _tridiag_layout,
+        _herm_residues,
         _minor_chain,
         _primitive_signature_sum_exact,
         alexander_polynomial,

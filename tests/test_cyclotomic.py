@@ -1,6 +1,7 @@
 """Cyclotomic residue arithmetic and certified sign evaluation."""
 
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -12,8 +13,13 @@ from knotrho.cyclotomic import (
     certified_sign,
     cyc_field,
     cyclotomic_polynomial,
+    _interval_real_sign,
 )
-from knotrho.exceptions import ConductorLimitError, InvalidParameterError
+from knotrho.exceptions import (
+    ConductorLimitError,
+    InternalInconsistencyError,
+    InvalidParameterError,
+)
 
 KNOWN_PHI = {
     1: (-1, 1),
@@ -150,6 +156,17 @@ def test_certified_sign_needs_interval_refinement():
     elem2 = fld.gen() + fld.gen_inv() - fld.scalar(below + Fraction(1, 10**59))
     s2, _ = certified_sign(elem2, UnitRoot(1, 5))
     assert s2 == -1
+
+
+def test_interval_refinement_stops_at_the_norm_bound():
+    # Phi_7 vanishes at every primitive 7th root, so no precision separates
+    # it from zero; past the norm-bound cap the refinement must give up.
+    start = time.perf_counter()
+    with pytest.raises(InternalInconsistencyError):
+        _interval_real_sign(list(cyclotomic_polynomial(7)), 1, 7)
+    with pytest.raises(InternalInconsistencyError):
+        _interval_real_sign([Fraction(1, 3)] * 7, 2, 7)
+    assert time.perf_counter() - start < 10.0
 
 
 def test_rational_elements():

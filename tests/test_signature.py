@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from knotrho.cyclotomic import UnitRoot
+from knotrho import cyclotomic, signature
+from knotrho.cyclotomic import CycField, UnitRoot, certified_sign
 from knotrho.exceptions import ConductorLimitError, InvalidParameterError
 from knotrho.seifert import (
     SeifertMatrix,
+    _is_tridiagonal,
     jn_seifert,
     mirror,
     torus_knot_seifert,
@@ -31,8 +33,14 @@ from knotrho.signature import (
     litherland_torus_signature,
     signature_details,
     torus_avg_lower_bound,
+    _generic_float_pass,
     _generic_inertia_exact,
-    _herm_entries_cached,
+    _herm_residues,
+    _minor_chain,
+    _mr_root,
+    _mr_seifert_table,
+    _seifert_block_float_signs,
+    _tridiag_layout,
 )
 from knotrho.verify import random_knot_seifert, random_root
 
@@ -307,8 +315,8 @@ def test_tridiagonal_kernel_matches_generic_elimination(seed):
         rows[2 * i][2 * i + 1] += 1
     a = SeifertMatrix(tuple(tuple(r) for r in rows), kind="knot")
     root = random_root(rng, d_max=30)
-    entries, tridiag = _herm_entries_cached(a, root.den)
-    assert tridiag
+    assert _is_tridiagonal(a.entries)
+    entries = _herm_residues(a, root.den)
     fast = inertia(hermitian_form(a, root))
     slow = _generic_inertia_exact(entries, root)
     assert fast.as_tuple() == slow.as_tuple()
@@ -320,7 +328,7 @@ def test_kernel_matches_generic_at_singular_points():
         d = 4 * n + 2
         for k in range(1, d):
             root = UnitRoot(k, d)
-            entries, _ = _herm_entries_cached(a, root.den)
+            entries = _herm_residues(a, root.den)
             fast = inertia(hermitian_form(a, root))
             slow = _generic_inertia_exact(entries, root)
             assert fast.as_tuple() == slow.as_tuple()
@@ -393,3 +401,162 @@ def test_avg_signature_float_mode_details():
     res = avg_signature_details(TREFOIL, 12, "float")
     assert res.value == avg_signature(TREFOIL, 12, "exact")
     assert res.certified
+
+
+# -- integer-entry float passes vs the residue oracle ---------------------------
+
+
+def _residue_oracle(a, root):
+    """Exact pivoted elimination on the full residue table."""
+    return _generic_inertia_exact(_herm_residues(a, root.den), root).as_tuple()
+
+
+def _root_with_small_conductors(rng):
+    d = rng.choice((2, 3, 4, 6, rng.randint(2, 40)))
+    return UnitRoot(rng.choice([k for k in range(1, d) if math.gcd(k, d) == 1]), d)
+
+
+def _random_tridiagonal_link(rng, m):
+    # off-diagonal pairs are sometimes zero or antisymmetric, so blocks split
+    # for every root or only at w = -1
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m):
+        rows[i][i] = rng.randint(-3, 3)
+        if i + 1 < m:
+            p = rng.randint(-3, 3)
+            rows[i][i + 1] = p
+            rows[i + 1][i] = rng.choice((0, -p, p, rng.randint(-3, 3)))
+    return SeifertMatrix(tuple(tuple(r) for r in rows), kind="link")
+
+
+def _scrambled(a, rng):
+    """P^T A P for a random unimodular P (signed column additions)."""
+    m = a.size
+    p = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(m):
+        i, j = rng.sample(range(m), 2)
+        s = rng.choice((1, -1))
+        for row in p:
+            row[i] += s * row[j]
+    e = a.entries
+    ap = [[sum(e[i][k] * p[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
+    rows = [[sum(p[k][i] * ap[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
+    return SeifertMatrix(tuple(tuple(r) for r in rows), kind=a.kind)
+
+
+def _check_integer_sturm_signs(a, root):
+    """Every sign the integer-entry Sturm pass certifies is the exact one."""
+    omc, s = _mr_root(root.num, root.den)
+    _, blocks, blocks_den2 = _tridiag_layout(a)
+    for start, stop in blocks_den2 if root.den == 2 else blocks:
+        if stop - start == 1:
+            continue
+        signs = _seifert_block_float_signs(a, start, stop, omc, s)
+        chain = _minor_chain(a, root.den, start, stop - start)
+        for sign, minor in zip(signs, chain):
+            if sign is not None:
+                assert sign == certified_sign(minor, root)[0]
+
+
+@given(st.integers(0, 10**9))
+def test_integer_tridiagonal_pass_matches_residue_oracle(seed):
+    rng = random.Random(seed)
+    a = _random_tridiagonal_link(rng, rng.randint(1, 8))
+    root = _root_with_small_conductors(rng)
+    _check_integer_sturm_signs(a, root)
+    assert signature_details(a, root).inertia.as_tuple() == _residue_oracle(a, root)
+
+
+@given(st.integers(0, 10**9))
+def test_integer_generic_pass_matches_residue_oracle(seed):
+    rng = random.Random(seed)
+    a = _scrambled(torus_knot_seifert(rng.randint(1, 4)), rng)
+    root = _root_with_small_conductors(rng)
+    want = _residue_oracle(a, root)
+    fl = _generic_float_pass(_mr_seifert_table(a, *_mr_root(root.num, root.den)))
+    if fl is not None:
+        assert fl.as_tuple() == want
+    assert signature_details(a, root).inertia.as_tuple() == want
+
+
+def test_integer_passes_at_torus_jump_points():
+    rng = random.Random(11)
+    for n in (1, 2, 3, 4):
+        a = torus_knot_seifert(n)
+        scrambled = _scrambled(a, rng)
+        d = 4 * n + 2
+        for k in range(1, d):
+            root = UnitRoot(k, d)
+            _check_integer_sturm_signs(a, root)
+            want = _residue_oracle(a, root)
+            assert signature_details(a, root).inertia.as_tuple() == want
+            assert signature_details(scrambled, root).inertia.as_tuple() == want
+
+
+def test_antisymmetric_off_diagonal_splits_blocks_at_minus_one():
+    # h_01 = (1-w)2 + (1-conj w)(-2) vanishes only at w = -1
+    a = SeifertMatrix(((1, 2, 0), (-2, -1, 3), (0, 1, 2)), kind="link")
+    _, blocks, blocks_den2 = _tridiag_layout(a)
+    assert blocks == ((0, 3),)
+    assert blocks_den2 == ((0, 1), (1, 3))
+    minus_one = UnitRoot(1, 2)
+    # H(-1) = 2(A + A^T): the block (4) and [[-4, 8], [8, 8]]
+    assert signature_details(a, minus_one).inertia.as_tuple() == (2, 0, 1)
+    for root in (minus_one, UnitRoot(1, 3), UnitRoot(1, 4), UnitRoot(1, 6)):
+        assert signature_details(a, root).inertia.as_tuple() == _residue_oracle(a, root)
+        fl = signature_details(a, root, "float")
+        assert fl.certified
+        assert fl.inertia.as_tuple() == _residue_oracle(a, root)
+
+
+# -- chunked float averages ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "a,d",
+    [
+        (TREFOIL, 12),
+        (jn_seifert(2), 30),
+        (torus_knot_seifert(2), 10),  # every odd k/10 is a jump point
+        (torus_knot_seifert(3), 14),
+        (torus_knot_seifert(2), 1009),  # 504 roots: four chunks of FLOAT_CHUNK
+    ],
+)
+def test_float_average_matches_per_root_float(a, d):
+    per_root = [signature_details(a, UnitRoot(k, d), "float") for k in range(1, d // 2 + 1)]
+    weights = [1 if 2 * k == d else 2 for k in range(1, d // 2 + 1)]
+    res = avg_signature_details(a, d, "float")
+    assert res.value == Fraction(sum(w * r.value for w, r in zip(weights, per_root)), d)
+    assert res.certified == all(r.certified for r in per_root)
+
+
+# -- residues only where floats cannot decide -----------------------------------
+
+
+def _clear_engine_caches():
+    for module in (signature, cyclotomic):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+def test_exact_average_builds_residues_only_for_undecided_signs(monkeypatch):
+    built = []
+    original = CycField.__init__
+
+    def recording_init(self, d):
+        built.append(d)
+        original(self, d)
+
+    monkeypatch.setattr(CycField, "__init__", recording_init)
+    _clear_engine_caches()
+    # no jump point at a prime grid: the float pass decides every sign
+    got = avg_signature(torus_knot_seifert(3), 1009)
+    assert 1009 not in built
+    assert got == Fraction(
+        sum(2 * litherland_torus_signature(3, Fraction(k, 1009)) for k in range(1, 505)), 1009
+    )
+    _clear_engine_caches()
+    # the zero minors at the jump points of the 1/10 grid need the exact fallback
+    assert avg_signature(torus_knot_seifert(2), 10) == Fraction(12, 5)
+    assert 10 in built
