@@ -18,8 +18,6 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
-
 from .exceptions import (
     ConductorLimitError,
     InternalInconsistencyError,
@@ -457,7 +455,8 @@ def _interval_real_sign(coeffs, num: int, den: int) -> tuple[int, float]:
     P(omega) is a nonzero real number, so reaching the cap without a sign
     is an internal inconsistency.
     """
-    iv = mpmath.iv
+    from mpmath import iv  # loaded on the first refinement: most runs never need one
+
     scale = math.lcm(*(c.denominator for c in coeffs if isinstance(c, Fraction)))
     scaled = [int(c * scale) for c in coeffs if c]
     max_bits = max(abs(c).bit_length() for c in scaled)
@@ -491,7 +490,8 @@ def _interval_real_sign(coeffs, num: int, den: int) -> tuple[int, float]:
 
 def _interval_eval_midpoint(coeffs, num: int, den: int):
     """Real-part midpoint at high precision (used only when floats overflow)."""
-    iv = mpmath.iv
+    from mpmath import iv
+
     max_bits = max((_coeff_bits(c) for c in coeffs if c), default=1)
     saved = iv.prec
     try:

@@ -7,7 +7,7 @@ function, so everything here is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -65,6 +65,26 @@ def det_int(rows: IntMatrix) -> int:
     return sign * a[m - 1][m - 1]
 
 
+def _skew_det(rows: IntMatrix) -> int:
+    """det(A - A^T) of a square integer matrix A.
+
+    For tridiagonal A the skew matrix has a zero diagonal, so its band
+    continuant is D_i = (a_{i-1,i} - a_{i,i-1})^2 D_{i-2} with D_0 = 1 and
+    D_1 = 0, and no dense matrix is built.
+    """
+    m = len(rows)
+    if not _is_tridiagonal(rows):
+        return det_int(tuple(tuple(rows[i][j] - rows[j][i] for j in range(m)) for i in range(m)))
+    prev2, prev1 = 1, 0
+    for i in range(1, m):
+        prev2, prev1 = prev1, (rows[i - 1][i] - rows[i][i - 1]) ** 2 * prev2
+    return prev1 if m else 1
+
+
+def _is_integer_type(t: type) -> bool:
+    return issubclass(t, int) and not issubclass(t, bool)
+
+
 @dataclass(frozen=True)
 class SeifertMatrix:
     """Integer Seifert pairing of a spanning surface.
@@ -76,6 +96,9 @@ class SeifertMatrix:
 
     entries: IntMatrix
     kind: str = "knot"
+    # Hashed once: every lru_cache lookup keyed by the matrix would
+    # otherwise re-hash all m^2 entries.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("knot", "link"):
@@ -85,21 +108,22 @@ class SeifertMatrix:
         for r in rows:
             if len(r) != m:
                 raise InvalidSeifertMatrixError(f"matrix is not square: {m} rows, row of length {len(r)}")
-            for x in r:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise InvalidSeifertMatrixError(f"entries must be integers, got {x!r}")
+            if not all(map(_is_integer_type, set(map(type, r)))):
+                bad = next(x for x in r if not _is_integer_type(type(x)))
+                raise InvalidSeifertMatrixError(f"entries must be integers, got {bad!r}")
         object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "_hash", hash((rows, self.kind)))
         if self.kind == "knot":
             if m % 2 != 0:
                 raise InvalidSeifertMatrixError(f"knot Seifert matrix must have even size, got {m}")
-            skew = tuple(
-                tuple(rows[i][j] - rows[j][i] for j in range(m)) for i in range(m)
-            )
-            d = det_int(skew)
+            d = _skew_det(rows)
             if d not in (1, -1):
                 raise InvalidSeifertMatrixError(
                     f"A - A^T must be unimodular for a knot; det = {d}"
                 )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def size(self) -> int:
@@ -200,10 +224,8 @@ def trefoil_seifert() -> SeifertMatrix:
 
 def mirror(a: SeifertMatrix) -> SeifertMatrix:
     """Seifert matrix -A^T of the mirror knot; negates every signature."""
-    m = a.size
     return SeifertMatrix(
-        tuple(tuple(-a.entries[j][i] for j in range(m)) for i in range(m)),
-        kind=a.kind,
+        tuple(tuple(-x for x in col) for col in zip(*a.entries)), kind=a.kind
     )
 
 

@@ -1,27 +1,33 @@
 """Signature engine: exact inertia of Hermitian forms at roots of unity.
 
 For an integer Seifert matrix A the form is H = (1-w)A + (1-conj(w))A^T.
-Exact mode first runs a sound machine-float pass (midpoint-radius
-arithmetic over the whole elimination) whose entries are read straight
-from the integer matrix: w is rounded once per root and every entry gets
-a rigorous radius, so the pass costs O(1) per entry whatever the
-conductor.  Tridiagonality and the split into unreduced blocks are read
-off the integers once per matrix.  Only signs the float pass cannot
-separate from zero are decided over the cyclotomic residue ring, and only
-from the residues that decision reads: the band of one tridiagonal block
-up to its last undecided minor, or the full entry table for generic
-elimination.  Either way the result is certified.  Float mode is plain
-eigenvalue computation with a certification threshold; float averages
-evaluate their roots in fixed chunks, one stacked eigensolve per chunk.
+Tridiagonality and the split into unreduced blocks are read off the
+integers once per matrix.  An unreduced tridiagonal block is decided by a
+backward-stable pivot count: its entries are read straight from the
+integer matrix with w rounded once per root, the negative LDL^T pivots
+are counted at the two shifts -delta and +delta, and delta exceeds a
+rigorous bound on how far the matrix each count is exact for lies from
+H (input radii plus rounding, by Weyl; derived in _two_shift_counts).
+Equal counts certify a nonsingular block and its inertia.  Otherwise the
+exact last minor of the block is tested over the cyclotomic residue ring:
+a zero gives one zero eigenvalue and, by strict interlacing, the certified
+count of the leading block; anything else reads every minor sign off the
+exact chain (interval refinement for tiny nonzero values).  Generic forms
+run a sound midpoint-radius float elimination first and exact pivoted
+elimination on the full entry table only where it cannot decide.  Either
+way the result is certified.  Float mode is plain eigenvalue computation
+with a certification threshold; float averages evaluate their roots in
+fixed chunks, one stacked eigensolve per chunk.
 """
-
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +51,8 @@ _ETA = 4e-323  # absorbs underflow in radius arithmetic
 # Error of each component of the rounded root e^{2 pi i num/den}; derived in
 # cyclotomic._float_eval_with_bound.
 _ROOT_ERR = 21.0 * _EPS
+_TINY = sys.float_info.min  # smallest normal double
+_HUGE = sys.float_info.max
 
 FLOAT_CERT_FACTOR = 1.0e6  # spec'd certification threshold, in units of eps*norm
 FLOAT_ZERO_FACTOR = 1.0e3  # eigenvalues below this band are classified zero
@@ -176,35 +184,51 @@ def _blocks(breaks) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+class _Band(NamedTuple):
+    """Integer data of a tridiagonal H = (1-w)A + (1-conj(w))A^T.
+
+    With c = 1 - Re w and s = Im w, the diagonal is h_ii = diag[i] * c and
+    the squared off-diagonal |h_{i,i+1}|^2 = sum_sq[i] * c^2 + diff_sq[i] * s^2.
+    """
+
+    diag: tuple[int, ...]  # 2 a_ii
+    sum_sq: tuple[int, ...]  # (a_{i,i+1} + a_{i+1,i})^2
+    diff_sq: tuple[int, ...]  # (a_{i,i+1} - a_{i+1,i})^2
+    diag_max: int  # max |diag[i]|
+    sum_sq_max: int
+    diff_sq_max: int
+
+
 @lru_cache(maxsize=None)
 def _tridiag_layout(a: SeifertMatrix):
-    """(tridiagonal?, unreduced blocks for non-real w, unreduced blocks at
-    w = -1), read off the integer matrix.
+    """(band, unreduced blocks for non-real w, unreduced blocks at w = -1),
+    read off the integer matrix; all three are None for a matrix that is
+    not tridiagonal.
 
     h_ij = (1-w)a_ij + (1-conj(w))a_ji.  For non-real w, 1-w and
     1-conj(w) are linearly independent over Q, so h_ij = 0 iff
-    a_ij = a_ji = 0; at w = -1, h_ij = 2(a_ij + a_ji).  The block lists are
-    None for a matrix that is not tridiagonal.
+    a_ij = a_ji = 0; at w = -1, h_ij = 2(a_ij + a_ji).
     """
     if not _is_tridiagonal(a.entries):
-        return False, None, None
+        return None, None, None
     if a.size == 0:
-        return True, (), ()
+        return _Band((), (), (), 0, 0, 0), (), ()
     e = a.entries
     pairs = [(e[i][i + 1], e[i + 1][i]) for i in range(a.size - 1)]
+    diag = tuple(2 * e[i][i] for i in range(a.size))
+    sum_sq = tuple((p + q) ** 2 for p, q in pairs)
+    diff_sq = tuple((p - q) ** 2 for p, q in pairs)
+    band = _Band(
+        diag, sum_sq, diff_sq, max(map(abs, diag)), max(sum_sq, default=0), max(diff_sq, default=0)
+    )
     return (
-        True,
+        band,
         _blocks([p == 0 and q == 0 for p, q in pairs]),
         _blocks([p + q == 0 for p, q in pairs]),
     )
 
 
 # -- midpoint-radius float arithmetic (sound, Rump-style) --------------------
-
-
-def _mr_add(v1, r1, v2, r2):
-    v = v1 + v2
-    return v, r1 + r2 + 4.0 * _EPS * abs(v) + _ETA
 
 
 def _mr_sub(v1, r1, v2, r2):
@@ -299,41 +323,6 @@ def _sturm_inertia_from_signs(signs: list[int]) -> InertiaTriple:
     return InertiaTriple(m - neg - zero, zero, neg, certified=True)
 
 
-def _tridiag_float_signs(diag, nrm) -> list | None:
-    """Per-minor signs from a sound machine-float Sturm pass.
-
-    diag holds the real diagonal entries and nrm the squared moduli of the
-    off-diagonals, each as (value, radius).  Returns a list with +1/-1
-    where certified and None where the interval straddles zero (exact
-    zeros of intermediate minors are routine on root-of-unity grids), or
-    None outright when the recurrence overflows.  The running pair is
-    renormalized by exact powers of two so exponential minor growth or
-    decay cannot erode relative precision, and radii recover after passing
-    a near-zero minor, so later signs stay sound.
-    """
-    signs = []
-    d2v, d2r = 1.0, 0.0
-    d1v, d1r = diag[0]
-    for i in range(1, len(diag) + 1):
-        if abs(d1v) > d1r:
-            signs.append(1 if d1v > 0 else -1)
-        else:
-            signs.append(None)
-        if i == len(diag):
-            break
-        t1 = _mr_mul(diag[i][0], diag[i][1], d1v, d1r)
-        t2 = _mr_mul(nrm[i - 1][0], nrm[i - 1][1], d2v, d2r)
-        d2v, d2r = d1v, d1r
-        d1v, d1r = _mr_sub(t1[0], t1[1], t2[0], t2[1])
-        if not math.isfinite(d1v) or not math.isfinite(d1r):
-            return None
-        mx = max(abs(d1v), abs(d2v))
-        if mx > 0.0 and not (0.25 <= mx <= 4.0):
-            s = 2.0 ** -math.frexp(mx)[1]
-            d1v, d1r, d2v, d2r = d1v * s, d1r * s, d2v * s, d2r * s
-    return signs
-
-
 def _chain(diag, off) -> tuple:
     """Exact leading principal minors D_1..D_k of an unreduced tridiagonal.
 
@@ -351,50 +340,152 @@ def _chain(diag, off) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _minor_chain(a: SeifertMatrix, den: int, start: int, count: int) -> tuple:
-    """Exact leading minors D_1..D_count of the block of H that starts at
-    row start, built from that band alone over the conductor-den ring.
+def _minor_chain(a: SeifertMatrix, den: int, start: int, stop: int) -> tuple:
+    """Exact leading minors of the block [start, stop) of H, built from
+    that band alone over the conductor-den ring.
 
     Like the entries themselves, the chain depends only on the conductor,
     so it is shared by every evaluation point k/den.
     """
     fld = cyc_field(den)
     e = a.entries
-    stop = start + count
     diag = [_herm_entry(fld, e[i][i], e[i][i]) for i in range(start, stop)]
     off = [_herm_entry(fld, e[i][i + 1], e[i + 1][i]) for i in range(start, stop - 1)]
     return _chain(diag, off)
 
 
-def _settle_signs(signs: list, chain_upto, root: UnitRoot) -> InertiaTriple:
-    """Inertia of an unreduced tridiagonal block from its float minor signs.
+def _settle_signs(chain, root: UnitRoot) -> InertiaTriple:
+    """Inertia of an unreduced tridiagonal block from its exact minor chain:
+    symbolic zero test first, interval refinement only for genuinely tiny
+    nonzero values."""
+    return _sturm_inertia_from_signs([certified_sign(d, root)[0] for d in chain])
 
-    Float-certified signs are kept; only undecided ones (None) are read
-    off the exact minor chain, which chain_upto(k) builds up to D_k, the
-    last undecided minor: symbolic zero test first, interval refinement
-    only for genuinely tiny nonzero values.
+
+def _negative_pivots(alpha: list, beta: list, x: float):
+    """Negative LDL^T pivots of T - xI, as (count among the first m-1,
+    whether the last is negative), for the real tridiagonal T with diagonal
+    alpha and squared off-diagonals beta; None when a pivot is zero,
+    subnormal or not finite.
+
+    q_1 = alpha_1 - x and q_i = (alpha_i - x) - beta_{i-1} / q_{i-1}.
     """
-    undecided = [i for i, s in enumerate(signs) if s is None]
-    if undecided:
-        chain = chain_upto(undecided[-1] + 1)
-        for i in undecided:
-            signs[i] = 0 if chain[i].is_zero else certified_sign(chain[i], root)[0]
-    return _sturm_inertia_from_signs(signs)
-
-
-def _seifert_block_float_signs(a: SeifertMatrix, start: int, stop: int, omc, s) -> list | None:
-    """Float Sturm signs of the block [start, stop) of H, read from the
-    integer matrix; omc and s come from _mr_root."""
-    e = a.entries
-    try:
-        diag = [_mr_mul(*_mr_int(2 * e[i][i]), *omc) for i in range(start, stop)]
-        nrm = []
-        for i in range(start, stop - 1):
-            re, im = _mr_seifert_parts(e[i][i + 1], e[i + 1][i], omc, s)
-            nrm.append(_mr_add(*_mr_mul(*re, *re), *_mr_mul(*im, *im)))
-    except _FloatPassFailed:
+    q = alpha[0] - x
+    neg = 0
+    for a_i, b in zip(alpha[1:], beta):
+        if not _TINY <= abs(q) <= _HUGE:
+            return None
+        neg += q < 0.0
+        q = a_i - x - b / q
+    if not _TINY <= abs(q) <= _HUGE:
         return None
-    return _tridiag_float_signs(diag, nrm)
+    return neg, q < 0.0
+
+
+def _two_shift_counts(band: _Band, start: int, stop: int, omc, im):
+    """Certified negative counts of the unreduced block [start, stop) of H
+    and of its leading block [start, stop - 1), each None where the count
+    does not certify it; omc and im come from _mr_root.
+
+    H is unitarily similar (by a diagonal of phases) to the real tridiagonal
+    T with diagonal alpha_i = 2 a_ii (1 - Re w) and off-diagonals
+    sqrt(beta_i), beta_i = (p+q)^2 (1 - Re w)^2 + (p-q)^2 (Im w)^2.  Below,
+    c and s are the rounded floats, within rc and rs of 1 - Re w and |Im w|;
+    A, P, Q bound |2 a_ii|, (p+q)^2, (p-q)^2 over the matrix; u = eps/2 is
+    the unit roundoff.
+
+    Inputs.  alpha^_i = fl(2 a_ii c) is within A rc + 3u A c of alpha_i, and
+    beta^_i (four roundings of nonnegative terms) within
+        e_beta = P (2c rc + rc^2) + Q (2s rs + rs^2) + 3 eps max beta^
+    of beta_i.  As |sqrt x - sqrt y| <= sqrt|x - y| and, for x > 0,
+    <= |x - y| / sqrt x, the float matrix T^ (diagonal alpha^, off-diagonals
+    sqrt beta^) has off-diagonals within
+        off = min(sqrt e_beta, e_beta / sqrt min beta^)
+    of T's.
+
+    Count.  A pivot is computed as q^_i = ((alpha^_i - x)(1 + e1) -
+    (beta^_{i-1} / q^_{i-1})(1 + e2) + t)(1 + e3) with |e_k| <= u and an
+    underflow term |t| <= 2^-1075 from the division (subtractions that land
+    among subnormals are exact; a zero, subnormal or non-finite pivot stops
+    the count).  So q~_i = q^_i / (1 + e3_i) are the exact pivots of
+    T~ - xI, where T~ has diagonal alpha^_i + e1 (alpha^_i - x) + t and
+    squared off-diagonals beta^_i (1 + e2_{i+1}) / (1 + e3_i), and q~_i has
+    the sign of q^_i: by Sylvester the count of negative q^ is the number
+    of eigenvalues of T~ below x.  T~ - T^ has diagonal entries at most
+    u (1 + u)^2 A c + u |x| + |t| and off-diagonals at most
+    2 eps sqrt max beta^.
+
+    Bound.  The 2-norm of a symmetric tridiagonal is at most its largest
+    absolute row sum, so by Weyl every eigenvalue of T~ lies within
+    eta + eps |x| of the matching eigenvalue of T, with
+        eta = A (rc + 2 eps c) + 2 off + 4 eps sqrt max beta^ + _ETA,
+    for any |x| >= 8u A c: the diagonal errors above add up to
+    A rc + (4u + 2u^2 + u^3) A c + u |x| + |t|, and eps |x| = 2u |x| covers
+    the second-order terms.
+
+    Certificate.  At x = -delta and x = +delta with delta = 2 eta >= 8u A c
+    (so that eta + eps delta < delta), the count at -delta is at most the
+    number of negative eigenvalues of T and the count at +delta at least
+    the number of nonpositive ones.  Equal counts certify that T is
+    nonsingular with that many negative eigenvalues.  The first m-1 pivots
+    are those of the leading block, whose perturbations obey the same
+    bounds, so their counts certify it alike.
+    """
+    c, rc = omc
+    s, rs = abs(im[0]), im[1]
+    c2, s2 = c * c, s * s
+    try:
+        alpha = [x * c for x in band.diag[start:stop]]
+        beta = [
+            p * c2 + q * s2
+            for p, q in zip(band.sum_sq[start:stop - 1], band.diff_sq[start:stop - 1])
+        ]
+        bmin, bmax = min(beta), max(beta)
+        e_beta = (
+            band.sum_sq_max * (2.0 * c * rc + rc * rc)
+            + band.diff_sq_max * (2.0 * s * rs + rs * rs)
+            + 3.0 * _EPS * bmax
+        )
+        off = math.sqrt(e_beta)
+        if bmin > 0.0:
+            off = min(off, e_beta / math.sqrt(bmin))
+        eta = (
+            band.diag_max * (rc + 2.0 * _EPS * c)
+            + 2.0 * off
+            + 4.0 * _EPS * math.sqrt(bmax)
+            + _ETA
+        )
+    except OverflowError:
+        return None, None
+    if not eta < _HUGE:
+        return None, None
+    lo = _negative_pivots(alpha, beta, -2.0 * eta)
+    hi = _negative_pivots(alpha, beta, 2.0 * eta)
+    if lo is None or hi is None:
+        return None, None
+    lead = lo[0] if lo[0] == hi[0] else None
+    full = lo[0] + lo[1] if lo[0] + lo[1] == hi[0] + hi[1] else None
+    return full, lead
+
+
+def _block_inertia(
+    a: SeifertMatrix, band: _Band, start: int, stop: int, omc, s, num: int, den: int
+) -> InertiaTriple:
+    """Inertia of the unreduced block [start, stop) of H at w = e^{2 pi i num/den}.
+
+    The two-shift pivot count decides a nonsingular block outright.
+    Otherwise the exact last minor is tested: if it vanishes, the block has
+    a simple zero eigenvalue and, by strict interlacing, the same negative
+    count as its leading block, which is nonsingular.  Only when that count
+    is not certified either is every sign read off the exact chain.
+    """
+    m = stop - start
+    full, lead = _two_shift_counts(band, start, stop, omc, s)
+    if full is not None:
+        return InertiaTriple(m - full, 0, full)
+    chain = _minor_chain(a, den, start, stop)
+    if chain[-1].is_zero and lead is not None:
+        return InertiaTriple(m - 1 - lead, 1, lead)
+    return _settle_signs(chain, UnitRoot(num, den))
 
 
 # -- generic elimination ------------------------------------------------------
@@ -548,12 +639,11 @@ def _inertia_exact(form: HermitianForm) -> InertiaTriple:
         if stop - start == 1:
             triples.append(_sign_triple(certified_sign(entries[start][start], root)[0]))
         else:
-            # Forms given by residues skip the float pass and read every
+            # Forms given by residues skip the pivot count and read every
             # sign off the exact chain.
             diag = [entries[i][i] for i in range(start, stop)]
             off = [entries[i][i + 1] for i in range(start, stop - 1)]
-            signs = [None] * (stop - start)
-            triples.append(_settle_signs(signs, lambda k: _chain(diag[:k], off[:k - 1]), root))
+            triples.append(_settle_signs(_chain(diag, off), root))
     return _sum_triples(triples)
 
 
@@ -611,21 +701,23 @@ class SignatureResult:
 
 @lru_cache(maxsize=None)
 def _signature_exact_cached(a: SeifertMatrix, num: int, den: int) -> InertiaTriple:
+    """Exact inertia of H at w = e^{2 pi i num/den}.  Callers pass the
+    smaller of num and den - num: H(conj w) = conj H(w) has the same inertia."""
     exact_degree(den)  # refuse huge conductors even where floats would decide
-    root = UnitRoot(num, den)
     omc, s = _mr_root(num, den)
-    tridiag, blocks, blocks_den2 = _tridiag_layout(a)
-    if not tridiag:
+    band, blocks, blocks_den2 = _tridiag_layout(a)
+    if band is None:
         res = _generic_float_pass(_mr_seifert_table(a, omc, s))
-        return res if res is not None else _generic_inertia_exact(_herm_residues(a, den), root)
+        if res is not None:
+            return res
+        return _generic_inertia_exact(_herm_residues(a, den), UnitRoot(num, den))
     triples = []
     for start, stop in blocks_den2 if den == 2 else blocks:
         if stop - start == 1:
             # h_ii = 2 a_ii (1 - Re w) with 1 - Re w > 0: the sign of a_ii.
             triples.append(_sign_triple(a.entries[start][start]))
         else:
-            signs = _seifert_block_float_signs(a, start, stop, omc, s) or [None] * (stop - start)
-            triples.append(_settle_signs(signs, partial(_minor_chain, a, den, start), root))
+            triples.append(_block_inertia(a, band, start, stop, omc, s, num, den))
     return _sum_triples(triples)
 
 
@@ -635,7 +727,7 @@ def signature_details(a: SeifertMatrix, root: UnitRoot, mode: str = "exact") -> 
         triple = InertiaTriple(0, a.size, 0, certified=True)
         return SignatureResult(0, triple, a.size > 0, True)
     if mode == "exact":
-        triple = _signature_exact_cached(a, root.num, root.den)
+        triple = _signature_exact_cached(a, min(root.num, root.den - root.num), root.den)
     elif mode == "float":
         triple = _inertia_from_numeric(_numeric_hermitians(a, [root.to_complex()])[0])
     else:
@@ -708,7 +800,7 @@ def alexander_polynomial(a: SeifertMatrix) -> tuple[int, ...]:
         [[a.entries[j][i], -a.entries[i][j]] for j in range(m)]
         for i in range(m)
     ]
-    if _tridiag_layout(a)[0]:
+    if _tridiag_layout(a)[0] is not None:
         prev2, prev1 = [1], mat[0][0]
         for i in range(1, m):
             term1 = _poly_mul(mat[i][i], prev1)

@@ -1,6 +1,7 @@
 """Seifert matrices, families, presentations, and JSON input."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from knotrho.seifert import (
     KnotFamilyId,
     SeifertMatrix,
     SurgeryPresentation,
+    _skew_det,
     det_int,
     jn_seifert,
     knot_surgery_presentation,
@@ -60,6 +62,41 @@ def test_family_skew_determinant_is_one():
             tuple(a.entries[i][j] - a.entries[j][i] for j in range(m)) for i in range(m)
         )
         assert det_int(skew) == 1
+
+
+@given(st.integers(0, 10**9))
+def test_banded_skew_determinant_matches_dense(seed):
+    rng = random.Random(seed)
+    m = rng.randint(0, 9)
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m):
+        rows[i][i] = rng.randint(-3, 3)
+        if i + 1 < m:
+            rows[i][i + 1] = rng.randint(-3, 3)
+            rows[i + 1][i] = rng.randint(-3, 3)
+    rows = tuple(tuple(r) for r in rows)
+    skew = tuple(tuple(rows[i][j] - rows[j][i] for j in range(m)) for i in range(m))
+    assert _skew_det(rows) == det_int(skew)
+
+
+def test_skew_determinant_of_empty_matrix_is_one():
+    assert _skew_det(()) == det_int(()) == 1
+    assert SeifertMatrix((), kind="knot").size == 0
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, 2.5])
+def test_non_integer_entries_keep_their_message(bad):
+    for rows in (((1, 1), (0, bad)), ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, bad))):
+        with pytest.raises(InvalidSeifertMatrixError) as excinfo:
+            SeifertMatrix(rows, kind="knot")
+        assert str(excinfo.value) == f"entries must be integers, got {bad!r}"
+
+
+def test_hash_is_the_hash_of_entries_and_kind():
+    a, b = jn_seifert(3), jn_seifert(3)
+    assert a is not b and a == b
+    assert hash(a) == hash(b) == hash((a.entries, "knot"))
+    assert hash(a) != hash(SeifertMatrix(a.entries, kind="link"))
 
 
 def test_unknot_is_empty():

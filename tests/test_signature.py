@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from knotrho import cyclotomic, signature
-from knotrho.cyclotomic import CycField, UnitRoot, certified_sign
+from knotrho.cyclotomic import CycField, UnitRoot
 from knotrho.exceptions import ConductorLimitError, InvalidParameterError
+from knotrho.rho import rho_knot_surgery_result
 from knotrho.seifert import (
     SeifertMatrix,
     _is_tridiagonal,
@@ -39,8 +40,9 @@ from knotrho.signature import (
     _minor_chain,
     _mr_root,
     _mr_seifert_table,
-    _seifert_block_float_signs,
+    _signature_exact_cached,
     _tridiag_layout,
+    _two_shift_counts,
 )
 from knotrho.verify import random_knot_seifert, random_root
 
@@ -444,18 +446,25 @@ def _scrambled(a, rng):
     return SeifertMatrix(tuple(tuple(r) for r in rows), kind=a.kind)
 
 
-def _check_integer_sturm_signs(a, root):
-    """Every sign the integer-entry Sturm pass certifies is the exact one."""
+def _check_pivot_counts(a, root):
+    """Every inertia the two-shift pivot count certifies, of an unreduced
+    block or of its leading block, is the residue oracle's.  Returns the
+    (full, leading) counts of each block."""
+    band, blocks, blocks_den2 = _tridiag_layout(a)
+    table = _herm_residues(a, root.den)
     omc, s = _mr_root(root.num, root.den)
-    _, blocks, blocks_den2 = _tridiag_layout(a)
+    counts = []
     for start, stop in blocks_den2 if root.den == 2 else blocks:
         if stop - start == 1:
             continue
-        signs = _seifert_block_float_signs(a, start, stop, omc, s)
-        chain = _minor_chain(a, root.den, start, stop - start)
-        for sign, minor in zip(signs, chain):
-            if sign is not None:
-                assert sign == certified_sign(minor, root)[0]
+        full, lead = _two_shift_counts(band, start, stop, omc, s)
+        for end, neg in ((stop, full), (stop - 1, lead)):
+            if neg is not None:
+                sub = tuple(row[start:end] for row in table[start:end])
+                want = _generic_inertia_exact(sub, root).as_tuple()
+                assert want == (end - start - neg, 0, neg)
+        counts.append((full, lead))
+    return counts
 
 
 @given(st.integers(0, 10**9))
@@ -463,7 +472,7 @@ def test_integer_tridiagonal_pass_matches_residue_oracle(seed):
     rng = random.Random(seed)
     a = _random_tridiagonal_link(rng, rng.randint(1, 8))
     root = _root_with_small_conductors(rng)
-    _check_integer_sturm_signs(a, root)
+    _check_pivot_counts(a, root)
     assert signature_details(a, root).inertia.as_tuple() == _residue_oracle(a, root)
 
 
@@ -487,7 +496,12 @@ def test_integer_passes_at_torus_jump_points():
         d = 4 * n + 2
         for k in range(1, d):
             root = UnitRoot(k, d)
-            _check_integer_sturm_signs(a, root)
+            ((full, lead),) = _check_pivot_counts(a, root)
+            if k % 2 == 1 and 2 * k != d:
+                # a jump point: the zero eigenvalue defeats the count, the
+                # nonsingular leading block does not (interlacing fallback)
+                assert full is None and lead is not None
+                assert _minor_chain(a, root.den, 0, a.size)[-1].is_zero
             want = _residue_oracle(a, root)
             assert signature_details(a, root).inertia.as_tuple() == want
             assert signature_details(scrambled, root).inertia.as_tuple() == want
@@ -560,3 +574,35 @@ def test_exact_average_builds_residues_only_for_undecided_signs(monkeypatch):
     # the zero minors at the jump points of the 1/10 grid need the exact fallback
     assert avg_signature(torus_knot_seifert(2), 10) == Fraction(12, 5)
     assert 10 in built
+
+
+# -- twist family: decided by the pivot count alone ----------------------------------
+
+
+def test_twist_family_needs_no_exact_chain(monkeypatch):
+    calls = []
+    original = signature.certified_sign
+
+    def counting(element, root):
+        calls.append(root)
+        return original(element, root)
+
+    monkeypatch.setattr(signature, "certified_sign", counting)
+    _clear_engine_caches()
+    a = jn_seifert(100)
+    assert signature_details(a, UnitRoot(2, 5)).inertia.as_tuple() == (180, 0, 20)
+    for n in (3, 40, 100, 150):
+        for d in (5, 7, 11, 12):
+            avg_signature(jn_seifert(n), d)
+    assert _minor_chain.cache_info().misses == 0
+    assert calls == []
+
+
+def test_rho_levels_reuse_the_average_signatures():
+    _clear_engine_caches()
+    a = jn_seifert(3)
+    avg = avg_signature(a, 401)
+    misses = _signature_exact_cached.cache_info().misses
+    res = rho_knot_surgery_result(a, 401)
+    assert _signature_exact_cached.cache_info().misses == misses
+    assert res.value == Fraction(401, 3) + Fraction(2, 3 * 401) - 1 + avg
