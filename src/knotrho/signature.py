@@ -13,11 +13,16 @@ exact last minor of the block is tested over the cyclotomic residue ring:
 a zero gives one zero eigenvalue and, by strict interlacing, the certified
 count of the leading block; anything else reads every minor sign off the
 exact chain (interval refinement for tiny nonzero values).  Generic forms
-run a sound midpoint-radius float elimination first and exact pivoted
-elimination on the full entry table only where it cannot decide.  Either
+run a sound midpoint-radius float elimination, which reports the size r
+of the Schur complement it stalls at.  r = 0 certifies a nonsingular
+form.  At a jump point it stalls at r = 1, and since
+det H = (1 - conj w)^m Delta(w), an exact zero of the cached Alexander
+polynomial at w certifies that this last complement is zero.  Any other
+stall takes exact pivoted elimination on the full entry table.  Either
 way the result is certified.  Float mode is plain eigenvalue computation
 with a certification threshold; float averages evaluate their roots in
-fixed chunks, one stacked eigensolve per chunk.
+fixed chunks, one stacked eigensolve per chunk, and are the only users of
+NumPy, which is imported on first use.
 """
 from __future__ import annotations
 
@@ -27,9 +32,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cyclotomic import (
     CyclotomicElement,
@@ -45,6 +48,9 @@ from .exceptions import (
     InvalidParameterError,
 )
 from .seifert import SeifertMatrix, _is_tridiagonal
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _EPS = 2.0 ** -52
 _ETA = 4e-323  # absorbs underflow in radius arithmetic
@@ -130,6 +136,8 @@ class HermitianForm:
         return cls(root, entries)
 
     def to_numeric(self) -> np.ndarray:
+        import numpy as np
+
         m = self.size
         h = np.zeros((m, m), dtype=complex)
         for i in range(m):
@@ -491,16 +499,22 @@ def _block_inertia(
 # -- generic elimination ------------------------------------------------------
 
 
-def _generic_float_pass(mat) -> InertiaTriple | None:
-    """Certified machine-float pivoted elimination; None on any ambiguity.
+def _generic_float_pass(mat) -> tuple[int, int, int]:
+    """Certified machine-float pivoted elimination: (p, n, r), where p and
+    n count the positive and negative pivots it certified and r is the size
+    of the Schur complement it stalled at (0 when it completed).
 
-    mat holds the entries as (complex value, radius), or is None when they
-    could not be evaluated.  Works on pivot-scaled Schur complements so the
-    recurrence mirrors the exact path; a completed pass certifies a
-    nonsingular form (z = 0).
+    mat holds the entries as (complex value, radius).  Works on
+    pivot-scaled Schur complements so the recurrence mirrors the exact
+    path.  Every pivot taken has a midpoint-radius enclosure that excludes
+    zero, so with J the pivot indices, H_J is nonsingular with inertia
+    (p, 0, n), and by Haynsworth In(H) = (p, 0, n) + In(H/H_J).  A completed
+    pass (r = 0) therefore certifies a nonsingular form.  It stalls, with
+    r > 0, when no diagonal entry of the current complement is certified
+    nonzero or when the next complement overflows.  A stall at r = 1 leaves
+    the 1x1 complement det H / det H_J, up to a nonzero scale, so its sign
+    is the sign of det H; _generic_seifert_inertia decides it when det H = 0.
     """
-    if mat is None:
-        return None
     p = n = 0
     sigma = 1
     while mat:
@@ -513,7 +527,7 @@ def _generic_float_pass(mat) -> InertiaTriple | None:
                 if best is None or abs(re) > best[0]:
                     best = (abs(re), i, 1 if re > 0 else -1)
         if best is None:
-            return None
+            return p, n, size
         _, j, s = best
         contribution = sigma * s
         if contribution > 0:
@@ -532,7 +546,7 @@ def _generic_float_pass(mat) -> InertiaTriple | None:
                 t2 = _mr_mul(*mat[a_i][j], *mat[j][b_i])
                 val = _mr_sub(t1[0], t1[1], t2[0], t2[1])
                 if not math.isfinite(val[0].real) or not math.isfinite(val[1]):
-                    return None
+                    return p, n, size - 1
                 peak = max(peak, abs(val[0]))
                 row.append(val)
             new.append(row)
@@ -541,7 +555,7 @@ def _generic_float_pass(mat) -> InertiaTriple | None:
             s = 2.0 ** -math.frexp(peak)[1]
             new = [[(v * s, r * s) for v, r in row] for row in new]
         mat = new
-    return InertiaTriple(p, 0, n, certified=True)
+    return p, n, 0
 
 
 def _generic_inertia_exact(entries, root) -> InertiaTriple:
@@ -631,9 +645,9 @@ def _inertia_exact(form: HermitianForm) -> InertiaTriple:
         try:
             mat = [[_mr_entry(e, root) for e in row] for row in entries]
         except _FloatPassFailed:
-            mat = None
-        res = _generic_float_pass(mat)
-        return res if res is not None else _generic_inertia_exact(entries, root)
+            return _generic_inertia_exact(entries, root)
+        p, n, rest = _generic_float_pass(mat)
+        return InertiaTriple(p, 0, n) if rest == 0 else _generic_inertia_exact(entries, root)
     triples = []
     for start, stop in _blocks([entries[i][i + 1].is_zero for i in range(m - 1)]):
         if stop - start == 1:
@@ -650,6 +664,8 @@ def _inertia_exact(form: HermitianForm) -> InertiaTriple:
 def _numeric_inertias(h: np.ndarray):
     """(positive counts, negative counts, certified flags) of a stack of
     Hermitian matrices of shape (K, m, m), m > 0, from one eigensolve."""
+    import numpy as np
+
     eigs = np.linalg.eigvalsh(h)
     mag = np.abs(eigs)
     scale = np.max(mag, axis=-1, keepdims=True)
@@ -685,6 +701,8 @@ def inertia(form: HermitianForm, mode: str = "exact") -> InertiaTriple:
 
 def _numeric_hermitians(a: SeifertMatrix, omegas) -> np.ndarray:
     """H at each w of omegas, stacked into shape (len(omegas), m, m)."""
+    import numpy as np  # loaded by float mode only: exact mode never needs it
+
     w = np.array(omegas, dtype=complex).reshape(-1, 1, 1)
     arr = np.array(a.entries, dtype=complex).reshape(a.size, a.size)
     h = (1 - w) * arr + (1 - w.conj()) * arr.T
@@ -699,18 +717,36 @@ class SignatureResult:
     certified: bool
 
 
+def _generic_seifert_inertia(a: SeifertMatrix, omc, s, num: int, den: int) -> InertiaTriple:
+    """Inertia of a non-tridiagonal H at w = e^{2 pi i num/den}.
+
+    The sound float pass decides a nonsingular form outright.  When it
+    stalls at a 1x1 complement, the exact Alexander value decides it:
+    H = (1 - conj w)(A^T - w A), so det H = (1 - conj w)^m Delta(w) with
+    1 - conj w != 0, also for link matrices with Delta = 0.  If Delta(w) = 0,
+    the complement, a nonzero multiple of det H / det H_J, is zero and
+    Haynsworth gives (p, 1, n).  Every other stall takes exact pivoted
+    elimination on the full residue table.
+    """
+    mat = _mr_seifert_table(a, omc, s)
+    p, n, rest = _generic_float_pass(mat) if mat is not None else (0, 0, a.size)
+    if rest == 0:
+        return InertiaTriple(p, 0, n)
+    root = UnitRoot(num, den)
+    if rest == 1 and alexander_at(a, root).is_zero:
+        return InertiaTriple(p, 1, n)
+    return _generic_inertia_exact(_herm_residues(a, den), root)
+
+
 @lru_cache(maxsize=None)
 def _signature_exact_cached(a: SeifertMatrix, num: int, den: int) -> InertiaTriple:
     """Exact inertia of H at w = e^{2 pi i num/den}.  Callers pass the
-    smaller of num and den - num: H(conj w) = conj H(w) has the same inertia."""
-    exact_degree(den)  # refuse huge conductors even where floats would decide
+    smaller of num and den - num: H(conj w) = conj H(w) has the same inertia,
+    and check the conductor with exact_degree first."""
     omc, s = _mr_root(num, den)
     band, blocks, blocks_den2 = _tridiag_layout(a)
     if band is None:
-        res = _generic_float_pass(_mr_seifert_table(a, omc, s))
-        if res is not None:
-            return res
-        return _generic_inertia_exact(_herm_residues(a, den), UnitRoot(num, den))
+        return _generic_seifert_inertia(a, omc, s, num, den)
     triples = []
     for start, stop in blocks_den2 if den == 2 else blocks:
         if stop - start == 1:
@@ -727,6 +763,7 @@ def signature_details(a: SeifertMatrix, root: UnitRoot, mode: str = "exact") -> 
         triple = InertiaTriple(0, a.size, 0, certified=True)
         return SignatureResult(0, triple, a.size > 0, True)
     if mode == "exact":
+        exact_degree(root.den)  # refuse huge conductors even where floats would decide
         triple = _signature_exact_cached(a, min(root.num, root.den - root.num), root.den)
     elif mode == "float":
         triple = _inertia_from_numeric(_numeric_hermitians(a, [root.to_complex()])[0])
@@ -857,9 +894,11 @@ def _primitive_numerators(den: int) -> tuple[list[int], int]:
 
 @lru_cache(maxsize=None)
 def _primitive_signature_sum_exact(a: SeifertMatrix, den: int) -> int:
-    """Sum of sigma over the primitive den-th roots of unity (den > 1)."""
+    """Sum of sigma over the primitive den-th roots of unity (den > 1); the
+    conductor is checked once for the whole grid."""
+    exact_degree(den)
     ks, weight = _primitive_numerators(den)
-    return weight * sum(levine_tristram(a, UnitRoot(k, den)) for k in ks)
+    return weight * sum(_signature_exact_cached(a, k, den).signature for k in ks)
 
 
 def _primitive_signature_sum_float(a: SeifertMatrix, den: int) -> tuple[int, bool]:
@@ -871,8 +910,8 @@ def _primitive_signature_sum_float(a: SeifertMatrix, den: int) -> tuple[int, boo
     for i in range(0, len(ks), FLOAT_CHUNK):
         omegas = [UnitRoot(k, den).to_complex() for k in ks[i:i + FLOAT_CHUNK]]
         p, n, cert = _numeric_inertias(_numeric_hermitians(a, omegas))
-        total += weight * int(np.sum(p - n))
-        certified = certified and bool(np.all(cert))
+        total += weight * int((p - n).sum())
+        certified = certified and bool(cert.all())
     return total, certified
 
 

@@ -1,6 +1,7 @@
 """Signature engine: frozen examples, invariants, and dual-path cross-checks."""
 
 import math
+import time
 import random
 from fractions import Fraction
 
@@ -482,9 +483,9 @@ def test_integer_generic_pass_matches_residue_oracle(seed):
     a = _scrambled(torus_knot_seifert(rng.randint(1, 4)), rng)
     root = _root_with_small_conductors(rng)
     want = _residue_oracle(a, root)
-    fl = _generic_float_pass(_mr_seifert_table(a, *_mr_root(root.num, root.den)))
-    if fl is not None:
-        assert fl.as_tuple() == want
+    p, n, rest = _generic_float_pass(_mr_seifert_table(a, *_mr_root(root.num, root.den)))
+    if rest == 0:
+        assert (p, 0, n) == want
     assert signature_details(a, root).inertia.as_tuple() == want
 
 
@@ -606,3 +607,125 @@ def test_rho_levels_reuse_the_average_signatures():
     res = rho_knot_surgery_result(a, 401)
     assert _signature_exact_cached.cache_info().misses == misses
     assert res.value == Fraction(401, 3) + Fraction(2, 3 * 401) - 1 + avg
+
+
+# -- generic forms at jump points: the exact Alexander zero -----------------------
+
+
+def test_generic_jump_points_match_exact_elimination():
+    rng = random.Random(13)
+    for n in (2, 3, 4, 5):
+        a = _scrambled(torus_knot_seifert(n), rng)
+        assert not _is_tridiagonal(a.entries)
+        d = 4 * n + 2
+        for k in range(1, d // 2 + 1):
+            root = UnitRoot(k, d)
+            if alexander_at(a, root).is_zero:
+                res = signature_details(a, root)
+                assert res.inertia.as_tuple() == _residue_oracle(a, root)
+                assert res.inertia.zero == 1
+
+
+def _count_exact_eliminations(monkeypatch):
+    calls = []
+    original = signature._generic_inertia_exact
+
+    def counting(entries, root):
+        calls.append(root)
+        return original(entries, root)
+
+    monkeypatch.setattr(signature, "_generic_inertia_exact", counting)
+    _clear_engine_caches()
+    return calls
+
+
+def test_singular_generic_profile_needs_no_exact_elimination(monkeypatch):
+    calls = _count_exact_eliminations(monkeypatch)
+    a = _scrambled(torus_knot_seifert(5), random.Random(5))
+    assert not _is_tridiagonal(a.entries)
+    singular = 0
+    for k in range(1, 12):
+        root = UnitRoot(k, 22)
+        res = signature_details(a, root)
+        assert res.singular == alexander_at(a, root).is_zero
+        singular += res.singular
+    assert singular == 5
+    assert calls == []
+
+
+def test_link_with_vanishing_alexander_polynomial(monkeypatch):
+    # Zero rows and columns make Delta = 0 and H singular at every root.  One
+    # leaves the float pass a 1x1 complement, decided by Delta; two leave a
+    # 2x2 one, which only exact elimination decides.
+    calls = _count_exact_eliminations(monkeypatch)
+    one = SeifertMatrix(((2, 0, 0, 1), (0, 0, 0, 0), (1, 0, -1, 1), (0, 0, 2, 1)), kind="link")
+    two = SeifertMatrix(tuple(row + (0,) for row in one.entries) + ((0,) * 5,), kind="link")
+    fractions = ((1, 2), (1, 3), (1, 4), (1, 5), (2, 5), (1, 6), (1, 12), (5, 12))
+    roots = [UnitRoot(k, d) for k, d in fractions]
+    for a, zero, exact_calls in ((one, 1, 0), (two, 2, len(roots))):
+        assert alexander_polynomial(a) == (0,)
+        assert not _is_tridiagonal(a.entries)
+        calls.clear()
+        got = [signature_details(a, root).inertia.as_tuple() for root in roots]
+        assert len(calls) == exact_calls
+        assert got == [_residue_oracle(a, root) for root in roots]
+        assert all(t[1] == zero for t in got)
+
+
+def test_float_stall_at_nonsingular_form_is_not_taken_for_a_zero():
+    # At w = -1, H = 2(A + A^T) has the block [[4N, 4N+2], [4N+2, 4N]] on
+    # rows 0 and 2, whose Schur complement -(16N + 4)/(4N) lies far inside
+    # the float radius of entries near 2^62: the float pass stalls at its
+    # last 1x1 complement although H is nonsingular.
+    big = 2**60
+    a = SeifertMatrix(((big, 0, 2 * big + 1), (0, 1, 0), (0, 0, big)), kind="link")
+    root = UnitRoot(1, 2)
+    assert _generic_float_pass(_mr_seifert_table(a, *_mr_root(1, 2))) == (2, 0, 1)
+    assert not alexander_at(a, root).is_zero
+    res = signature_details(a, root)
+    assert res.inertia.as_tuple() == _residue_oracle(a, root) == (2, 0, 1)
+    assert not res.singular
+
+
+def test_large_singular_generic_profile_is_fast(monkeypatch):
+    # Exact elimination took about 4 s per jump point of this 14x14 form.
+    calls = _count_exact_eliminations(monkeypatch)
+    a = _scrambled(torus_knot_seifert(7), random.Random(7))
+    eps = Fraction(1, 1000)
+    start = time.perf_counter()
+    for k in range(1, 16):
+        x = Fraction(k, 30)
+        sides = litherland_torus_signature(7, x - eps) + litherland_torus_signature(
+            7, min(x + eps, Fraction(1, 2))
+        )
+        res = signature_details(a, UnitRoot(k, 30))
+        assert res.value == Fraction(sides, 2)
+        assert res.singular == (k % 2 == 1 and k != 15)
+    assert time.perf_counter() - start < 5.0
+    assert calls == []
+
+
+def test_exact_conductor_checked_once_per_grid(monkeypatch):
+    calls = []
+    original = signature.exact_degree
+
+    def counting(d):
+        calls.append(d)
+        return original(d)
+
+    monkeypatch.setattr(signature, "exact_degree", counting)
+    _clear_engine_caches()
+    avg_signature(torus_knot_seifert(3), 1009)
+    assert calls == [1009]
+    signature_details(TREFOIL, UnitRoot(2, 7))
+    assert calls == [1009, 7]
+
+
+def test_exact_average_refuses_huge_conductor_with_the_same_message():
+    with pytest.raises(ConductorLimitError) as direct:
+        cyclotomic.exact_degree(200003)
+    with pytest.raises(ConductorLimitError) as avg:
+        avg_signature(TREFOIL, 200003)
+    with pytest.raises(ConductorLimitError) as single:
+        signature_details(TREFOIL, UnitRoot(1, 200003))
+    assert str(avg.value) == str(single.value) == str(direct.value)
