@@ -13,8 +13,10 @@ exact last minor of the block is tested over the cyclotomic residue ring:
 a zero gives one zero eigenvalue and, by strict interlacing, the certified
 count of the leading block; anything else reads every minor sign off the
 exact chain (interval refinement for tiny nonzero values).  Generic forms
-run a sound midpoint-radius float elimination, which reports the size r
-of the Schur complement it stalls at.  r = 0 certifies a nonsingular
+run a sound midpoint-radius float elimination, with a 2x2 block pivot of
+certified negative determinant wherever no diagonal entry of a Schur
+complement is certified nonzero, and it reports the size r of the
+complement it stalls at.  r = 0 certifies a nonsingular
 form.  At a jump point it stalls at r = 1, and since
 det H = (1 - conj w)^m Delta(w), an exact zero of the cached Alexander
 polynomial at w certifies that this last complement is zero.  Any other
@@ -499,6 +501,24 @@ def _block_inertia(
 # -- generic elimination ------------------------------------------------------
 
 
+def _mr_block_pivot(mat):
+    """A certified 2x2 pivot of a Hermitian complement whose diagonal is
+    undecided: (i, j, D) with D = |h_ij|^2 - h_ii h_jj > 0 as (value,
+    radius), so the block has determinant -D < 0 and inertia (1, 0, 1); or
+    None.  Tries the largest off-diagonal entry."""
+    size = len(mat)
+    if size < 2:
+        return None
+    _, i, j = max((abs(mat[i][j][0]), i, j) for i in range(size) for j in range(i + 1, size))
+    h, rh = mat[i][j]
+    nrm = _mr_mul(h, rh, h.conjugate(), rh)
+    ac = _mr_mul(*mat[i][i], *mat[j][j])
+    d, rd = _mr_sub(nrm[0], nrm[1], ac[0], ac[1])
+    if d.real > rd + size * _ETA:
+        return i, j, (d, rd)
+    return None
+
+
 def _generic_float_pass(mat) -> tuple[int, int, int]:
     """Certified machine-float pivoted elimination: (p, n, r), where p and
     n count the positive and negative pivots it certified and r is the size
@@ -506,14 +526,17 @@ def _generic_float_pass(mat) -> tuple[int, int, int]:
 
     mat holds the entries as (complex value, radius).  Works on
     pivot-scaled Schur complements so the recurrence mirrors the exact
-    path.  Every pivot taken has a midpoint-radius enclosure that excludes
-    zero, so with J the pivot indices, H_J is nonsingular with inertia
-    (p, 0, n), and by Haynsworth In(H) = (p, 0, n) + In(H/H_J).  A completed
-    pass (r = 0) therefore certifies a nonsingular form.  It stalls, with
-    r > 0, when no diagonal entry of the current complement is certified
-    nonzero or when the next complement overflows.  A stall at r = 1 leaves
-    the 1x1 complement det H / det H_J, up to a nonzero scale, so its sign
-    is the sign of det H; _generic_seifert_inertia decides it when det H = 0.
+    path.  The pivot is the largest diagonal entry whose enclosure excludes
+    zero; when there is none, a 2x2 block whose determinant is certified
+    negative, which contributes (1, 0, 1) and scales the complement by
+    minus that determinant, a positive number.  Every pivot taken is thus
+    certified nonsingular, so with J the pivot indices, H_J is nonsingular
+    with inertia (p, 0, n), and by Haynsworth In(H) = (p, 0, n) + In(H/H_J).
+    A completed pass (r = 0) therefore certifies a nonsingular form.  It
+    stalls, with r > 0, when neither kind of pivot is certified or when the
+    next complement overflows.  A stall at r = 1 leaves the 1x1 complement
+    det H / det H_J, up to a nonzero scale, so its sign is the sign of
+    det H; _generic_seifert_inertia decides it when det H = 0.
     """
     p = n = 0
     sigma = 1
@@ -526,30 +549,55 @@ def _generic_float_pass(mat) -> tuple[int, int, int]:
             if abs(re) > r + size * _ETA:
                 if best is None or abs(re) > best[0]:
                     best = (abs(re), i, 1 if re > 0 else -1)
-        if best is None:
-            return p, n, size
-        _, j, s = best
-        contribution = sigma * s
-        if contribution > 0:
-            p += 1
+        if best is not None:
+            _, j, s = best
+            contribution = sigma * s
+            if contribution > 0:
+                p += 1
+            else:
+                n += 1
+            sigma = contribution
+            piv = mat[j][j]
+            rest = [k for k in range(size) if k != j]
+            new = []
+            peak = 0.0
+            for a_i in rest:
+                row = []
+                for b_i in rest:
+                    t1 = _mr_mul(piv[0], piv[1], *mat[a_i][b_i])
+                    t2 = _mr_mul(*mat[a_i][j], *mat[j][b_i])
+                    val = _mr_sub(t1[0], t1[1], t2[0], t2[1])
+                    if not math.isfinite(val[0].real) or not math.isfinite(val[1]):
+                        return p, n, size - 1
+                    peak = max(peak, abs(val[0]))
+                    row.append(val)
+                new.append(row)
         else:
+            block = _mr_block_pivot(mat)
+            if block is None:
+                return p, n, size
+            i, j, det = block
+            p += 1
             n += 1
-        sigma = contribution
-        piv = mat[j][j]
-        rest = [k for k in range(size) if k != j]
-        new = []
-        peak = 0.0
-        for a_i in rest:
-            row = []
-            for b_i in rest:
-                t1 = _mr_mul(piv[0], piv[1], *mat[a_i][b_i])
-                t2 = _mr_mul(*mat[a_i][j], *mat[j][b_i])
-                val = _mr_sub(t1[0], t1[1], t2[0], t2[1])
-                if not math.isfinite(val[0].real) or not math.isfinite(val[1]):
-                    return p, n, size - 1
-                peak = max(peak, abs(val[0]))
-                row.append(val)
-            new.append(row)
+            rest = [k for k in range(size) if k not in (i, j)]
+            # D * C + B adj(P) B^* with P = [[a, h], [conj h, c]] on rows i, j:
+            # entry (x, y) is D c_xy - b_xi u_y - b_xj v_y, where
+            # u_y = h b_jy - c b_iy and v_y = conj(h) b_iy - a b_jy.
+            a, h, hbar, c = mat[i][i], mat[i][j], mat[j][i], mat[j][j]
+            us = [_mr_sub(*_mr_mul(*h, *mat[j][y]), *_mr_mul(*c, *mat[i][y])) for y in rest]
+            vs = [_mr_sub(*_mr_mul(*hbar, *mat[i][y]), *_mr_mul(*a, *mat[j][y])) for y in rest]
+            new = []
+            peak = 0.0
+            for x in rest:
+                row = []
+                for y, u, v in zip(rest, us, vs):
+                    t = _mr_sub(*_mr_mul(*det, *mat[x][y]), *_mr_mul(*mat[x][i], *u))
+                    val = _mr_sub(*t, *_mr_mul(*mat[x][j], *v))
+                    if not math.isfinite(val[0].real) or not math.isfinite(val[1]):
+                        return p, n, size - 2
+                    peak = max(peak, abs(val[0]))
+                    row.append(val)
+                new.append(row)
         # Renormalize by a power of two: pivot scaling is exponential otherwise.
         if new and peak > 0.0 and not (0.25 <= peak <= 4.0):
             s = 2.0 ** -math.frexp(peak)[1]

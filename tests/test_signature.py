@@ -359,6 +359,29 @@ def test_generic_block_step_complex_entries():
         assert ex.as_tuple() == fl.as_tuple()
 
 
+def test_float_pass_counts_are_part_of_the_inertia():
+    # Zero or mostly-zero diagonals make the pass take 2x2 pivots; whatever
+    # it certifies must be part of the exact inertia, and all of it when it
+    # completes.  A wrong 2x2 Schur update changes the inertia of only about
+    # one form in seventy here, so the loop is long.
+    rng = random.Random(17)
+    for _ in range(600):
+        m = rng.randint(2, 8)
+        zero_diagonal = rng.random() < 0.5
+        rows = [[0] * m for _ in range(m)]
+        for i in range(m):
+            rows[i][i] = 0 if zero_diagonal else rng.choice((0, 0, rng.randint(-3, 3)))
+            for j in range(i + 1, m):
+                rows[i][j] = rows[j][i] = rng.choice((0, rng.randint(-3, 3)))
+        form = HermitianForm.from_integer_symmetric(rows)
+        want = _generic_inertia_exact(form.entries, form.root).as_tuple()
+        p, n, rest = _generic_float_pass([[(complex(x), 0.0) for x in row] for row in rows])
+        assert p <= want[0] and n <= want[2] and p + n + rest == m
+        if rest == 0:
+            assert (p, 0, n) == want
+        assert inertia(form).as_tuple() == want
+
+
 def test_zero_seifert_matrix_gives_zero_form():
     a = SeifertMatrix(((0, 0), (0, 0)), kind="link")
     t = inertia(hermitian_form(a, UnitRoot(1, 3)))
@@ -685,6 +708,51 @@ def test_float_stall_at_nonsingular_form_is_not_taken_for_a_zero():
     res = signature_details(a, root)
     assert res.inertia.as_tuple() == _residue_oracle(a, root) == (2, 0, 1)
     assert not res.singular
+
+
+# Scrambled torus matrices (P^T A P) whose float pass, with 1x1 pivots only,
+# stalls at a complement with a zero diagonal: torus2:4 at 1/3 (nonsingular,
+# r = 2) and at 1/6 (a jump point, r = 3), torus2:6 at 1/5 (nonsingular, r = 2).
+_ZERO_DIAGONAL_STALLS = (
+    (
+        ((1, -1, 1, 0, 0, 0, -1, 0), (0, 3, -1, 2, 0, 1, 2, 1), (0, -1, 1, 0, 0, 0, -1, -1),
+         (1, 1, 0, 3, -1, 1, 1, 0), (0, -1, 0, -1, 1, 0, -1, 0), (1, 0, 0, 1, 0, 1, 0, 0),
+         (0, 2, -1, 1, 0, 1, 2, 1), (0, 1, 0, 0, 0, 0, 0, 1)),
+        UnitRoot(1, 3),
+        (7, 0, 1),
+    ),
+    (
+        ((3, 0, 1, 1, 1, -1, -1, 1), (0, 1, 0, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, -1, 0),
+         (-1, 0, 0, 1, 0, 0, -1, 0), (0, 1, 0, 0, 1, 0, 0, 0), (-1, 0, 0, -1, 0, 1, 1, 0),
+         (2, 0, 0, -1, 0, 0, 2, 1), (1, 0, 0, 0, 1, 0, 0, 1)),
+        UnitRoot(1, 6),
+        (5, 1, 2),
+    ),
+    (
+        ((2, 0, 0, 0, 0, -1, -1, -1, -1, 0, 0, 1), (0, 1, 0, 0, 1, 0, 0, -1, 0, 0, 0, 1),
+         (0, 1, 2, 0, 0, 0, 0, -1, 1, 1, 1, 1), (-1, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0, -1),
+         (0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0),
+         (0, 0, -1, 0, 0, 0, 1, 0, 0, 0, 0, 0), (0, -1, 0, 0, -1, 0, 1, 3, 1, 0, 0, -3),
+         (-1, 0, 0, 0, 0, 0, 1, 1, 2, 1, 0, -2), (0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, -1),
+         (0, 0, 1, 0, 0, 0, 0, 0, 1, 1, 1, 0), (0, 1, 0, 1, 1, 0, -1, -3, -1, 0, 0, 4)),
+        UnitRoot(1, 5),
+        (9, 0, 3),
+    ),
+)
+
+
+def test_float_pass_takes_2x2_pivots_on_a_zero_diagonal(monkeypatch):
+    # The pass completes at the nonsingular points and leaves the 1x1 zero
+    # complement at the jump point, so no exact elimination runs.
+    calls = _count_exact_eliminations(monkeypatch)
+    for rows, root, want in _ZERO_DIAGONAL_STALLS:
+        a = SeifertMatrix(rows, kind="knot")
+        p, n, rest = _generic_float_pass(_mr_seifert_table(a, *_mr_root(root.num, root.den)))
+        assert (p, rest, n) == want
+        assert signature_details(a, root).inertia.as_tuple() == want
+        assert calls == []
+        assert _residue_oracle(a, root) == want
+        calls.clear()
 
 
 def test_large_singular_generic_profile_is_fast(monkeypatch):
