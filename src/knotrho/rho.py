@@ -14,7 +14,10 @@ closed form
 
 The closed form is the source of truth; the per-level average is recomputed
 as a mandatory cross-check and a mismatch raises (it would mean an engine
-bug, not bad input).
+bug, not bad input).  For a knot at large d the closed form's average is
+summed by arcs between the roots of the Alexander polynomial, while the
+levels take one signature per root, so the check compares two
+independent routes.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from knotrho import cyclotomic, signature
+from knotrho import alexander, cyclotomic, signature
 from knotrho.cyclotomic import CycField, UnitRoot
 from knotrho.exceptions import ConductorLimitError, InvalidParameterError
 from knotrho.rho import rho_knot_surgery_result
@@ -622,14 +622,27 @@ def test_twist_family_needs_no_exact_chain(monkeypatch):
     assert calls == []
 
 
-def test_rho_levels_reuse_the_average_signatures():
+def test_rho_closed_form_by_arcs_matches_the_levels_per_root():
+    # The closed form sums by arcs: one signature per arc and per grid point
+    # meeting a root enclosure.  The level loop then evaluates every
+    # conjugate pair once, and the two independent routes agree.
     _clear_engine_caches()
     a = jn_seifert(3)
-    avg = avg_signature(a, 401)
-    misses = _signature_exact_cached.cache_info().misses
-    res = rho_knot_surgery_result(a, 401)
-    assert _signature_exact_cached.cache_info().misses == misses
-    assert res.value == Fraction(401, 3) + Fraction(2, 3 * 401) - 1 + avg
+    d = 401
+    enclosures = alexander._alexander_root_enclosures(a)
+    assert enclosures
+    boundary = sum(
+        any(lo - 1e-12 <= 2 * math.cos(2 * math.pi * k / d) <= hi + 1e-12 for lo, hi in enclosures)
+        for k in range(1, d // 2 + 1)
+    )
+    avg = avg_signature(a, d)
+    info = _signature_exact_cached.cache_info()
+    assert 0 < info.misses <= len(enclosures) + 1 + boundary
+    res = rho_knot_surgery_result(a, d)
+    info = _signature_exact_cached.cache_info()
+    assert info.misses == info.currsize == d // 2
+    assert res.value == Fraction(d, 3) + Fraction(2, 3 * d) - 1 + avg
+    assert res.value == Fraction(sum(res.per_level), d)
 
 
 # -- generic forms at jump points: the exact Alexander zero -----------------------
@@ -797,3 +810,108 @@ def test_exact_average_refuses_huge_conductor_with_the_same_message():
     with pytest.raises(ConductorLimitError) as single:
         signature_details(TREFOIL, UnitRoot(1, 200003))
     assert str(avg.value) == str(single.value) == str(direct.value)
+    # the first refused divisor, in ascending order, names the conductor on
+    # both routes: arcs for the knot, the per-divisor loop for the link
+    link = SeifertMatrix(TREFOIL.entries, kind="link")
+    for a in (TREFOIL, link):
+        with pytest.raises(ConductorLimitError) as composite:
+            avg_signature(a, 2 * 200003)
+        assert str(composite.value) == str(direct.value)
+
+
+# -- exact averages by arcs against the per-divisor loop -------------------------
+
+
+def _per_divisor_sum(a, d):
+    divisors = cyclotomic._divisors(d)[1:]
+    return sum(signature._primitive_signature_sum_exact(a, dd) for dd in divisors)
+
+
+def _connected_sum(a, b):
+    """Seifert matrix of a # b: the block sum, whose Delta is Delta_a Delta_b."""
+    m, n = a.size, b.size
+    rows = [row + (0,) * n for row in a.entries] + [(0,) * m + row for row in b.entries]
+    return SeifertMatrix(tuple(rows), kind="knot")
+
+
+def _assert_arcs_match(a, grids):
+    for d in grids:
+        assert signature._exact_sum_by_arcs(a, d) == _per_divisor_sum(a, d), (a.entries, d)
+
+
+@pytest.mark.parametrize("family", [torus_knot_seifert, jn_seifert])
+def test_arc_sums_match_the_per_divisor_loop_on_families(family):
+    for n in range(1, 7):
+        for a in (family(n), mirror(family(n))):
+            _assert_arcs_match(a, (2, 3, 12, 30, 100, 211, 307, 541, 1009, 1499, 5005))
+
+
+def test_arc_sums_match_on_exact_roots_and_large_grids():
+    # 714 = 7 * 102 and 10007 around the 25 roots of Delta = Phi_102 of torus2:25
+    _assert_arcs_match(torus_knot_seifert(25), (102, 714, 10007))
+
+
+def test_arc_sums_match_with_repeated_roots():
+    # Delta(K # K) = Delta_K^2: every unit-circle root is a double root
+    for k in (torus_knot_seifert(2), torus_knot_seifert(3), jn_seifert(2)):
+        double = _connected_sum(k, k)
+        assert alexander_polynomial(double) == tuple(
+            alexander._poly_mul(list(alexander_polynomial(k)), list(alexander_polynomial(k)))
+        )
+        _assert_arcs_match(double, (10, 14, 30, 70, 211, 1009))
+    mixed = _connected_sum(torus_knot_seifert(2), mirror(torus_knot_seifert(4)))
+    _assert_arcs_match(mixed, (10, 18, 90, 211))
+
+
+def test_arc_sums_match_on_the_generic_path():
+    rng = random.Random(21)
+    for a in (
+        torus_knot_seifert(2),
+        torus_knot_seifert(3),
+        torus_knot_seifert(4),
+        jn_seifert(3),
+        _connected_sum(torus_knot_seifert(1), torus_knot_seifert(1)),
+    ):
+        scrambled = _scrambled(a, rng)
+        assert not _is_tridiagonal(scrambled.entries)
+        _assert_arcs_match(scrambled, (6, 10, 18, 30, 42, 211))
+
+
+def test_arc_sum_without_unit_circle_roots():
+    figure_eight = jn_seifert(1)
+    assert alexander._alexander_root_enclosures(figure_eight) == ()
+    _assert_arcs_match(figure_eight, (2, 7, 100, 1009))
+    assert avg_signature(figure_eight, 1009) == 0
+
+
+def test_root_enclosures_are_disjoint_and_hold_every_unit_circle_root():
+    for a in (torus_knot_seifert(5), _connected_sum(torus_knot_seifert(2), torus_knot_seifert(2))):
+        enclosures = alexander._alexander_root_enclosures(a)
+        assert all(lo <= hi and hi - lo <= 2.0**-40 for lo, hi in enclosures)
+        assert all(lo1 >= hi2 for (lo1, _), (_, hi2) in zip(enclosures, enclosures[1:]))
+    # torus2:5: Delta = Phi_22, roots 2 cos(pi (2j+1)/11), j = 0..4
+    enclosures = alexander._alexander_root_enclosures(torus_knot_seifert(5))
+    roots = sorted((2 * math.cos(math.pi * (2 * j + 1) / 11) for j in range(5)), reverse=True)
+    assert len(enclosures) == 5
+    assert all(lo - 1e-12 <= x <= hi + 1e-12 for (lo, hi), x in zip(enclosures, roots))
+
+
+def test_exact_average_by_arcs_at_a_huge_grid_is_fast():
+    a = jn_seifert(3)
+    _clear_engine_caches()
+    start = time.perf_counter()
+    got = avg_signature(a, 100003)
+    assert time.perf_counter() - start < 0.1
+    assert got == Fraction(signature._primitive_signature_sum_exact(a, 100003), 100003)
+
+
+def test_arc_dispatch_rule():
+    # sizes up to 12 at grids from 190 sum by arcs; sizes from 30 at cover
+    # orders up to 12, links and small grids keep the per-divisor loop
+    for n in range(1, 7):
+        for family in (torus_knot_seifert, jn_seifert):
+            assert signature._sum_by_arcs(family(n), 190)
+    for n in (15, 40, 150):
+        assert not signature._sum_by_arcs(jn_seifert(n), 12)
+    assert not signature._sum_by_arcs(SeifertMatrix(TREFOIL.entries, kind="link"), 10**5)
+    assert not signature._sum_by_arcs(TREFOIL, 4)
