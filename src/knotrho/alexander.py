@@ -11,12 +11,11 @@ the signature engine's exact averages sum by the arcs between them.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .cyclotomic import CyclotomicElement, UnitRoot, cyc_field
 from .exceptions import InternalInconsistencyError, InvalidParameterError
 from .floatpass import _EPS, _tridiag_layout
-from .seifert import SeifertMatrix
+from .seifert import SeifertMatrix, per_matrix_cache
 
 _ROOT_BITS = 48  # root enclosures are refined to width 2^-48 in x
 _NEWTON_SLACK = 8  # half-width, in units of 2^-48, of the bracket tried around a float root
@@ -72,7 +71,7 @@ def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@per_matrix_cache
 def alexander_polynomial(a: SeifertMatrix) -> tuple[int, ...]:
     """det(A^T - t A) in Z[t] (ascending coefficients; 1 for the empty matrix)."""
     m = a.size
@@ -253,7 +252,7 @@ def _refine_root(q: list[int], lo: int, hi: int) -> tuple[int, int]:
     return lo, hi
 
 
-@lru_cache(maxsize=None)
+@per_matrix_cache
 def _alexander_root_enclosures(a: SeifertMatrix) -> tuple[tuple[float, float], ...]:
     """Disjoint closed enclosures [lo, hi] of the distinct roots of Q in
     [-2, 2], in descending order, where Delta(t) = t^g Q(t + 1/t) for the

@@ -20,10 +20,9 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from functools import lru_cache
 from typing import NamedTuple
 
-from .seifert import SeifertMatrix, _is_tridiagonal
+from .seifert import SeifertMatrix, per_matrix_cache
 
 _EPS = 2.0 ** -52
 _ETA = 4e-323  # absorbs underflow in radius arithmetic
@@ -65,7 +64,7 @@ class _Band(NamedTuple):
     diff_sq_max: int
 
 
-@lru_cache(maxsize=None)
+@per_matrix_cache
 def _tridiag_layout(a: SeifertMatrix):
     """(band, unreduced blocks for non-real w, unreduced blocks at w = -1),
     read off the integer matrix; all three are None for a matrix that is
@@ -75,7 +74,7 @@ def _tridiag_layout(a: SeifertMatrix):
     1-conj(w) are linearly independent over Q, so h_ij = 0 iff
     a_ij = a_ji = 0; at w = -1, h_ij = 2(a_ij + a_ji).
     """
-    if not _is_tridiagonal(a.entries):
+    if not a._tridiagonal:
         return None, None, None
     if a.size == 0:
         return _Band((), (), (), 0, 0, 0), (), ()

@@ -2,14 +2,23 @@
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe for unrestricted concurrent use.
+
+per_matrix_cache memoises functions of a Seifert matrix for as long as the
+matrix lives.  It keeps that promise: two threads may compute the same
+entry twice, and the later store replaces the earlier, equal value, but
+no thread ever reads an entry computed for a different matrix or
+arguments.  Its hit and miss counts are kept under a lock.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import threading
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exceptions import (
     InconsistentModulusError,
@@ -66,15 +75,13 @@ def det_int(rows: IntMatrix) -> int:
 
 
 def _skew_det(rows: IntMatrix) -> int:
-    """det(A - A^T) of a square integer matrix A.
+    """det(A - A^T) of a tridiagonal integer matrix A.
 
-    For tridiagonal A the skew matrix has a zero diagonal, so its band
-    continuant is D_i = (a_{i-1,i} - a_{i,i-1})^2 D_{i-2} with D_0 = 1 and
-    D_1 = 0, and no dense matrix is built.
+    The skew matrix has a zero diagonal, so its band continuant is
+    D_i = (a_{i-1,i} - a_{i,i-1})^2 D_{i-2} with D_0 = 1 and D_1 = 0, and
+    no dense matrix is built.
     """
     m = len(rows)
-    if not _is_tridiagonal(rows):
-        return det_int(tuple(tuple(rows[i][j] - rows[j][i] for j in range(m)) for i in range(m)))
     prev2, prev1 = 1, 0
     for i in range(1, m):
         prev2, prev1 = prev1, (rows[i - 1][i] - rows[i][i - 1]) ** 2 * prev2
@@ -96,9 +103,11 @@ class SeifertMatrix:
 
     entries: IntMatrix
     kind: str = "knot"
-    # Hashed once: every lru_cache lookup keyed by the matrix would
-    # otherwise re-hash all m^2 entries.
+    # Hashed once: every cache lookup keyed by the matrix would otherwise
+    # re-hash all m^2 entries.
     _hash: int = field(init=False, repr=False, compare=False)
+    # Scanned once, for validation and for the signature engine's layout.
+    _tridiagonal: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("knot", "link"):
@@ -113,10 +122,16 @@ class SeifertMatrix:
                 raise InvalidSeifertMatrixError(f"entries must be integers, got {bad!r}")
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "_hash", hash((rows, self.kind)))
+        object.__setattr__(self, "_tridiagonal", _is_tridiagonal(rows))
         if self.kind == "knot":
             if m % 2 != 0:
                 raise InvalidSeifertMatrixError(f"knot Seifert matrix must have even size, got {m}")
-            d = _skew_det(rows)
+            if self._tridiagonal:
+                d = _skew_det(rows)
+            else:
+                d = det_int(
+                    tuple(tuple(rows[i][j] - rows[j][i] for j in range(m)) for i in range(m))
+                )
             if d not in (1, -1):
                 raise InvalidSeifertMatrixError(
                     f"A - A^T must be unimodular for a knot; det = {d}"
@@ -146,6 +161,67 @@ class SeifertMatrix:
 
     def __repr__(self) -> str:
         return f"SeifertMatrix(size={self.size}, kind={self.kind!r})"
+
+
+_MISSING = object()
+
+
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: None
+    currsize: int
+
+
+def per_matrix_cache(fn):
+    """Memoise fn(a, *args) for a SeifertMatrix a, for as long as a lives.
+
+    Each matrix gets a dict of entries keyed by the other (positional,
+    hashable) arguments.  The table holding these dicts is keyed by the
+    matrix's plain weak reference, which weakref.ref returns again for the
+    same matrix, so a lookup matches by identity; a second reference with
+    a callback drops the entries when the matrix is collected.  This is a
+    WeakKeyDictionary without the Python-level lookup and the matrix
+    comparison that each of its lookups costs.  A matrix equal to a live
+    one shares that one's entries, which go when the first is collected.
+    No cached value may refer to its matrix, or the matrix would never be
+    freed.  cache_clear() and cache_info() behave as for
+    functools.lru_cache(maxsize=None), currsize counting live entries.
+    """
+    table: dict = {}  # weak reference -> (entries, reference that drops them)
+    counts = [0, 0]  # hits, misses
+    lock = threading.Lock()  # guards counts
+
+    @functools.wraps(fn)
+    def cached(a: SeifertMatrix, *args):
+        key = weakref.ref(a)
+        slot = table.get(key)
+        if slot is None:
+            slot = table.setdefault(key, ({}, weakref.ref(a, lambda _: table.pop(key, None))))
+        entries = slot[0]
+        value = entries.get(args, _MISSING)
+        lock.acquire()  # a with block would cost three times as much per call
+        try:
+            counts[value is _MISSING] += 1
+        finally:
+            lock.release()
+        if value is _MISSING:
+            value = entries[args] = fn(a, *args)
+        return value
+
+    def cache_info() -> _CacheInfo:
+        size = sum(len(slot[0]) for slot in list(table.values()))
+        with lock:
+            return _CacheInfo(counts[0], counts[1], None, size)
+
+    def cache_clear() -> None:
+        with lock:
+            table.clear()
+            counts[:] = [0, 0]
+
+    cached.cache_info = cache_info
+    cached.cache_clear = cache_clear
+    return cached
 
 
 def seifert_from_json(text: str) -> SeifertMatrix:

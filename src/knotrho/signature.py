@@ -32,7 +32,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .cyclotomic import (
@@ -61,7 +60,7 @@ from .floatpass import (
     _tridiag_layout,
     _two_shift_counts,
 )
-from .seifert import SeifertMatrix
+from .seifert import SeifertMatrix, per_matrix_cache
 
 if TYPE_CHECKING:
     import numpy as np
@@ -162,7 +161,7 @@ def _herm_entry(fld, p: int, q: int) -> CyclotomicElement:
     return (fld.one() - fld.gen()) * p + (fld.one() - fld.gen_inv()) * q
 
 
-@lru_cache(maxsize=None)
+@per_matrix_cache
 def _herm_residues(a: SeifertMatrix, den: int):
     """Full entry table of (1-x)A + (1-x^{-1})A^T over the conductor-den ring.
 
@@ -243,7 +242,7 @@ def _chain(diag, off) -> tuple:
     return tuple(chain)
 
 
-@lru_cache(maxsize=None)
+@per_matrix_cache
 def _minor_chain(a: SeifertMatrix, den: int, start: int, stop: int) -> tuple:
     """Exact leading minors of the block [start, stop) of H, built from
     that band alone over the conductor-den ring.
@@ -417,6 +416,10 @@ def _inertia_from_numeric(h: np.ndarray) -> InertiaTriple:
     return InertiaTriple(p, m - p - n, n, certified=bool(certified[0]))
 
 
+def _mode_error(mode: str) -> InvalidParameterError:
+    return InvalidParameterError(f"mode must be 'exact' or 'float', got {mode!r}")
+
+
 def inertia(form: HermitianForm, mode: str = "exact") -> InertiaTriple:
     """Inertia triple of a Hermitian form.
 
@@ -427,7 +430,7 @@ def inertia(form: HermitianForm, mode: str = "exact") -> InertiaTriple:
         return _inertia_exact(form)
     if mode == "float":
         return _inertia_from_numeric(form.to_numeric())
-    raise InvalidParameterError(f"mode must be 'exact' or 'float', got {mode!r}")
+    raise _mode_error(mode)
 
 
 def _numeric_hermitians(a: SeifertMatrix, omegas) -> np.ndarray:
@@ -469,7 +472,7 @@ def _generic_seifert_inertia(a: SeifertMatrix, omc, s, num: int, den: int) -> In
     return _generic_inertia_exact(_herm_residues(a, den), root)
 
 
-@lru_cache(maxsize=None)
+@per_matrix_cache
 def _signature_exact_cached(a: SeifertMatrix, num: int, den: int) -> InertiaTriple:
     """Exact inertia of H at w = e^{2 pi i num/den}.  Callers pass the
     smaller of num and den - num: H(conj w) = conj H(w) has the same inertia,
@@ -499,7 +502,7 @@ def signature_details(a: SeifertMatrix, root: UnitRoot, mode: str = "exact") -> 
     elif mode == "float":
         triple = _inertia_from_numeric(_numeric_hermitians(a, [root.to_complex()])[0])
     else:
-        raise InvalidParameterError(f"mode must be 'exact' or 'float', got {mode!r}")
+        raise _mode_error(mode)
     return SignatureResult(triple.signature, triple, triple.zero > 0, triple.certified)
 
 
@@ -519,7 +522,7 @@ def _primitive_numerators(den: int) -> tuple[list[int], int]:
     return [k for k in range(1, (den + 1) // 2) if math.gcd(k, den) == 1], 2
 
 
-@lru_cache(maxsize=None)
+@per_matrix_cache
 def _primitive_signature_sum_exact(a: SeifertMatrix, den: int) -> int:
     """Sum of sigma over the primitive den-th roots of unity (den > 1), one
     certified signature per conjugate pair; the caller checks the conductor."""
@@ -636,7 +639,10 @@ def avg_signature_details(a: SeifertMatrix, d: int, mode: str = "exact") -> AvgS
     by reduced denominator, caching each primitive-root sum once with one
     signature per conjugate pair; that loop is also the reference the arc
     route is tested against.  Float mode always takes the per-divisor loop.
+    Any other mode raises InvalidParameterError before any work.
     """
+    if mode not in ("exact", "float"):
+        raise _mode_error(mode)
     if d < 1:
         raise InvalidParameterError(f"root count d must be positive, got {d}")
     if a.size == 0 or d == 1:

@@ -12,7 +12,8 @@ from hypothesis import given, strategies as st
 from knotrho import alexander, cyclotomic, signature
 from knotrho.cyclotomic import CycField, UnitRoot
 from knotrho.exceptions import ConductorLimitError, InvalidParameterError
-from knotrho.rho import rho_knot_surgery_result
+from knotrho.bounds import bound_report
+from knotrho.rho import rho_knot_surgery, rho_knot_surgery_result
 from knotrho.seifert import (
     SeifertMatrix,
     _is_tridiagonal,
@@ -96,6 +97,20 @@ def test_inertia_rejects_bad_mode():
     h = hermitian_form(TREFOIL, UnitRoot(1, 2))
     with pytest.raises(InvalidParameterError):
         inertia(h, "fast")
+
+
+def test_averages_reject_bad_mode_before_any_work():
+    message = "mode must be 'exact' or 'float', got 'fast'"
+    for call in (
+        lambda: avg_signature(TREFOIL, 12, "fast"),
+        lambda: avg_signature(TREFOIL, 1, "fast"),  # before the d = 1 shortcut
+        lambda: avg_signature(TREFOIL, 0, "fast"),  # and before the check of d
+        lambda: rho_knot_surgery(TREFOIL, -12, "fast"),
+        lambda: bound_report(TREFOIL, 12, mode="fast"),
+    ):
+        with pytest.raises(InvalidParameterError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
 
 
 def test_integer_symmetric_signatures():
