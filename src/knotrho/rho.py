@@ -34,6 +34,7 @@ from .exceptions import (
 from .seifert import SeifertMatrix, SurgeryPresentation, knot_surgery_presentation, mirror
 from .signature import (
     HermitianForm,
+    _mode_error,
     avg_signature,
     inertia,
     levine_tristram,
@@ -150,6 +151,8 @@ def rho_finite_cyclic(
         )
     _validate_cable(pres, cable)
     pres_n, cable_n = _normalize(pres, cable)
+    if mode not in ("exact", "float"):
+        raise _mode_error(mode)
     if d == 1:
         return RhoResult(Fraction(0), (Fraction(0),), pres_n)
     quad = pres_n.residue_quadratic()
