@@ -18,7 +18,8 @@ The records cover:
 - `bounds` and `rho --levels` through the CLI, in-process, with their
   output and exit codes, including invalid slopes and modes.
 
-Every input is built from fixed seeds; a run takes about two minutes.
+Every input is built from fixed seeds; a run takes about a minute and a
+half on a two-core x86_64 machine.
 """
 
 import json
@@ -110,7 +111,7 @@ def average_records(named) -> None:
     picked = sorted({primes[0], primes[-1], *rng.sample(primes, 6)})
     for name, a in named:
         grids = picked + list(COMPOSITE_GRIDS)
-        rng.shuffle(grids)  # the arc table sees coarse and fine grids in mixed order
+        rng.shuffle(grids)  # per-matrix caches see coarse and fine grids in mixed order
         for d in grids:
             record = {"kind": "avg", "knot": name, "d": d}
             if a.kind == "knot":

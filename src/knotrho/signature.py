@@ -16,11 +16,12 @@ result is certified.
 
 Exact averages of knots over large grids go by arcs: sigma is constant on
 each open arc between the unit-circle roots of Delta, whose enclosures
-come from alexander, so each arc's signature is taken once per matrix.
-An acos guess and a short walk place the grid points x_k = 2 cos(2 pi k/d)
-against each enclosure with the rounding bound of the root; only points
-whose enclosure meets a root take their own signature, so a repeat grid
-costs O(#roots).  Links and small grids sum one signature per conjugate pair.
+come from alexander.  An acos guess and a short walk place the grid
+points x_k = 2 cos(2 pi k/d) against each enclosure in O(1), with the
+rounding bound of the root, and the average takes one signature per run
+of points inside an arc and one per point whose enclosure meets a root,
+so its cost no longer grows with d.  Links and small grids sum one
+signature per conjugate pair.
 Float mode is plain eigenvalue computation with a certification
 threshold; float averages evaluate their roots in fixed chunks, one
 stacked eigensolve per chunk, and are the only users of NumPy, which is
@@ -52,6 +53,7 @@ from .floatpass import (
     _EPS,
     _ROOT_ERR,
     _Band,
+    _FloatPassFailed,
     _blocks,
     _generic_float_pass,
     _mr_root,
@@ -181,6 +183,13 @@ def hermitian_form(a: SeifertMatrix, root: UnitRoot) -> HermitianForm:
     1 - x to 0), matching the convention that the signature there is 0.
     """
     return HermitianForm(root, _herm_residues(a, root.den))
+
+
+def _mr_entry(element: CyclotomicElement, root: UnitRoot):
+    ev = eval_with_bound(element, root)
+    if ev is None:
+        raise _FloatPassFailed
+    return ev
 
 
 # -- exact tridiagonal kernel ------------------------------------------------
@@ -364,8 +373,9 @@ def _inertia_exact(form: HermitianForm) -> InertiaTriple:
         if abs(i - j) >= 2
     )
     if not tridiag:
-        mat = [[eval_with_bound(e, root) for e in row] for row in entries]
-        if any(None in row for row in mat):
+        try:
+            mat = [[_mr_entry(e, root) for e in row] for row in entries]
+        except _FloatPassFailed:
             return _generic_inertia_exact(entries, root)
         p, n, rest = _generic_float_pass(mat)
         return InertiaTriple(p, 0, n) if rest == 0 else _generic_inertia_exact(entries, root)
@@ -560,18 +570,10 @@ def _first_grid_index(d: int, x: float, beyond) -> int:
     return hi
 
 
-@per_matrix_cache
-def _arc_signatures(a: SeifertMatrix) -> list:
-    """sigma on the open arc i between enclosures i - 1 and i of
-    _alexander_root_enclosures, one more arc than enclosures; None until a
-    grid with a run of points in the arc fills it in place."""
-    return [None] * (len(_alexander_root_enclosures(a)) + 1)
-
-
 def _exact_sum_by_arcs(a: SeifertMatrix, d: int) -> int:
     """Sum of sigma over the d-th roots of unity other than 1, for a knot
-    matrix, with one table read per run of grid points inside an open arc
-    between unit-circle roots of Delta.
+    matrix, with one certified signature per run of grid points inside an
+    open arc between unit-circle roots of Delta.
 
     The grid points k = 1 .. d // 2 stand for their conjugate pairs
     (weight 2, or 1 at k = d/2) and sit at x_k = 2 cos(2 pi k/d), which
@@ -581,14 +583,13 @@ def _exact_sum_by_arcs(a: SeifertMatrix, d: int) -> int:
     and a point `below` certified below lo, so all later points are.  The
     points from `first` to `below` may meet the root; each gets its own
     signature.  Every maximal run of the other points lies in one open
-    arc, where det H = (1 - conj w)^m Delta(w) != 0, so sigma is constant
-    on it: the run contributes its weight times the arc's entry of
-    _arc_signatures, filled by the first grid with a run in the arc from
-    _signature_exact_cached at the run's middle point, so it is certified.
+    arc, where det H = (1 - conj w)^m Delta(w) != 0, so H is nonsingular
+    along the arc and sigma is constant on it: the run contributes its
+    weight times sigma at its middle point.  Each sigma comes from
+    _signature_exact_cached, so every value stays certified.
     """
     half = d // 2
     margin = 2.0 * _ROOT_ERR + 4.0 * _EPS  # also covers rounding x_k -/+ margin
-    arcs = _arc_signatures(a)
 
     def weight(k0: int, k1: int) -> int:
         """Total weight of the grid points k0 .. k1 - 1."""
@@ -598,25 +599,19 @@ def _exact_sum_by_arcs(a: SeifertMatrix, d: int) -> int:
         g = math.gcd(k, d)
         return _signature_exact_cached(a, k // g, d // g).signature
 
-    def run(i: int, k0: int, k1: int) -> int:
-        """Contribution of the points k0 .. k1 - 1, all inside arc i."""
-        if arcs[i] is None:
-            arcs[i] = sigma((k0 + k1 - 1) // 2)
-        return weight(k0, k1) * arcs[i]
-
     total = 0
     pos = 1
-    for i, (lo, hi) in enumerate(_alexander_root_enclosures(a)):
+    for lo, hi in _alexander_root_enclosures(a):
         first = _first_grid_index(d, hi + margin, lambda k: _grid_x(k, d) - margin <= hi)
         below = _first_grid_index(d, lo - margin, lambda k: _grid_x(k, d) + margin < lo)
         first = max(first, pos)
         below = max(below, first)
         if first > pos:
-            total += run(i, pos, first)
+            total += weight(pos, first) * sigma((pos + first - 1) // 2)
         total += sum(weight(k, k + 1) * sigma(k) for k in range(first, below))
         pos = below
     if pos <= half:
-        total += run(len(arcs) - 1, pos, half + 1)
+        total += weight(pos, half + 1) * sigma((pos + half) // 2)
     return total
 
 
@@ -642,9 +637,10 @@ def avg_signature_details(a: SeifertMatrix, d: int, mode: str = "exact") -> AvgS
     Exact mode first checks the conductor of every divisor of d, in
     ascending order, so ConductorLimitError does not depend on the route.
     A knot matrix of size m with 4d > m(m + 32) is then summed by arcs
-    (_exact_sum_by_arcs): one certified signature per arc between
-    unit-circle roots of Delta, kept per matrix, plus one per grid point
-    whose enclosure meets a root, so a grid costs O(#roots).  Links,
+    (_exact_sum_by_arcs): one certified signature per run of grid points
+    between unit-circle roots of Delta, plus one per grid point whose
+    enclosure meets a root, each root placed in the grid in O(1), so the
+    cost no longer grows with d.  Links,
     whose Delta may vanish identically, and small grids group the k/d grid
     by reduced denominator, caching each primitive-root sum once with one
     signature per conjugate pair; that loop is also the reference the arc

@@ -5,7 +5,6 @@ import random
 import sys
 import threading
 import tracemalloc
-from fractions import Fraction
 
 from click.testing import CliRunner
 
@@ -16,7 +15,6 @@ from knotrho.cyclotomic import UnitRoot
 from knotrho.floatpass import _tridiag_layout
 from knotrho.seifert import jn_seifert, per_matrix_cache, torus_knot_seifert
 from knotrho.signature import (
-    _arc_signatures,
     _herm_residues,
     _minor_chain,
     _primitive_signature_sum_exact,
@@ -34,7 +32,6 @@ MATRIX_CACHES = (
     _minor_chain,
     _signature_exact_cached,
     _primitive_signature_sum_exact,
-    _arc_signatures,
 )
 
 
@@ -69,26 +66,6 @@ def test_equal_matrices_share_entries_while_the_first_lives():
     assert tuple(alexander_polynomial.cache_info()) == (1, 2, None, 1)
     alexander_polynomial.cache_clear()
     assert tuple(alexander_polynomial.cache_info()) == (0, 0, None, 0)
-
-
-def test_equal_matrices_share_the_arc_table():
-    # a second conductor for an equal matrix reads every arc from the table
-    # the first one filled: jn:3 has no grid point of 1009 or 10007 near a
-    # root of Delta, so it takes no signature of its own
-    _clear()
-    a, b = jn_seifert(3), jn_seifert(3)
-    avg_signature(a, 1009)
-    table = _arc_signatures(a)
-    assert None not in table
-    misses = _signature_exact_cached.cache_info().misses
-    got = avg_signature(b, 10007)
-    assert _signature_exact_cached.cache_info().misses == misses
-    assert got == Fraction(_primitive_signature_sum_exact(b, 10007), 10007)
-    assert _arc_signatures(b) is table
-    del a
-    gc.collect()
-    assert _arc_signatures.cache_info().currsize == 0
-    assert _arc_signatures(b) is not table
 
 
 def test_cli_query_leaves_no_live_entry():
