@@ -9,10 +9,11 @@ output, so the outputs of two source trees can be compared byte for byte:
     cmp old.jsonl new.jsonl
 
 The records cover:
-- exact averages by both routes, arcs and the per-divisor loop, and the
-  public average in exact and float mode, at primes from 190 to 20011
-  and at composite grids, each matrix running through every grid in turn
-  (generic matrices take the per-divisor loop up to GENERIC_GRID_MAX);
+- exact averages by both routes, arcs and the whole grid (under the
+  record keys "arcs" and "divisors"), and the public average in exact and
+  float mode, at primes from 190 to 20011 and at composite grids, each
+  matrix running through every grid in turn (generic matrices take the
+  whole grid up to GENERIC_GRID_MAX);
 - exact and float signatures at every k/d with d <= 30;
 - Alexander polynomials;
 - `bounds` and `rho --levels` through the CLI, in-process, with their
@@ -30,7 +31,7 @@ from click.testing import CliRunner
 
 from knotrho import signature
 from knotrho.cli import cli
-from knotrho.cyclotomic import UnitRoot, _divisors
+from knotrho.cyclotomic import UnitRoot
 from knotrho.seifert import (
     SeifertMatrix,
     _is_tridiagonal,
@@ -43,7 +44,7 @@ from knotrho.verify import random_knot_seifert
 
 PRIME_RANGE = (190, 20011)
 COMPOSITE_GRIDS = (192, 210, 360, 714, 1001, 2310, 5005, 10010)
-# Generic matrices take the per-divisor loop only up to this grid: nearer
+# Generic matrices get the whole-grid sum only up to this grid: nearer
 # to w = 1 their float pass can stall and leave exact elimination over a
 # ring of degree phi(d) in the thousands, which takes minutes.
 GENERIC_GRID_MAX = 5005
@@ -115,11 +116,9 @@ def average_records(named) -> None:
         for d in grids:
             record = {"kind": "avg", "knot": name, "d": d}
             if a.kind == "knot":
-                record["arcs"] = signature._exact_sum_by_arcs(a, d)
+                record["arcs"] = signature._exact_sum(a, d, signature._arc_points(a, d))
             if d <= GENERIC_GRID_MAX or _is_tridiagonal(a.entries):
-                record["divisors"] = sum(
-                    signature._primitive_signature_sum_exact(a, dd) for dd in _divisors(d)[1:]
-                )
+                record["divisors"] = signature._exact_grid_sum(a, d)
             for mode in ("exact", "float"):
                 res = avg_signature_details(a, d, mode)
                 record[mode] = [str(res.value), res.certified]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .cyclotomic import CyclotomicElement, UnitRoot, cyc_field
+from .cyclotomic import CyclotomicElement, UnitRoot, _poly_divexact, _poly_trim, cyc_field
 from .exceptions import InternalInconsistencyError, InvalidParameterError
 from .floatpass import _EPS, _tridiag_layout
 from .seifert import SeifertMatrix, per_matrix_cache
@@ -39,36 +39,6 @@ def _poly_sub(a: list[int], b: list[int]) -> list[int]:
     a = a + [0] * (n - len(a))
     b = b + [0] * (n - len(b))
     return [x - y for x, y in zip(a, b)]
-
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division in Z[t]; top-down long division, each step must divide."""
-    num = _poly_trim(list(num))
-    den = _poly_trim(list(den))
-    lead = den[-1]
-    dn = len(den) - 1
-    if len(num) == 1 and num[0] == 0:
-        return [0]
-    out = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c:
-            q, r = divmod(c, lead)
-            if r:
-                raise ArithmeticError("inexact polynomial division")
-            out[i - dn] = q
-            base = i - dn
-            for j, dj in enumerate(den):
-                num[base + j] -= q * dj
-    if any(num[:dn]):
-        raise ArithmeticError("inexact polynomial division")
-    return out
 
 
 @per_matrix_cache
@@ -116,13 +86,7 @@ def alexander_at(a: SeifertMatrix, root: UnitRoot) -> CyclotomicElement:
     form is singular at w (w must not be 1)."""
     if root.is_one:
         raise InvalidParameterError("alexander_at is undefined at omega = 1")
-    fld = cyc_field(root.den)
-    poly = alexander_polynomial(a)
-    acc = fld.zero_list()
-    for c in reversed(poly):
-        acc = fld.mul_x_list(acc)
-        acc[0] += c
-    return fld.element(acc)
+    return cyc_field(root.den).element(alexander_polynomial(a))
 
 
 # -- unit-circle roots: Sturm isolation over Z --------------------------------

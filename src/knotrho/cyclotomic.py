@@ -54,18 +54,31 @@ def _radical(n: int) -> int:
     return r * (m if m > 1 else 1)
 
 
-def _poly_divexact_monic(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Divide num by the monic polynomial den over Z; division must be exact."""
-    num = list(num)
+def _poly_trim(a: list[int]) -> list[int]:
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
+    """Exact division in Z[t]; top-down long division, each step must divide."""
+    num = _poly_trim(list(num))
+    den = _poly_trim(list(den))
+    lead = den[-1]
     dn = len(den) - 1
+    if len(num) == 1 and num[0] == 0:
+        return [0]
     out = [0] * (len(num) - dn)
     for i in range(len(num) - 1, dn - 1, -1):
         c = num[i]
         if c:
-            out[i - dn] = c
+            q, r = divmod(c, lead)
+            if r:
+                raise ArithmeticError("inexact polynomial division")
+            out[i - dn] = q
             base = i - dn
             for j, dj in enumerate(den):
-                num[base + j] -= c * dj
+                num[base + j] -= q * dj
     if any(num[:dn]):
         raise ArithmeticError("inexact polynomial division")
     return out
@@ -89,7 +102,7 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
         return tuple(out)
     num: list[int] = [-1] + [0] * (d - 1) + [1]
     for e in _divisors(d)[:-1]:
-        num = _poly_divexact_monic(num, cyclotomic_polynomial(e))
+        num = _poly_divexact(num, cyclotomic_polynomial(e))
     return tuple(num)
 
 
@@ -187,7 +200,7 @@ class CycField:
     length exactly phi(d).
     """
 
-    __slots__ = ("d", "degree", "phi", "_phi_nonzero", "_xpow_row", "_xinv_row")
+    __slots__ = ("d", "degree", "phi", "_phi_nonzero", "_xinv_row")
 
     def __init__(self, d: int):
         degree = exact_degree(d)
@@ -196,8 +209,6 @@ class CycField:
         self.degree = degree
         self.phi = phi
         self._phi_nonzero = tuple((j, phi[j]) for j in range(degree) if phi[j])
-        # x^degree mod Phi (Phi is monic).
-        self._xpow_row = tuple(-c for c in phi[:degree])
         # x is a unit: phi[0] = ±1, and x^{-1} = -phi[0]*(phi[1] + phi[2] x + ...).
         a0 = phi[0]
         self._xinv_row = tuple(-a0 * phi[j + 1] for j in range(degree))
@@ -238,13 +249,6 @@ class CycField:
             seg = b if c == 1 else [c * x for x in b]
             out[i:i + nb] = [o + s for o, s in zip(out[i:i + nb], seg)]
         return self.reduce_list(out)
-
-    def mul_x_list(self, a: list) -> list:
-        top = a[-1]
-        out = [0] + a[:-1]
-        if top:
-            out = [o + top * r for o, r in zip(out, self._xpow_row)]
-        return out
 
     def mul_xinv_list(self, a: list) -> list:
         low = a[0]

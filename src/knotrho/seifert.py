@@ -39,20 +39,11 @@ def _is_tridiagonal(rows: IntMatrix) -> bool:
 
 
 def det_int(rows: IntMatrix) -> int:
-    """Exact determinant of an integer matrix.
-
-    Tridiagonal matrices use the three-term minor recurrence; everything
-    else goes through fraction-free Bareiss elimination.
-    """
+    """Exact determinant of an integer matrix by fraction-free Bareiss
+    elimination."""
     m = len(rows)
     if m == 0:
         return 1
-    if _is_tridiagonal(rows):
-        prev2, prev1 = 1, rows[0][0]
-        for i in range(1, m):
-            cur = rows[i][i] * prev1 - rows[i][i - 1] * rows[i - 1][i] * prev2
-            prev2, prev1 = prev1, cur
-        return prev1
     a = [list(r) for r in rows]
     sign = 1
     prev = 1

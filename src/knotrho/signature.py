@@ -14,16 +14,18 @@ so Delta(w) = 0 certifies that the complement is zero.  Any other stall
 takes exact pivoted elimination on the full entry table.  Either way the
 result is certified.
 
-Exact averages of knots over large grids go by arcs: sigma is constant on
-each open arc between the unit-circle roots of Delta, whose enclosures
-come from alexander.  An acos guess and a short walk place the grid
-points x_k = 2 cos(2 pi k/d) against each enclosure in O(1), with the
-rounding bound of the root, and the average takes one signature per run
-of points inside an arc and one per point whose enclosure meets a root,
-so its cost no longer grows with d.  Links and small grids sum one
-signature per conjugate pair.
+An average walks the grid points k = 1 .. d // 2, one per conjugate pair
+of d-th roots: a route picks the points (k, weight) and one loop sums
+weight * sigma.  Exact averages of knots over large grids go by arcs:
+sigma is constant on each open arc between the unit-circle roots of
+Delta, whose enclosures come from alexander.  An acos guess and a short
+walk place the grid points x_k = 2 cos(2 pi k/d) against each enclosure
+in O(1), with the rounding bound of the root, and the route picks one
+point per run of points inside an arc, weighted by the run, and every
+point whose enclosure meets a root, so its cost no longer grows with d.
+Links and small grids take the whole grid.
 Float mode is plain eigenvalue computation with a certification
-threshold; float averages evaluate their roots in fixed chunks, one
+threshold; float averages evaluate the whole grid in fixed chunks, one
 stacked eigensolve per chunk, and are the only users of NumPy, which is
 imported on first use.
 """
@@ -515,34 +517,46 @@ def levine_tristram(a: SeifertMatrix, root: UnitRoot, mode: str = "exact") -> in
 # -- averaged signatures -------------------------------------------------------
 
 
-def _primitive_numerators(den: int) -> tuple[list[int], int]:
-    """Numerators k of one primitive den-th root per conjugate pair, and the
-    weight 2 (or 1 at den = 2, whose only primitive root is real)."""
-    if den == 2:
-        return [1], 1
-    return [k for k in range(1, (den + 1) // 2) if math.gcd(k, den) == 1], 2
+def _grid_points(d: int, k0: int, k1: int):
+    """The grid points k0 .. k1 - 1 of the d-th roots, each standing for its
+    conjugate pair: (k, weight) with weight 2, or 1 at the real point k = d/2."""
+    for k in range(k0, k1):
+        yield k, 2 - (2 * k == d)
 
 
-@per_matrix_cache
-def _primitive_signature_sum_exact(a: SeifertMatrix, den: int) -> int:
-    """Sum of sigma over the primitive den-th roots of unity (den > 1), one
-    certified signature per conjugate pair; the caller checks the conductor."""
-    ks, weight = _primitive_numerators(den)
-    return weight * sum(_signature_exact_cached(a, k, den).signature for k in ks)
+def _exact_sum(a: SeifertMatrix, d: int, points) -> int:
+    """Sum of weight * sigma over grid points (k, weight) of the d-th roots,
+    one certified signature per point at its reduced fraction; the caller
+    checks the conductors."""
+    total = 0
+    for k, weight in points:
+        g = math.gcd(k, d)
+        total += weight * _signature_exact_cached(a, k // g, d // g).signature
+    return total
 
 
-def _primitive_signature_sum_float(a: SeifertMatrix, den: int) -> tuple[int, bool]:
-    """Float-mode sum over the primitive den-th roots and whether every term
-    is certified; each chunk of FLOAT_CHUNK roots is one stacked eigensolve,
-    term for term equal to signature_details(a, root, "float")."""
-    ks, weight = _primitive_numerators(den)
+def _exact_grid_sum(a: SeifertMatrix, d: int) -> int:
+    """Sum of sigma over the d-th roots of unity other than 1, one signature
+    per conjugate pair: the reference the arc route is tested against."""
+    return _exact_sum(a, d, _grid_points(d, 1, d // 2 + 1))
+
+
+def _float_grid_sum(a: SeifertMatrix, d: int) -> tuple[int, bool]:
+    """Float-mode sum of sigma over the d-th roots of unity other than 1 and
+    whether every term is certified; each chunk of FLOAT_CHUNK grid points is
+    one stacked eigensolve, term for term equal to
+    signature_details(a, UnitRoot(k, d), "float")."""
+    half = d // 2
     total, certified = 0, True
-    for i in range(0, len(ks), FLOAT_CHUNK):
-        # k is coprime to den: this is UnitRoot(k, den).to_complex(), bit for bit
-        omegas = [cmath.exp(2j * math.pi * k / den) for k in ks[i:i + FLOAT_CHUNK]]
+    for k0 in range(1, half + 1, FLOAT_CHUNK):
+        ks = range(k0, min(k0 + FLOAT_CHUNK, half + 1))
+        # from the reduced fraction: UnitRoot(k, d).to_complex(), bit for bit
+        omegas = [cmath.exp(2j * math.pi * (k // (g := math.gcd(k, d))) / (d // g)) for k in ks]
         p, n, cert = _numeric_inertias(_numeric_hermitians(a, omegas))
-        total += weight * int((p - n).sum())
+        total += 2 * int((p - n).sum())
         certified = certified and bool(cert.all())
+    if 2 * half == d:  # the real point k = d/2, last of the last chunk, weighs 1
+        total -= int(p[-1] - n[-1])
     return total, certified
 
 
@@ -570,10 +584,11 @@ def _first_grid_index(d: int, x: float, beyond) -> int:
     return hi
 
 
-def _exact_sum_by_arcs(a: SeifertMatrix, d: int) -> int:
-    """Sum of sigma over the d-th roots of unity other than 1, for a knot
-    matrix, with one certified signature per run of grid points inside an
-    open arc between unit-circle roots of Delta.
+def _arc_points(a: SeifertMatrix, d: int) -> list[tuple[int, int]]:
+    """Grid points (k, weight) whose weighted signatures sum to the sum of
+    sigma over the d-th roots of unity other than 1, for a knot matrix: one
+    point per run of grid points inside an open arc between unit-circle
+    roots of Delta, plus every point that may meet a root.
 
     The grid points k = 1 .. d // 2 stand for their conjugate pairs
     (weight 2, or 1 at k = d/2) and sit at x_k = 2 cos(2 pi k/d), which
@@ -581,38 +596,32 @@ def _exact_sum_by_arcs(a: SeifertMatrix, d: int) -> int:
     _alexander_root_enclosures, _first_grid_index places a point `first`
     whose predecessor is certified above hi, so all earlier points are,
     and a point `below` certified below lo, so all later points are.  The
-    points from `first` to `below` may meet the root; each gets its own
-    signature.  Every maximal run of the other points lies in one open
-    arc, where det H = (1 - conj w)^m Delta(w) != 0, so H is nonsingular
-    along the arc and sigma is constant on it: the run contributes its
-    weight times sigma at its middle point.  Each sigma comes from
-    _signature_exact_cached, so every value stays certified.
+    points from `first` to `below` may meet the root; each is its own
+    point.  Every maximal run of the other points lies in one open arc,
+    where det H = (1 - conj w)^m Delta(w) != 0, so H is nonsingular along
+    the arc and sigma is constant on it: the run is its middle point with
+    the run's total weight.
     """
     half = d // 2
     margin = 2.0 * _ROOT_ERR + 4.0 * _EPS  # also covers rounding x_k -/+ margin
+    points = []
 
-    def weight(k0: int, k1: int) -> int:
-        """Total weight of the grid points k0 .. k1 - 1."""
-        return 2 * (k1 - k0) - (k1 > half and 2 * half == d)
+    def run(k0: int, k1: int) -> None:
+        """The run k0 .. k1 - 1, if any, as its middle point."""
+        if k1 > k0:
+            points.append(((k0 + k1 - 1) // 2, 2 * (k1 - k0) - (k1 > half and 2 * half == d)))
 
-    def sigma(k: int) -> int:
-        g = math.gcd(k, d)
-        return _signature_exact_cached(a, k // g, d // g).signature
-
-    total = 0
     pos = 1
     for lo, hi in _alexander_root_enclosures(a):
         first = _first_grid_index(d, hi + margin, lambda k: _grid_x(k, d) - margin <= hi)
         below = _first_grid_index(d, lo - margin, lambda k: _grid_x(k, d) + margin < lo)
         first = max(first, pos)
         below = max(below, first)
-        if first > pos:
-            total += weight(pos, first) * sigma((pos + first - 1) // 2)
-        total += sum(weight(k, k + 1) * sigma(k) for k in range(first, below))
+        run(pos, first)
+        points.extend(_grid_points(d, first, below))
         pos = below
-    if pos <= half:
-        total += weight(pos, half + 1) * sigma((pos + half) // 2)
-    return total
+    run(pos, half + 1)
+    return points
 
 
 def _sum_by_arcs(a: SeifertMatrix, d: int) -> bool:
@@ -634,18 +643,19 @@ class AvgSignatureResult:
 def avg_signature_details(a: SeifertMatrix, d: int, mode: str = "exact") -> AvgSignatureResult:
     """Average of sigma over the d-th roots of unity other than 1, divided by d.
 
-    Exact mode first checks the conductor of every divisor of d, in
-    ascending order, so ConductorLimitError does not depend on the route.
-    A knot matrix of size m with 4d > m(m + 32) is then summed by arcs
-    (_exact_sum_by_arcs): one certified signature per run of grid points
-    between unit-circle roots of Delta, plus one per grid point whose
-    enclosure meets a root, each root placed in the grid in O(1), so the
-    cost no longer grows with d.  Links,
-    whose Delta may vanish identically, and small grids group the k/d grid
-    by reduced denominator, caching each primitive-root sum once with one
-    signature per conjugate pair; that loop is also the reference the arc
-    route is tested against.  Float mode always takes the per-divisor loop.
-    Any other mode raises InvalidParameterError before any work.
+    Both modes walk the grid points k = 1 .. d // 2, each standing for its
+    conjugate pair (weight 2, or 1 at k = d/2).  Exact mode first checks
+    the conductor of every divisor of d, in ascending order, so
+    ConductorLimitError does not depend on the route.  A knot matrix of
+    size m with 4d > m(m + 32) is then summed over _arc_points: one
+    certified signature per run of grid points between unit-circle roots
+    of Delta, plus one per grid point whose enclosure meets a root, each
+    root placed in the grid in O(1), so the cost no longer grows with d.
+    Links, whose Delta may vanish identically, and small grids sum one
+    certified signature per grid point; that loop is also the reference
+    the arc route is tested against.  Float mode sums the whole grid in
+    chunks of stacked eigensolves.  Any other mode raises
+    InvalidParameterError before any work.
     """
     if mode not in ("exact", "float"):
         raise _mode_error(mode)
@@ -653,21 +663,16 @@ def avg_signature_details(a: SeifertMatrix, d: int, mode: str = "exact") -> AvgS
         raise InvalidParameterError(f"root count d must be positive, got {d}")
     if a.size == 0 or d == 1:
         return AvgSignatureResult(Fraction(0), True)
-    divisors = _divisors(d)[1:]
-    if mode == "exact":
-        for dd in divisors:
-            exact_degree(dd)
-        if _sum_by_arcs(a, d):
-            return AvgSignatureResult(Fraction(_exact_sum_by_arcs(a, d), d), True)
-        total = sum(_primitive_signature_sum_exact(a, dd) for dd in divisors)
-        return AvgSignatureResult(Fraction(total, d), True)
-    total = 0
-    certified = True
-    for dd in divisors:
-        s, cert = _primitive_signature_sum_float(a, dd)
-        total += s
-        certified = certified and cert
-    return AvgSignatureResult(Fraction(total, d), certified)
+    if mode == "float":
+        total, certified = _float_grid_sum(a, d)
+        return AvgSignatureResult(Fraction(total, d), certified)
+    for dd in _divisors(d)[1:]:
+        exact_degree(dd)
+    if _sum_by_arcs(a, d):
+        total = _exact_sum(a, d, _arc_points(a, d))
+    else:
+        total = _exact_grid_sum(a, d)
+    return AvgSignatureResult(Fraction(total, d), True)
 
 
 def avg_signature(a: SeifertMatrix, d: int, mode: str = "exact") -> Fraction:

@@ -28,7 +28,6 @@ from knotrho.seifert import (
 from knotrho.signature import (
     _herm_residues,
     _minor_chain,
-    _primitive_signature_sum_exact,
     _signature_exact_cached,
     _tridiag_layout,
     alexander_at,
@@ -58,8 +57,7 @@ def test_criterion_1_litherland_oracle():
         _tridiag_layout,
         _herm_residues,
         _minor_chain,
-        _primitive_signature_sum_exact,
-        alexander_polynomial,
+            alexander_polynomial,
     ):
         cache.cache_clear()
     start = time.perf_counter()

@@ -17,7 +17,6 @@ from knotrho.seifert import jn_seifert, per_matrix_cache, torus_knot_seifert
 from knotrho.signature import (
     _herm_residues,
     _minor_chain,
-    _primitive_signature_sum_exact,
     _signature_exact_cached,
     avg_signature,
     avg_signature_details,
@@ -31,7 +30,6 @@ MATRIX_CACHES = (
     _herm_residues,
     _minor_chain,
     _signature_exact_cached,
-    _primitive_signature_sum_exact,
 )
 
 
@@ -43,7 +41,7 @@ def _clear():
 def test_entries_die_with_their_matrix():
     _clear()
     a = torus_knot_seifert(2)
-    avg_signature(a, 10)  # per-divisor loop, exact chain at the jump points
+    avg_signature(a, 10)  # whole grid, exact chain at the jump points
     avg_signature(a, 1009)  # arcs between the roots of Delta
     hermitian_form(a, UnitRoot(1, 5))
     assert all(cache.cache_info().currsize > 0 for cache in MATRIX_CACHES)

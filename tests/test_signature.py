@@ -590,6 +590,8 @@ def test_antisymmetric_off_diagonal_splits_blocks_at_minus_one():
         (torus_knot_seifert(2), 10),  # every odd k/10 is a jump point
         (torus_knot_seifert(3), 14),
         (torus_knot_seifert(2), 1009),  # 504 roots: four chunks of FLOAT_CHUNK
+        (torus_knot_seifert(2), 360),  # chunks spanning several divisors
+        (jn_seifert(2), 2310),
     ],
 )
 def test_float_average_matches_per_root_float(a, d):
@@ -843,7 +845,7 @@ def test_exact_average_refuses_huge_conductor_with_the_same_message():
         signature_details(TREFOIL, UnitRoot(1, 200003))
     assert str(avg.value) == str(single.value) == str(direct.value)
     # the first refused divisor, in ascending order, names the conductor on
-    # both routes: arcs for the knot, the per-divisor loop for the link
+    # both routes: arcs for the knot, the whole grid for the link
     link = SeifertMatrix(TREFOIL.entries, kind="link")
     for a in (TREFOIL, link):
         with pytest.raises(ConductorLimitError) as composite:
@@ -851,12 +853,7 @@ def test_exact_average_refuses_huge_conductor_with_the_same_message():
         assert str(composite.value) == str(direct.value)
 
 
-# -- exact averages by arcs against the per-divisor loop -------------------------
-
-
-def _per_divisor_sum(a, d):
-    divisors = cyclotomic._divisors(d)[1:]
-    return sum(signature._primitive_signature_sum_exact(a, dd) for dd in divisors)
+# -- exact averages by arcs against the whole grid -------------------------------
 
 
 def _connected_sum(a, b):
@@ -868,7 +865,8 @@ def _connected_sum(a, b):
 
 def _assert_arcs_match(a, grids):
     for d in grids:
-        assert signature._exact_sum_by_arcs(a, d) == _per_divisor_sum(a, d), (a.entries, d)
+        arcs = signature._exact_sum(a, d, signature._arc_points(a, d))
+        assert arcs == signature._exact_grid_sum(a, d), (a.entries, d)
 
 
 @pytest.mark.parametrize("family", [torus_knot_seifert, jn_seifert])
@@ -934,7 +932,7 @@ def test_exact_average_by_arcs_at_a_huge_grid_is_fast():
     start = time.perf_counter()
     got = avg_signature(a, 100003)
     assert time.perf_counter() - start < 0.1
-    assert got == Fraction(signature._primitive_signature_sum_exact(a, 100003), 100003)
+    assert got == Fraction(signature._exact_grid_sum(a, 100003), 100003)
 
 
 def _placement_holds(d, k, beyond):
@@ -987,7 +985,7 @@ def test_grid_placement_survives_a_non_monotone_test():
 
 def test_arc_dispatch_rule():
     # sizes up to 12 at grids from 190 sum by arcs; sizes from 30 at cover
-    # orders up to 12, links and small grids keep the per-divisor loop
+    # orders up to 12, links and small grids keep the whole grid
     for n in range(1, 7):
         for family in (torus_knot_seifert, jn_seifert):
             assert signature._sum_by_arcs(family(n), 190)
