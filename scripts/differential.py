@@ -16,6 +16,9 @@ The records cover:
   whole grid up to GENERIC_GRID_MAX);
 - exact and float signatures at every k/d with d <= 30;
 - Alexander polynomials;
+- exact averages by both routes for torus2 and jn with n in {15, 30}, a
+  K # K of size 60 and a connected sum whose unit-circle roots lie closer
+  than root isolation's float sampling step, at primes 1009 and 5003;
 - `bounds` and `rho --levels` through the CLI, in-process, with their
   output and exit codes, including invalid slopes and modes.
 
@@ -125,6 +128,25 @@ def average_records(named) -> None:
             emit(record)
 
 
+def high_degree_records() -> None:
+    """Exact averages by both routes where root isolation works at degree
+    15 to 30, including the Sturm bisection fallback (torus2:8 # jn:8)."""
+    named = [
+        (f"{family}:{n}", build(n))
+        for n in (15, 30)
+        for family, build in (("torus2", torus_knot_seifert), ("jn", jn_seifert))
+    ]
+    named.append(("jn:15#jn:15", connected_sum(jn_seifert(15), jn_seifert(15))))
+    named.append(("torus2:8#jn:8", connected_sum(torus_knot_seifert(8), jn_seifert(8))))
+    for name, a in named:
+        for d in (1009, 5003):
+            emit({
+                "kind": "avg", "knot": name, "d": d,
+                "arcs": signature._exact_sum(a, d, signature._arc_points(a, d)),
+                "divisors": signature._exact_grid_sum(a, d),
+            })
+
+
 def signature_records(named) -> None:
     for name, a in named:
         emit({"kind": "alexander", "knot": name, "poly": list(alexander_polynomial(a))})
@@ -169,6 +191,7 @@ def cli_records(named) -> None:
 def main() -> int:
     named = knots() + links()
     average_records([(n, a) for n, a in named if a.size <= 12])
+    high_degree_records()
     signature_records([(n, a) for n, a in named if a.size <= 8])
     cli_records(named)
     return 0

@@ -4,9 +4,17 @@ Delta(t) = det(A^T - t A) in Z[t], by the band continuant for tridiagonal
 matrices and fraction-free Bareiss elimination otherwise.  For a knot,
 Delta is palindromic, Delta(t) = t^g Q(t + 1/t) with Q in Z[x], and its
 roots e^(i theta) on the unit circle are the roots x = 2 cos theta of Q in
-[-2, 2].  Those are isolated once per matrix by a Sturm sequence of the
-squarefree part of Q over the integers and refined to dyadic enclosures;
-the signature engine's exact averages sum by the arcs between them.
+[-2, 2].  Those are isolated once per matrix, for the squarefree part q of
+Q.  A float stage samples q(2 cos theta) in the cosine basis, where it is
+well conditioned at high degree, and refines every sign change by Newton
+steps on Clenshaw's recurrence.  Each float root is then rounded outward to
+a dyadic bracket of width 2^-40, certified by the exact signs of q at its
+two ends: disjoint brackets with a sign change each, as many as the Sturm
+count of distinct roots of q in [-2, 2], hold one root each.  Any other
+case (roots closer together than the sampling step, or clustered so that
+the floats cannot place them within 2^-41) falls back to Sturm bisection
+over Z.  The signature engine's exact averages sum by the arcs between the
+enclosures.
 """
 from __future__ import annotations
 
@@ -14,11 +22,11 @@ import math
 
 from .cyclotomic import CyclotomicElement, UnitRoot, _poly_divexact, _poly_trim, cyc_field
 from .exceptions import InternalInconsistencyError, InvalidParameterError
-from .floatpass import _EPS, _tridiag_layout
 from .seifert import SeifertMatrix, per_matrix_cache
 
-_ROOT_BITS = 48  # root enclosures are refined to width 2^-48 in x
-_NEWTON_SLACK = 8  # half-width, in units of 2^-48, of the bracket tried around a float root
+_ROOT_BITS = 48  # enclosure endpoints are multiples of 2^-48 in x
+_HALF_WIDTH = 1 << 7  # half-width of a float bracket, in units of 2^-48: width 2^-40
+_SAMPLES_PER_DEGREE = 3  # float samples of q(2 cos theta) per unit of degree
 
 
 # -- integer polynomials and the Alexander polynomial -------------------------
@@ -47,17 +55,28 @@ def alexander_polynomial(a: SeifertMatrix) -> tuple[int, ...]:
     m = a.size
     if m == 0:
         return (1,)
-    mat = [
-        [[a.entries[j][i], -a.entries[i][j]] for j in range(m)]
-        for i in range(m)
-    ]
-    if _tridiag_layout(a)[0] is not None:
-        prev2, prev1 = [1], mat[0][0]
+    e = a.entries
+    if a._tridiagonal:
+        # Continuant of the band of A^T - tA: diagonal a_ii - a_ii t, and
+        # beside it p - q t and q - p t, p = a_(i-1,i), q = a_(i,i-1), whose
+        # product is pq - (p^2 + q^2) t + pq t^2.
+        prev2, prev1 = [1], [e[0][0], -e[0][0]]
         for i in range(1, m):
-            term1 = _poly_mul(mat[i][i], prev1)
-            term2 = _poly_mul(_poly_mul(mat[i][i - 1], mat[i - 1][i]), prev2)
-            prev2, prev1 = prev1, _poly_trim(_poly_sub(term1, term2))
+            d, p, q = e[i][i], e[i - 1][i], e[i][i - 1]
+            nxt = [0] * (i + 2)
+            if d:
+                for j, c in enumerate(prev1):
+                    nxt[j] += d * c
+                    nxt[j + 1] -= d * c
+            if p or q:
+                pq, s = p * q, p * p + q * q
+                for j, c in enumerate(prev2):
+                    nxt[j] -= pq * c
+                    nxt[j + 1] += s * c
+                    nxt[j + 2] -= pq * c
+            prev2, prev1 = prev1, nxt
         return tuple(_poly_trim(prev1))
+    mat = [[[e[j][i], -e[i][j]] for j in range(m)] for i in range(m)]
     # Fraction-free Bareiss over Z[t].
     sign = 1
     prev = [1]
@@ -89,7 +108,7 @@ def alexander_at(a: SeifertMatrix, root: UnitRoot) -> CyclotomicElement:
     return cyc_field(root.den).element(alexander_polynomial(a))
 
 
-# -- unit-circle roots: Sturm isolation over Z --------------------------------
+# -- the squarefree polynomial of the unit-circle roots and its Sturm chain -----
 
 
 def _poly_deriv(p: list[int]) -> list[int]:
@@ -135,12 +154,16 @@ def _sturm_chain(p: list[int]) -> list[list[int]]:
 
 def _dyadic_sign(p: list[int], num: int) -> int:
     """Sign of p(num / 2^_ROOT_BITS), by integer Horner on the numerator
-    p(x) 2^(_ROOT_BITS deg p), which has the same sign."""
+    p(x) 2^(b deg p) of x = num' / 2^b in lowest terms (b <= _ROOT_BITS),
+    which has the same sign."""
+    zeros = min((num & -num).bit_length() - 1 if num else _ROOT_BITS, _ROOT_BITS)
+    num >>= zeros
+    bits = _ROOT_BITS - zeros
     acc = p[-1]
-    scale = 1
+    shift = 0
     for c in reversed(p[:-1]):
-        scale <<= _ROOT_BITS
-        acc = acc * num + c * scale
+        shift += bits
+        acc = acc * num + (c << shift)
     return (acc > 0) - (acc < 0)
 
 
@@ -156,81 +179,15 @@ def _sign_variations(chain, num: int) -> int:
     return out
 
 
-def _float_newton(q: list[int], lo: int, hi: int, s_lo: int):
-    """Safeguarded float Newton estimate, in units of 2^-_ROOT_BITS, of the
-    root of q in (lo, hi), where q has sign s_lo at lo; None when the
-    floats overflow.  Iterates that leave the current bracket are replaced
-    by its midpoint.  Only a guess: _refine_root checks it with exact signs."""
-    unit = 1 << _ROOT_BITS
-    try:
-        f = [float(c) for c in reversed(q)]
-    except OverflowError:
-        return None
-    a, b = lo / unit, hi / unit
-    x = 0.5 * (a + b)
-    for _ in range(64):
-        v = dv = 0.0
-        for c in f:
-            dv = dv * x + v
-            v = v * x + c
-        if not (math.isfinite(v) and math.isfinite(dv)):
-            return None
-        if v == 0.0:
-            break
-        if (v > 0.0) == (s_lo > 0):
-            a = x
-        else:
-            b = x
-        nxt = x - v / dv if dv else a  # a fails the bracket test: bisect
-        if not a < nxt < b:
-            nxt = 0.5 * (a + b)
-        if abs(nxt - x) <= _EPS:
-            break
-        x = nxt
-    return round(x * unit)
-
-
-def _refine_root(q: list[int], lo: int, hi: int) -> tuple[int, int]:
-    """Shrink (lo, hi], holding one simple root of the squarefree q with
-    q(lo) != 0, to width one unit; (c, c) for an exact dyadic root c.
-    Endpoints are in units of 2^-_ROOT_BITS.  A float Newton guess g
-    narrows the interval to [g - slack, g + slack] when exact signs show
-    the root there; sign bisection does the rest."""
-    s_lo = _dyadic_sign(q, lo)
-    if _dyadic_sign(q, hi) == 0:
-        return hi, hi
-    guess = _float_newton(q, lo, hi, s_lo)
-    if guess is not None:
-        a, b = max(lo, guess - _NEWTON_SLACK), min(hi, guess + _NEWTON_SLACK)
-        if _dyadic_sign(q, a) == s_lo and _dyadic_sign(q, b) == -s_lo:
-            lo, hi = a, b
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        s = _dyadic_sign(q, mid)
-        if s == 0:
-            return mid, mid
-        if s == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
-@per_matrix_cache
-def _alexander_root_enclosures(a: SeifertMatrix) -> tuple[tuple[float, float], ...]:
-    """Disjoint closed enclosures [lo, hi] of the distinct roots of Q in
-    [-2, 2], in descending order, where Delta(t) = t^g Q(t + 1/t) for the
-    knot matrix a of size 2g.  Their endpoints are dyadic floats, exact.
+def _root_polynomial(a: SeifertMatrix) -> tuple[list[int], list[list[int]]]:
+    """(q, Sturm chain of q) for the squarefree part q of Q, where
+    Delta(t) = t^g Q(t + 1/t) for the knot matrix a of size 2g.
 
     Delta is palindromic for a knot, so with t^j + t^-j = V_j(t + 1/t),
     V_0 = 2, V_1 = x and V_(j+1) = x V_j - V_(j-1), Q = c_g + sum c_(g+j) V_j.
-    The roots of Delta on the unit circle are the t = e^(i theta) with
-    Q(2 cos theta) = 0.  The Sturm chain of the squarefree part counts the
-    distinct roots of Q in (lo, hi] for any lo < hi (a count that repeated
-    roots of Delta, as in K # K, would break for the chain of Q itself);
-    bisection splits every interval until each holds one root, which sign
-    bisection of the squarefree part then refines.  An interval of unit
-    width that still holds several roots is kept as one enclosure.
+    The chain of q counts the distinct roots of Q in (lo, hi] for any
+    lo < hi, a count that repeated roots of Delta, as in K # K, would break
+    for the chain of Q itself.
     """
     m = a.size
     g = m // 2
@@ -246,11 +203,158 @@ def _alexander_root_enclosures(a: SeifertMatrix) -> tuple[tuple[float, float], .
         v_prev, v = v, _poly_sub([0] + v, v_prev)
     q = _poly_trim(q)
     if len(q) == 1:
-        return ()
+        return q, [q]
     chain = _sturm_chain(q)
     if len(chain[-1]) > 1:
         q = _poly_divexact(_primitive(q), _primitive(chain[-1]))
         chain = _sturm_chain(q)
+    return q, chain
+
+
+# -- float roots in the cosine basis ---------------------------------------------
+
+
+def _cosine_coefficients(q: list[int]) -> list[int]:
+    """b with q(2 cos theta) = b_0 + sum_(j >= 1) b_j V_j(2 cos theta), where
+    V_j(2 cos theta) = 2 cos j theta: (t + 1/t)^i = sum_k C(i, k) t^(i - 2k)."""
+    b = [0] * len(q)
+    for i, c in enumerate(q):
+        if c:
+            binom = c
+            for k in range(i // 2 + 1):
+                b[i - 2 * k] += binom
+                binom = binom * (i - k) // (k + 1)
+    return b
+
+
+def _clenshaw(rev: list[float], f0: float, x: float) -> float:
+    """F(x) for F = f_0 + sum_(j >= 1) f_j V_j(x), rev = [f_n, ..., f_1], by
+    Clenshaw's recurrence u_j = f_j + x u_(j+1) - u_(j+2), F = f_0 + x u_1 - 2 u_2."""
+    u = u2 = 0.0
+    for c in rev:
+        u, u2 = c + x * u - u2, u
+    return f0 + x * u - 2.0 * u2
+
+
+def _newton_root(rev: list[float], f0: float, lo: float, f_lo: float, hi: float, f_hi: float):
+    """Float root of F in (lo, hi), where F takes the values f_lo and f_hi
+    of opposite signs: Newton steps from the secant point, F' by
+    differentiating the recurrence, until a step falls below 2^-44; a step
+    that would leave the shrinking bracket bisects it instead."""
+    tol = 2.0 ** (4 - _ROOT_BITS)
+    up = f_lo > 0.0
+    x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    for _ in range(200):
+        u = u2 = du = du2 = 0.0
+        for c in rev:
+            u, u2, du, du2 = c + x * u - u2, u, u + x * du - du2, du
+        v = f0 + x * u - 2.0 * u2
+        if v == 0.0:
+            return x
+        if (v > 0.0) == up:
+            lo = x
+        else:
+            hi = x
+        dv = u + x * du - 2.0 * du2
+        step = v / dv if dv else math.inf
+        if -tol <= step <= tol:
+            return x - step
+        x -= step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+    return x
+
+
+def _float_roots(q: list[int]) -> list[float]:
+    """Float estimates of the roots of q in (-2, 2), descending.  Samples at
+    theta = pi s / S, S = _SAMPLES_PER_DEGREE (deg q + 1), find every root
+    whose neighbours lie at least one step away; the coefficients are
+    scaled to at most 1, so no value overflows."""
+    b = _cosine_coefficients(q)
+    top = max(map(abs, b))
+    f = [c / top for c in b]  # correctly rounded, whatever the size of c
+    rev, f0 = f[:0:-1], f[0]
+    steps = _SAMPLES_PER_DEGREE * len(q)
+    roots = []
+    x_prev = v_prev = zero = None
+    for s in range(steps + 1):
+        x = 2.0 * math.cos(math.pi * s / steps)
+        v = _clenshaw(rev, f0, x)
+        if v == 0.0:
+            zero = x if zero is None else zero
+            continue
+        if v_prev is not None and (v > 0.0) != (v_prev > 0.0):
+            roots.append(zero if zero is not None else _newton_root(rev, f0, x, v, x_prev, v_prev))
+        zero = None
+        x_prev, v_prev = x, v
+    return roots
+
+
+def _certified_brackets(q: list[int], chain, roots: list[float]) -> list[tuple[int, int]] | None:
+    """Enclosures (lo, hi) of the distinct roots of q in [-2, 2], in units of
+    2^-_ROOT_BITS, from the descending float roots; None unless certified.
+
+    Each root becomes a bracket of width 2 _HALF_WIDTH around it, clipped to
+    [-2, 2], or, when a dyadic root of q may be that close (its denominator
+    divides the leading coefficient), the point itself if q vanishes there
+    and otherwise a bracket with that end.  q must take nonzero opposite
+    signs at the two ends of a bracket, so each holds an odd number of
+    roots, and the brackets must be disjoint.  As many of them as the
+    Sturm count of roots in (-2, 2] then hold one root each, and there are
+    no others, given q(-2) != 0, which the caller checks.
+    """
+    unit = 1 << _ROOT_BITS
+    if len(roots) != _sign_variations(chain, -2 * unit) - _sign_variations(chain, 2 * unit):
+        return None
+    lc = q[-1]
+    step = 1 << max(_ROOT_BITS - ((lc & -lc).bit_length() - 1), 0)
+    out = []
+    for x in roots:
+        c = x * unit  # exact: unit is a power of two
+        cand = round(c / step) * step
+        if abs(c - cand) <= _HALF_WIDTH:
+            s = _dyadic_sign(q, cand)
+            if s == 0:
+                out.append((cand, cand))
+                continue
+            lo, hi = (cand, cand + 2 * _HALF_WIDTH) if c >= cand else (cand - 2 * _HALF_WIDTH, cand)
+        else:
+            s = None
+            lo, hi = round(c) - _HALF_WIDTH, round(c) + _HALF_WIDTH
+        lo, hi = max(lo, -2 * unit), min(hi, 2 * unit)
+        s_lo = s if s is not None and lo == cand else _dyadic_sign(q, lo)
+        s_hi = s if s is not None and hi == cand else _dyadic_sign(q, hi)
+        if s_lo * s_hi >= 0 or (out and out[-1][0] <= hi):
+            return None
+        out.append((lo, hi))
+    return out
+
+
+def _refine_root(q: list[int], lo: int, hi: int) -> tuple[int, int]:
+    """Shrink (lo, hi], holding one simple root of the squarefree q with
+    q(lo) != 0, to width one unit by sign bisection; (c, c) for an exact
+    dyadic root c.  Endpoints are in units of 2^-_ROOT_BITS."""
+    s_lo = _dyadic_sign(q, lo)
+    if _dyadic_sign(q, hi) == 0:
+        return hi, hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        s = _dyadic_sign(q, mid)
+        if s == 0:
+            return mid, mid
+        if s == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _sturm_bisection(q: list[int], chain) -> list[tuple[int, int]]:
+    """Enclosures (lo, hi) of the distinct roots of q in [-2, 2], in units of
+    2^-_ROOT_BITS, by the Sturm chain: bisection splits every interval until
+    each holds one root, which sign bisection of q then shrinks to unit
+    width, or to a point at an exact dyadic root.  An interval of unit
+    width that still holds several roots is kept as one enclosure."""
     unit = 1 << _ROOT_BITS
     found = []
     if _dyadic_sign(q, -2 * unit) == 0:  # the count below covers (-2, 2]
@@ -269,4 +373,28 @@ def _alexander_root_enclosures(a: SeifertMatrix) -> tuple[tuple[float, float], .
             mid = (lo + hi) // 2
             v_mid = _sign_variations(chain, mid)
             todo += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
+    return found
+
+
+@per_matrix_cache
+def _alexander_root_enclosures(a: SeifertMatrix) -> tuple[tuple[float, float], ...]:
+    """Disjoint closed enclosures [lo, hi], of width at most 2^-40, of the
+    distinct roots of Q in [-2, 2], in descending order, where
+    Delta(t) = t^g Q(t + 1/t) for the knot matrix a of size 2g.  Their
+    endpoints are dyadic floats, exact; an exact dyadic root is a point.
+
+    The roots of Delta on the unit circle are the t = e^(i theta) with
+    Q(2 cos theta) = 0.  Certified float brackets (_certified_brackets of
+    _float_roots) give the enclosures; where they cannot be certified,
+    Sturm bisection (_sturm_bisection) does.
+    """
+    q, chain = _root_polynomial(a)
+    if len(q) == 1:
+        return ()
+    found = None
+    if sum(c * (-2) ** i for i, c in enumerate(q)):  # q(-2) != 0: Delta(-1) is odd for a knot
+        found = _certified_brackets(q, chain, _float_roots(q))
+    if found is None:
+        found = _sturm_bisection(q, chain)
+    unit = 1 << _ROOT_BITS
     return tuple(sorted(((lo / unit, hi / unit) for lo, hi in found), reverse=True))

@@ -436,14 +436,23 @@ def inertia(form: HermitianForm, mode: str = "exact") -> InertiaTriple:
     raise _mode_error(mode)
 
 
-def _numeric_hermitians(a: SeifertMatrix, omegas) -> np.ndarray:
-    """H at each w of omegas, stacked into shape (len(omegas), m, m)."""
+def _complex_entries(a: SeifertMatrix) -> np.ndarray:
+    """A as an m x m complex array, for float mode."""
     import numpy as np  # loaded by float mode only: exact mode never needs it
 
+    return np.array(a.entries, dtype=complex).reshape(a.size, a.size)
+
+
+def _numeric_hermitians(arr: np.ndarray, omegas) -> np.ndarray:
+    """H = (1 - w) A + (1 - conj w) A^T at each w of omegas, from A as a
+    complex array (_complex_entries), stacked into shape (len(omegas), m, m).
+    The floats are Hermitian bit for bit, so eigvalsh may read either
+    triangle: entry (j, i) sums the conjugates of the two products that
+    entry (i, j) sums, and rounding commutes with conjugation."""
+    import numpy as np
+
     w = np.array(omegas, dtype=complex).reshape(-1, 1, 1)
-    arr = np.array(a.entries, dtype=complex).reshape(a.size, a.size)
-    h = (1 - w) * arr + (1 - w.conj()) * arr.T
-    return (h + h.conj().swapaxes(-1, -2)) / 2.0
+    return (1 - w) * arr + (1 - w.conj()) * arr.T
 
 
 @dataclass(frozen=True)
@@ -505,7 +514,8 @@ def signature_details(a: SeifertMatrix, root: UnitRoot, mode: str = "exact") -> 
         exact_degree(root.den)  # refuse huge conductors even where floats would decide
         triple = _signature_exact_cached(a, min(root.num, root.den - root.num), root.den)
     else:
-        triple = _inertia_from_numeric(_numeric_hermitians(a, [root.to_complex()])[0])
+        h = _numeric_hermitians(_complex_entries(a), [root.to_complex()])
+        triple = _inertia_from_numeric(h[0])
     return SignatureResult(triple.signature, triple, triple.zero > 0, triple.certified)
 
 
@@ -546,13 +556,14 @@ def _float_grid_sum(a: SeifertMatrix, d: int) -> tuple[int, bool]:
     whether every term is certified; each chunk of FLOAT_CHUNK grid points is
     one stacked eigensolve, term for term equal to
     signature_details(a, UnitRoot(k, d), "float")."""
+    arr = _complex_entries(a)
     half = d // 2
     total, certified = 0, True
     for k0 in range(1, half + 1, FLOAT_CHUNK):
         ks = range(k0, min(k0 + FLOAT_CHUNK, half + 1))
         # from the reduced fraction: UnitRoot(k, d).to_complex(), bit for bit
         omegas = [cmath.exp(2j * math.pi * (k // (g := math.gcd(k, d))) / (d // g)) for k in ks]
-        p, n, cert = _numeric_inertias(_numeric_hermitians(a, omegas))
+        p, n, cert = _numeric_inertias(_numeric_hermitians(arr, omegas))
         total += 2 * int((p - n).sum())
         certified = certified and bool(cert.all())
     if 2 * half == d:  # the real point k = d/2, last of the last chunk, weighs 1
@@ -626,12 +637,11 @@ def _arc_points(a: SeifertMatrix, d: int) -> list[tuple[int, int]]:
 
 def _sum_by_arcs(a: SeifertMatrix, d: int) -> bool:
     """Whether an exact average takes the arc route: for knots once
-    d > m^2/4 + 8m, m the size.  On the jn and torus2 families of sizes 2
-    to 120 the arc route measured faster than the per-divisor loop past
-    about d = 8m for m <= 30 and past about m^2/4 for larger m, where root
-    isolation of the degree-m/2 polynomial Q dominates its cost."""
-    m = a.size
-    return a.kind == "knot" and 4 * d > m * (m + 32)
+    d > 4m + 16, m the size.  Timed with cleared caches on the jn and
+    torus2 families of sizes 2 to 120, the arc route, root isolation
+    included, beat the whole grid from about d = 4m at sizes 12 to 120,
+    and from d = 12 to 40 at smaller sizes, where its fixed cost dominates."""
+    return a.kind == "knot" and d > 4 * a.size + 16
 
 
 @dataclass(frozen=True)
@@ -647,7 +657,7 @@ def avg_signature_details(a: SeifertMatrix, d: int, mode: str = "exact") -> AvgS
     conjugate pair (weight 2, or 1 at k = d/2).  Exact mode first checks
     the conductor of every divisor of d, in ascending order, so
     ConductorLimitError does not depend on the route.  A knot matrix of
-    size m with 4d > m(m + 32) is then summed over _arc_points: one
+    size m with d > 4m + 16 is then summed over _arc_points: one
     certified signature per run of grid points between unit-circle roots
     of Delta, plus one per grid point whose enclosure meets a root, each
     root placed in the grid in O(1), so the cost no longer grows with d.

@@ -1,8 +1,11 @@
 """Signature engine: frozen examples, invariants, and dual-path cross-checks."""
 
 import math
-import time
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -602,6 +605,26 @@ def test_float_average_matches_per_root_float(a, d):
     assert res.certified == all(r.certified for r in per_root)
 
 
+@pytest.mark.parametrize(
+    "a,d",
+    [
+        (TREFOIL, 12),
+        (torus_knot_seifert(6), 70001),
+        (mirror(jn_seifert(5)), 1009),
+        (_scrambled(torus_knot_seifert(4), random.Random(3)), 30),
+        (random_knot_seifert(random.Random(8), size_max=12, spread=1000), 2310),
+    ],
+)
+def test_numeric_hermitians_lower_triangle_is_bit_equal_to_symmetrised(a, d):
+    # eigvalsh reads the lower triangle, which equals that of (H + H^*)/2 bit
+    # for bit, so the float path needs no symmetrisation
+    omegas = [UnitRoot(k, d).to_complex() for k in range(1, min(d // 2, 128) + 1)]
+    h = signature._numeric_hermitians(signature._complex_entries(a), omegas)
+    sym = (h + h.conj().swapaxes(-1, -2)) / 2.0
+    rows, cols = np.tril_indices(a.size)
+    assert h[:, rows, cols].tobytes() == sym[:, rows, cols].tobytes()
+
+
 # -- residues only where floats cannot decide -----------------------------------
 
 
@@ -914,16 +937,129 @@ def test_arc_sum_without_unit_circle_roots():
     assert avg_signature(figure_eight, 1009) == 0
 
 
+def _bisection_enclosures(a):
+    """The Sturm bisection route alone, as _alexander_root_enclosures reports it."""
+    q, chain = alexander._root_polynomial(a)
+    if len(q) == 1:
+        return ()
+    unit = 2.0**alexander._ROOT_BITS
+    found = alexander._sturm_bisection(q, chain)
+    return tuple(sorted(((lo / unit, hi / unit) for lo, hi in found), reverse=True))
+
+
+def _assert_enclosures(a):
+    """Disjoint, descending, at most 2^-40 wide, and each holding the one
+    root that Sturm bisection alone encloses; exact dyadic roots are points."""
+    enclosures = alexander._alexander_root_enclosures(a)
+    assert all(lo <= hi and hi - lo <= 2.0**-40 for lo, hi in enclosures)
+    assert all(lo1 > hi2 for (lo1, _), (_, hi2) in zip(enclosures, enclosures[1:]))
+    reference = _bisection_enclosures(a)
+    assert len(enclosures) == len(reference), a.entries
+    for (lo, hi), (rlo, rhi) in zip(enclosures, reference):
+        assert lo <= rlo <= rhi <= hi
+        assert (lo == hi) == (rlo == rhi)
+    return enclosures
+
+
 def test_root_enclosures_are_disjoint_and_hold_every_unit_circle_root():
-    for a in (torus_knot_seifert(5), _connected_sum(torus_knot_seifert(2), torus_knot_seifert(2))):
+    # torus2:n: Delta = Phi_(4n+2), roots 2 cos(pi (2j+1)/(2n+1)), j = 0..n-1
+    for n in range(1, 61):
+        enclosures = alexander._alexander_root_enclosures(torus_knot_seifert(n))
+        roots = [2 * math.cos(math.pi * (2 * j + 1) / (2 * n + 1)) for j in range(n)]
+        assert len(enclosures) == n
+        assert all(lo - 1e-12 <= x <= hi + 1e-12 for (lo, hi), x in zip(enclosures, roots))
+        assert all(lo1 > hi2 for (lo1, _), (_, hi2) in zip(enclosures, enclosures[1:]))
+        assert all(hi - lo <= 2.0**-40 for lo, hi in enclosures)
+    # the trefoil's root x = 1 is exact: a point
+    assert alexander._alexander_root_enclosures(TREFOIL) == ((1.0, 1.0),)
+    for n in (1, 2, 3, 4, 5, 6, 7, 8, 15, 30, 60):
+        _assert_enclosures(jn_seifert(n))
+        _assert_enclosures(mirror(torus_knot_seifert(n)))
+    rng = random.Random(41)
+    for _ in range(60):
+        size, spread = rng.choice((4, 8, 12)), rng.choice((1, 3))
+        _assert_enclosures(random_knot_seifert(rng, size_max=size, spread=spread))
+    for k in (TREFOIL, torus_knot_seifert(5), jn_seifert(4), jn_seifert(12)):
+        _assert_enclosures(_connected_sum(k, k))
+
+
+def test_root_isolation_falls_back_to_bisection_for_close_roots():
+    # Delta(torus2:8 # jn:8) = Delta_torus2:8 Delta_jn:8: two of its 15
+    # unit-circle roots lie closer than the float sampling step, so the
+    # float stage finds 13 sign changes against a Sturm count of 15.
+    a = _connected_sum(torus_knot_seifert(8), jn_seifert(8))
+    q, chain = alexander._root_polynomial(a)
+    assert len(alexander._float_roots(q)) == 13
+    assert alexander._certified_brackets(q, chain, alexander._float_roots(q)) is None
+    enclosures = alexander._alexander_root_enclosures(a)
+    assert len(enclosures) == 15
+    assert enclosures == _bisection_enclosures(a)
+    _assert_arcs_match(a, (1009,))
+
+
+def test_certified_roots_cost_two_exact_signs_each(monkeypatch):
+    # Two chain evaluations count the roots; every other exact sign is one
+    # end of a bracket, whatever the degree.
+    calls = {"chain": 0, "sign": 0}
+    in_chain = []
+    sign, variations = alexander._dyadic_sign, alexander._sign_variations
+
+    def counting_sign(p, num):
+        calls["sign"] += not in_chain
+        return sign(p, num)
+
+    def counting_variations(chain, num):
+        calls["chain"] += 1
+        in_chain.append(1)
+        try:
+            return variations(chain, num)
+        finally:
+            in_chain.pop()
+
+    monkeypatch.setattr(alexander, "_dyadic_sign", counting_sign)
+    monkeypatch.setattr(alexander, "_sign_variations", counting_variations)
+    # torus2:1 and torus2:25 have the exact root x = 1, a point enclosure
+    knots = [torus_knot_seifert(1), torus_knot_seifert(25)]
+    knots += [build(n) for n in (2, 3, 6, 15, 30, 60) for build in (jn_seifert, torus_knot_seifert)]
+    for a in knots:
+        alexander._alexander_root_enclosures.cache_clear()
+        calls.update(chain=0, sign=0)
         enclosures = alexander._alexander_root_enclosures(a)
-        assert all(lo <= hi and hi - lo <= 2.0**-40 for lo, hi in enclosures)
-        assert all(lo1 >= hi2 for (lo1, _), (_, hi2) in zip(enclosures, enclosures[1:]))
-    # torus2:5: Delta = Phi_22, roots 2 cos(pi (2j+1)/11), j = 0..4
-    enclosures = alexander._alexander_root_enclosures(torus_knot_seifert(5))
-    roots = sorted((2 * math.cos(math.pi * (2 * j + 1) / 11) for j in range(5)), reverse=True)
-    assert len(enclosures) == 5
-    assert all(lo - 1e-12 <= x <= hi + 1e-12 for (lo, hi), x in zip(enclosures, roots))
+        assert enclosures
+        assert calls["chain"] == 2
+        assert calls["sign"] <= 2 * len(enclosures)
+    assert (1.0, 1.0) in alexander._alexander_root_enclosures(torus_knot_seifert(25))
+
+
+def test_certificate_rejects_a_float_root_found_twice():
+    # Two float estimates of one root of q = x^2 - x - 1 give as many
+    # brackets as the Sturm count, each with a sign change, but they overlap
+    # and miss the other root.
+    q, chain = alexander._root_polynomial(torus_knot_seifert(2))
+    assert q == [-1, -1, 1]
+    good = [(1 + math.sqrt(5)) / 2, (1 - math.sqrt(5)) / 2]
+    assert alexander._certified_brackets(q, chain, good) is not None
+    twice = [good[0], good[0] - 2.0**-46]
+    assert alexander._certified_brackets(q, chain, twice) is None
+
+
+def test_exact_average_by_arcs_leaves_numpy_unloaded():
+    # The float stage of root isolation runs in plain Python floats.
+    code = (
+        "import sys\n"
+        "from knotrho.seifert import jn_seifert\n"
+        "from knotrho.signature import _sum_by_arcs, avg_signature\n"
+        "a = jn_seifert(30)\n"
+        "assert _sum_by_arcs(a, 5003)\n"
+        "avg_signature(a, 5003)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(alexander.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_exact_average_by_arcs_at_a_huge_grid_is_fast():
@@ -991,5 +1127,8 @@ def test_arc_dispatch_rule():
             assert signature._sum_by_arcs(family(n), 190)
     for n in (15, 40, 150):
         assert not signature._sum_by_arcs(jn_seifert(n), 12)
+    # with cheap root isolation, size 60 sums by arcs from d = 4 * 60 + 17
+    assert signature._sum_by_arcs(jn_seifert(30), 257)
+    assert not signature._sum_by_arcs(jn_seifert(30), 256)
     assert not signature._sum_by_arcs(SeifertMatrix(TREFOIL.entries, kind="link"), 10**5)
     assert not signature._sum_by_arcs(TREFOIL, 4)
