@@ -47,9 +47,11 @@ from knotrho.verify import random_knot_seifert
 
 PRIME_RANGE = (190, 20011)
 COMPOSITE_GRIDS = (192, 210, 360, 714, 1001, 2310, 5005, 10010)
-# Generic matrices get the whole-grid sum only up to this grid: nearer
-# to w = 1 their float pass can stall and leave exact elimination over a
-# ring of degree phi(d) in the thousands, which takes minutes.
+# Generic matrices get the whole-grid sum only up to this grid.  Next to
+# w = 1 their float pass can stall (the scrambled torus2:4 at 1/10010); a
+# knot is now decided there from the arc through w = 1, but older trees
+# took minutes of exact elimination over a ring of degree phi(d) in the
+# thousands.  The cap stays only so that their output can still be compared.
 GENERIC_GRID_MAX = 5005
 
 

@@ -7,13 +7,14 @@ arithmetic.  Tridiagonality and the split into unreduced blocks are read
 off the integers once per matrix (_tridiag_layout).  An unreduced
 tridiagonal block is decided by a backward-stable pivot count: its entries
 are read straight from the integer matrix with w rounded once per root,
-the negative LDL^T pivots are counted at the two shifts -delta and +delta,
-and delta exceeds a rigorous bound on how far the matrix each count is
-exact for lies from H (input radii plus rounding, by Weyl; derived in
-_two_shift_counts).  Generic forms run a midpoint-radius elimination
-(_generic_float_pass) with a 2x2 block pivot of certified negative
-determinant wherever no diagonal entry of a Schur complement is certified
-nonzero; it reports the size of the complement it stalls at.
+the negative LDL^T pivots are counted at the two shifts -delta and +delta
+in one pass over the block, and delta exceeds a rigorous bound on how far
+the matrix each count is exact for lies from H (input radii plus
+rounding, by Weyl; derived in _two_shift_counts).  Generic forms run a
+midpoint-radius elimination (_generic_float_pass) with a 2x2 block pivot
+of certified negative determinant wherever no diagonal entry of a Schur
+complement is certified nonzero; it reports the size of the complement it
+stalls at.
 """
 from __future__ import annotations
 
@@ -149,26 +150,6 @@ def _mr_seifert_table(a: SeifertMatrix, omc, s):
 # -- tridiagonal pivot count -------------------------------------------------
 
 
-def _negative_pivots(alpha: list, beta: list, x: float):
-    """Negative LDL^T pivots of T - xI, as (count among the first m-1,
-    whether the last is negative), for the real tridiagonal T with diagonal
-    alpha and squared off-diagonals beta; None when a pivot is zero,
-    subnormal or not finite.
-
-    q_1 = alpha_1 - x and q_i = (alpha_i - x) - beta_{i-1} / q_{i-1}.
-    """
-    q = alpha[0] - x
-    neg = 0
-    for a_i, b in zip(alpha[1:], beta):
-        if not _TINY <= abs(q) <= _HUGE:
-            return None
-        neg += q < 0.0
-        q = a_i - x - b / q
-    if not _TINY <= abs(q) <= _HUGE:
-        return None
-    return neg, q < 0.0
-
-
 def _two_shift_counts(band: _Band, start: int, stop: int, omc, im):
     """Certified negative counts of the unreduced block [start, stop) of H
     and of its leading block [start, stop - 1), each None where the count
@@ -217,12 +198,17 @@ def _two_shift_counts(band: _Band, start: int, stop: int, omc, im):
     nonsingular with that many negative eigenvalues.  The first m-1 pivots
     are those of the leading block, whose perturbations obey the same
     bounds, so their counts certify it alike.
+
+    One loop advances both pivot sequences, q_1 = alpha_1 - x and
+    q_i = (alpha_i - x) - beta_{i-1} / q_{i-1} at x = -delta and +delta,
+    from alpha and beta computed once; a zero, subnormal or non-finite
+    pivot in either sequence certifies nothing.
     """
     c, rc = omc
     s, rs = abs(im[0]), im[1]
     c2, s2 = c * c, s * s
+    diag = band.diag
     try:
-        alpha = [x * c for x in band.diag[start:stop]]
         beta = [
             p * c2 + q * s2
             for p, q in zip(band.sum_sq[start:stop - 1], band.diff_sq[start:stop - 1])
@@ -236,6 +222,7 @@ def _two_shift_counts(band: _Band, start: int, stop: int, omc, im):
         off = math.sqrt(e_beta)
         if bmin > 0.0:
             off = min(off, e_beta / math.sqrt(bmin))
+        # Converting diag_max to a float also converts every 2 a_ii below.
         eta = (
             band.diag_max * (rc + 2.0 * _EPS * c)
             + 2.0 * off
@@ -246,13 +233,25 @@ def _two_shift_counts(band: _Band, start: int, stop: int, omc, im):
         return None, None
     if not eta < _HUGE:
         return None, None
-    lo = _negative_pivots(alpha, beta, -2.0 * eta)
-    hi = _negative_pivots(alpha, beta, 2.0 * eta)
-    if lo is None or hi is None:
+    delta = 2.0 * eta
+    tiny, huge = _TINY, _HUGE
+    alpha = diag[start] * c
+    q_lo, q_hi = alpha + delta, alpha - delta
+    n_lo = n_hi = 0
+    for x, b in zip(diag[start + 1:stop], beta):
+        if not (tiny <= abs(q_lo) <= huge and tiny <= abs(q_hi) <= huge):
+            return None, None
+        n_lo += q_lo < 0.0
+        n_hi += q_hi < 0.0
+        alpha = x * c
+        q_lo = alpha + delta - b / q_lo
+        q_hi = alpha - delta - b / q_hi
+    if not (tiny <= abs(q_lo) <= huge and tiny <= abs(q_hi) <= huge):
         return None, None
-    lead = lo[0] if lo[0] == hi[0] else None
-    full = lo[0] + lo[1] if lo[0] + lo[1] == hi[0] + hi[1] else None
-    return full, lead
+    lead = n_lo if n_lo == n_hi else None
+    n_lo += q_lo < 0.0
+    n_hi += q_hi < 0.0
+    return (n_lo if n_lo == n_hi else None), lead
 
 
 # -- generic elimination ------------------------------------------------------

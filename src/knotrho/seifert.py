@@ -168,28 +168,49 @@ def per_matrix_cache(fn):
     """Memoise fn(a, *args) for a SeifertMatrix a, for as long as a lives.
 
     Each matrix gets a dict of entries keyed by the other (positional,
-    hashable) arguments.  The table holding these dicts is keyed by the
-    matrix's plain weak reference, which weakref.ref returns again for the
-    same matrix, so a lookup matches by identity; a second reference with
-    a callback drops the entries when the matrix is collected.  This is a
-    WeakKeyDictionary without the Python-level lookup and the matrix
-    comparison that each of its lookups costs.  A matrix equal to a live
-    one shares that one's entries, which go when the first is collected.
-    No cached value may refer to its matrix, or the matrix would never be
-    freed.  cache_clear() and cache_info() behave as for
-    functools.lru_cache(maxsize=None), currsize counting live entries.
+    hashable) arguments.  A front table keyed by id(a) finds that dict by
+    identity on every call.  Only a matrix new to the front table consults
+    the table of shared entries, keyed by the matrix's plain weak
+    reference: a matrix equal to a live one shares that one's entries,
+    found by a single m^2 comparison, and the entries go when that first
+    matrix is collected, after which the others start afresh.  Each front
+    row holds a weak reference whose callback drops the row when its
+    matrix is collected, before its id can be reused; the row also checks
+    its matrix by identity.  No cached value may refer to its matrix, or
+    the matrix would never be freed.  cache_clear() and cache_info()
+    behave as for functools.lru_cache(maxsize=None), currsize counting
+    live entries.
     """
-    table: dict = {}  # weak reference -> (entries, reference that drops them)
+    table: dict = {}  # weak reference -> [entries], a box that reads [None] once its matrix dies
+    front: dict = {}  # id(matrix) -> ([entries] box, weak reference to the matrix)
     counts = [0, 0]  # hits, misses
     lock = threading.Lock()  # guards counts
 
+    def enter(a: SeifertMatrix) -> dict:
+        """a's entries, after one lookup among the shared ones: a is new to
+        the front table, or the matrix whose entries it read has died."""
+        key = weakref.ref(a)
+        box = table.get(key)
+        owner = box is None or box[0] is None
+        if owner:
+            box = table[key] = [{}]
+        ident = id(a)
+
+        def drop(_):
+            front.pop(ident, None)
+            if owner:
+                table.pop(key, None)
+                box[0] = None
+
+        front[ident] = (box, weakref.ref(a, drop))
+        return box[0]
+
     @functools.wraps(fn)
     def cached(a: SeifertMatrix, *args):
-        key = weakref.ref(a)
-        slot = table.get(key)
-        if slot is None:
-            slot = table.setdefault(key, ({}, weakref.ref(a, lambda _: table.pop(key, None))))
-        entries = slot[0]
+        row = front.get(id(a))
+        entries = row[0][0] if row is not None and row[1]() is a else None
+        if entries is None:
+            entries = enter(a)
         value = entries.get(args, _MISSING)
         lock.acquire()  # a with block would cost three times as much per call
         try:
@@ -201,12 +222,13 @@ def per_matrix_cache(fn):
         return value
 
     def cache_info() -> _CacheInfo:
-        size = sum(len(slot[0]) for slot in list(table.values()))
+        size = sum(len(box[0] or ()) for box in list(table.values()))
         with lock:
             return _CacheInfo(counts[0], counts[1], None, size)
 
     def cache_clear() -> None:
         with lock:
+            front.clear()
             table.clear()
             counts[:] = [0, 0]
 

@@ -10,9 +10,12 @@ interlacing, the certified count of the leading block; anything else reads
 every minor sign off the exact chain (interval refinement for tiny nonzero
 values).  A generic pass that stalls at a 1x1 complement at a jump point
 is decided by the exact Alexander value: det H = (1 - conj w)^m Delta(w),
-so Delta(w) = 0 certifies that the complement is zero.  Any other stall
-takes exact pivoted elimination on the full entry table.  Either way the
-result is certified.
+so Delta(w) = 0 certifies that the complement is zero.  A knot is
+nonsingular with signature 0 on the arc of the unit circle through w = 1,
+up to the first root of Delta, so any other stall on that arc, such as
+next to w = 1, is decided from the root enclosures.  Any other stall takes exact
+pivoted elimination on the full entry table.  Either way the result is
+certified.
 
 An average walks the grid points k = 1 .. d // 2, one per conjugate pair
 of d-th roots: a route picks the points (k, weight) and one loop sums
@@ -21,8 +24,9 @@ sigma is constant on each open arc between the unit-circle roots of
 Delta, whose enclosures come from alexander.  An acos guess and a short
 walk place the grid points x_k = 2 cos(2 pi k/d) against each enclosure
 in O(1), with the rounding bound of the root, and the route picks one
-point per run of points inside an arc, weighted by the run, and every
-point whose enclosure meets a root, so its cost no longer grows with d.
+point per run of points inside an arc other than the arc through w = 1,
+where sigma = 0, weighted by the run, and every point whose enclosure
+meets a root, so its cost no longer grows with d.
 Links and small grids take the whole grid.
 Float mode is plain eigenvalue computation with a certification
 threshold; float averages evaluate the whole grid in fixed chunks, one
@@ -48,6 +52,7 @@ from .cyclotomic import (
 )
 from .alexander import _alexander_root_enclosures, alexander_at, alexander_polynomial
 from .exceptions import (
+    ConductorLimitError,
     InternalInconsistencyError,
     InvalidParameterError,
 )
@@ -92,17 +97,6 @@ class InertiaTriple:
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.positive, self.zero, self.negative)
-
-
-def _sum_triples(triples) -> InertiaTriple:
-    p = z = n = 0
-    for t in triples:
-        p, z, n = p + t.positive, z + t.zero, n + t.negative
-    return InertiaTriple(p, z, n, certified=True)
-
-
-def _sign_triple(s: int) -> InertiaTriple:
-    return InertiaTriple(int(s > 0), int(s == 0), int(s < 0), certified=True)
 
 
 class HermitianForm:
@@ -267,10 +261,11 @@ def _settle_signs(chain, root: UnitRoot) -> InertiaTriple:
     return _sturm_inertia_from_signs([certified_sign(d, root)[0] for d in chain])
 
 
-def _block_inertia(
+def _block_counts(
     a: SeifertMatrix, band: _Band, start: int, stop: int, omc, s, num: int, den: int
-) -> InertiaTriple:
-    """Inertia of the unreduced block [start, stop) of H at w = e^{2 pi i num/den}.
+) -> tuple[int, int]:
+    """(negative, zero) eigenvalue counts of the unreduced block [start, stop)
+    of H at w = e^{2 pi i num/den}.
 
     The two-shift pivot count decides a nonsingular block outright.
     Otherwise the exact last minor is tested: if it vanishes, the block has
@@ -278,14 +273,14 @@ def _block_inertia(
     count as its leading block, which is nonsingular.  Only when that count
     is not certified either is every sign read off the exact chain.
     """
-    m = stop - start
     full, lead = _two_shift_counts(band, start, stop, omc, s)
     if full is not None:
-        return InertiaTriple(m - full, 0, full)
+        return full, 0
     chain = _minor_chain(a, den, start, stop)
     if chain[-1].is_zero and lead is not None:
-        return InertiaTriple(m - 1 - lead, 1, lead)
-    return _settle_signs(chain, UnitRoot(num, den))
+        return lead, 1
+    settled = _settle_signs(chain, UnitRoot(num, den))
+    return settled.negative, settled.zero
 
 
 # -- exact generic elimination ------------------------------------------------
@@ -381,17 +376,21 @@ def _inertia_exact(form: HermitianForm) -> InertiaTriple:
             return _generic_inertia_exact(entries, root)
         p, n, rest = _generic_float_pass(mat)
         return InertiaTriple(p, 0, n) if rest == 0 else _generic_inertia_exact(entries, root)
-    triples = []
+    neg = zero = 0
     for start, stop in _blocks([entries[i][i + 1].is_zero for i in range(m - 1)]):
         if stop - start == 1:
-            triples.append(_sign_triple(certified_sign(entries[start][start], root)[0]))
+            sign = certified_sign(entries[start][start], root)[0]
+            neg += sign < 0
+            zero += sign == 0
         else:
             # Forms given by residues skip the pivot count and read every
             # sign off the exact chain.
             diag = [entries[i][i] for i in range(start, stop)]
             off = [entries[i][i + 1] for i in range(start, stop - 1)]
-            triples.append(_settle_signs(_chain(diag, off), root))
-    return _sum_triples(triples)
+            settled = _settle_signs(_chain(diag, off), root)
+            neg += settled.negative
+            zero += settled.zero
+    return InertiaTriple(m - neg - zero, zero, neg)
 
 
 def _numeric_inertias(h: np.ndarray):
@@ -471,8 +470,13 @@ def _generic_seifert_inertia(a: SeifertMatrix, omc, s, num: int, den: int) -> In
     H = (1 - conj w)(A^T - w A), so det H = (1 - conj w)^m Delta(w) with
     1 - conj w != 0, also for link matrices with Delta = 0.  If Delta(w) = 0,
     the complement, a nonzero multiple of det H / det H_J, is zero and
-    Haynsworth gives (p, 1, n).  Every other stall takes exact pivoted
-    elimination on the full residue table.
+    Haynsworth gives (p, 1, n).  For a knot matrix, a w whose
+    x = 2 cos(2 pi num/den) is certified above the largest root enclosure
+    of Delta lies on the arc through w = 1, where H is nonsingular with
+    signature 0 (see _arc_points).  Stalls next to w = 1, where the real
+    part of H is O(|1 - w|^2) against O(|1 - w|) for its imaginary part,
+    are decided so.  Links, whose A - A^T may be singular, and every other
+    stall take exact pivoted elimination on the full residue table.
     """
     mat = _mr_seifert_table(a, omc, s)
     p, n, rest = _generic_float_pass(mat) if mat is not None else (0, 0, a.size)
@@ -481,6 +485,10 @@ def _generic_seifert_inertia(a: SeifertMatrix, omc, s, num: int, den: int) -> In
     root = UnitRoot(num, den)
     if rest == 1 and alexander_at(a, root).is_zero:
         return InertiaTriple(p, 1, n)
+    if a.kind == "knot":
+        enclosures = _alexander_root_enclosures(a)
+        if not enclosures or _grid_x(num, den) - _X_MARGIN > enclosures[0][1]:
+            return InertiaTriple(a.size // 2, 0, a.size // 2)
     return _generic_inertia_exact(_herm_residues(a, den), root)
 
 
@@ -493,14 +501,18 @@ def _signature_exact_cached(a: SeifertMatrix, num: int, den: int) -> InertiaTrip
     band, blocks, blocks_den2 = _tridiag_layout(a)
     if band is None:
         return _generic_seifert_inertia(a, omc, s, num, den)
-    triples = []
+    neg = zero = 0
     for start, stop in blocks_den2 if den == 2 else blocks:
         if stop - start == 1:
             # h_ii = 2 a_ii (1 - Re w) with 1 - Re w > 0: the sign of a_ii.
-            triples.append(_sign_triple(a.entries[start][start]))
+            entry = a.entries[start][start]
+            neg += entry < 0
+            zero += entry == 0
         else:
-            triples.append(_block_inertia(a, band, start, stop, omc, s, num, den))
-    return _sum_triples(triples)
+            block_neg, block_zero = _block_counts(a, band, start, stop, omc, s, num, den)
+            neg += block_neg
+            zero += block_zero
+    return InertiaTriple(a.size - neg - zero, zero, neg)
 
 
 def signature_details(a: SeifertMatrix, root: UnitRoot, mode: str = "exact") -> SignatureResult:
@@ -577,18 +589,32 @@ def _grid_x(k: int, d: int) -> float:
     return 2.0 * cmath.exp(2j * math.pi * k / d).real
 
 
-def _first_grid_index(d: int, x: float, beyond) -> int:
-    """A k in 1 .. d // 2 + 1 with beyond(k) true and beyond(k - 1) false,
-    taking beyond(0) false and beyond(d // 2 + 1) true; beyond, a test of
-    x_k <= x up to rounding, need not be monotone.  The first four probes
-    walk from the k where 2 cos(2 pi k/d) falls to x; bisection does the rest."""
+# Bound on |_grid_x(k, d) - 2 cos(2 pi k/d)|, widened to cover the
+# rounding of _grid_x(k, d) -/+ _X_MARGIN as well.
+_X_MARGIN = 2.0 * _ROOT_ERR + 4.0 * _EPS
+
+
+def _first_grid_index(d: int, end: float, below: bool) -> int:
+    """A k in 1 .. d // 2 + 1 with past(k) true and past(k - 1) false,
+    taking past(0) false and past(d // 2 + 1) true, where past(k) says
+    that x_k is not certified above end, _grid_x(k, d) - _X_MARGIN <= end,
+    or, when below, that it is certified below end,
+    _grid_x(k, d) + _X_MARGIN < end.  Rounded, past need not be monotone.
+    The first four probes walk from the k where 2 cos(2 pi k/d) falls to
+    end -/+ _X_MARGIN; bisection does the rest."""
+    half = 0.5 * (end - _X_MARGIN if below else end + _X_MARGIN)
+    half = -1.0 if half < -1.0 else 1.0 if half > 1.0 else half
     lo, hi = 0, d // 2 + 1
-    k = math.ceil(d * math.acos(min(max(0.5 * x, -1.0), 1.0)) / (2.0 * math.pi))
+    k = math.ceil(d * math.acos(half) / (2.0 * math.pi))
     probes = 0
     while hi - lo > 1:
-        k = min(max(k, lo + 1), hi - 1) if probes < 4 else (lo + hi) // 2
+        if probes < 4:
+            k = lo + 1 if k <= lo else hi - 1 if k >= hi else k
+        else:
+            k = (lo + hi) // 2
         probes += 1
-        if beyond(k):
+        x_k = _grid_x(k, d)
+        if x_k + _X_MARGIN < end if below else x_k - _X_MARGIN <= end:
             hi, k = k, k - 1
         else:
             lo, k = k, k + 1
@@ -599,7 +625,8 @@ def _arc_points(a: SeifertMatrix, d: int) -> list[tuple[int, int]]:
     """Grid points (k, weight) whose weighted signatures sum to the sum of
     sigma over the d-th roots of unity other than 1, for a knot matrix: one
     point per run of grid points inside an open arc between unit-circle
-    roots of Delta, plus every point that may meet a root.
+    roots of Delta other than the arc through w = 1, plus every point that
+    may meet a root.
 
     The grid points k = 1 .. d // 2 stand for their conjugate pairs
     (weight 2, or 1 at k = d/2) and sit at x_k = 2 cos(2 pi k/d), which
@@ -612,26 +639,36 @@ def _arc_points(a: SeifertMatrix, d: int) -> list[tuple[int, int]]:
     where det H = (1 - conj w)^m Delta(w) != 0, so H is nonsingular along
     the arc and sigma is constant on it: the run is its middle point with
     the run's total weight.
+
+    The run before the largest enclosure's `first` is certified above
+    every root, so it lies on the arc through w = 1, where sigma = 0 for
+    a knot: with w = e^{i theta}, H / sin theta = tan(theta/2)(A + A^T)
+    - i(A - A^T) tends to -i(A - A^T) as theta -> 0, which is nonsingular
+    (A - A^T is unimodular) and has signature 0 (its complex conjugate,
+    which has the same eigenvalues, is its negative).  That run gets no
+    point, and a knot whose Delta has no unit-circle roots gets none.
     """
     half = d // 2
-    margin = 2.0 * _ROOT_ERR + 4.0 * _EPS  # also covers rounding x_k -/+ margin
     points = []
+    pos = None
 
     def run(k0: int, k1: int) -> None:
         """The run k0 .. k1 - 1, if any, as its middle point."""
         if k1 > k0:
             points.append(((k0 + k1 - 1) // 2, 2 * (k1 - k0) - (k1 > half and 2 * half == d)))
 
-    pos = 1
     for lo, hi in _alexander_root_enclosures(a):
-        first = _first_grid_index(d, hi + margin, lambda k: _grid_x(k, d) - margin <= hi)
-        below = _first_grid_index(d, lo - margin, lambda k: _grid_x(k, d) + margin < lo)
+        first = _first_grid_index(d, hi, False)
+        below = _first_grid_index(d, lo, True)
+        if pos is None:
+            pos = first  # skip the arc through w = 1
         first = max(first, pos)
         below = max(below, first)
         run(pos, first)
         points.extend(_grid_points(d, first, below))
         pos = below
-    run(pos, half + 1)
+    if pos is not None:
+        run(pos, half + 1)
     return points
 
 
@@ -655,11 +692,12 @@ def avg_signature_details(a: SeifertMatrix, d: int, mode: str = "exact") -> AvgS
 
     Both modes walk the grid points k = 1 .. d // 2, each standing for its
     conjugate pair (weight 2, or 1 at k = d/2).  Exact mode first checks
-    the conductor of every divisor of d, in ascending order, so
-    ConductorLimitError does not depend on the route.  A knot matrix of
-    size m with d > 4m + 16 is then summed over _arc_points: one
-    certified signature per run of grid points between unit-circle roots
-    of Delta, plus one per grid point whose enclosure meets a root, each
+    the conductor d, which clears every divisor of d; a refused d raises
+    ConductorLimitError for its smallest refused divisor, so the error does
+    not depend on the route.  A knot matrix of size m with d > 4m + 16 is
+    then summed over _arc_points: one certified signature per run of grid
+    points between unit-circle roots of Delta, except the run on the arc
+    through w = 1, plus one per grid point whose enclosure meets a root, each
     root placed in the grid in O(1), so the cost no longer grows with d.
     Links, whose Delta may vanish identically, and small grids sum one
     certified signature per grid point; that loop is also the reference
@@ -676,8 +714,14 @@ def avg_signature_details(a: SeifertMatrix, d: int, mode: str = "exact") -> AvgS
     if mode == "float":
         total, certified = _float_grid_sum(a, d)
         return AvgSignatureResult(Fraction(total, d), certified)
-    for dd in _divisors(d)[1:]:
-        exact_degree(dd)
+    try:
+        exact_degree(d)
+    except ConductorLimitError:
+        # phi(d') divides phi(d) for every divisor d' of d, so only a refused
+        # d needs the walk, which names the smallest refused conductor.
+        for dd in _divisors(d)[1:]:
+            exact_degree(dd)
+        raise
     if _sum_by_arcs(a, d):
         total = _exact_sum(a, d, _arc_points(a, d))
     else:

@@ -23,6 +23,7 @@ from knotrho.seifert import (
     jn_seifert,
     knot_surgery_presentation,
     mirror,
+    per_matrix_cache,
     seifert_from_json,
     torus_knot_seifert,
     twist_reduction,
@@ -206,3 +207,30 @@ def test_det_int_matches_bareiss_on_dense():
     # expansion by hand: 2*(2-8) - 3*(0-20) + 1*(0-5) = -12 + 60 - 5 = 43
     assert det_int(rows) == 43
     assert det_int(()) == 1
+
+
+def test_per_matrix_cache_compares_each_new_equal_matrix_once(monkeypatch):
+    compared = []
+    original = SeifertMatrix.__eq__
+
+    def counting(self, other):
+        compared.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(SeifertMatrix, "__eq__", counting)
+
+    @per_matrix_cache
+    def size(a):
+        return a.size
+
+    first = jn_seifert(6)
+    for _ in range(100):
+        assert size(first) == 12
+    assert compared == []
+    for _ in range(3):
+        equal = jn_seifert(6)
+        compared.clear()
+        for _ in range(100):
+            assert size(equal) == 12
+        assert len(compared) <= 1
+    assert tuple(size.cache_info()) == (399, 1, None, 1)

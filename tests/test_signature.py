@@ -566,6 +566,19 @@ def test_integer_passes_at_torus_jump_points():
             assert signature_details(scrambled, root).inertia.as_tuple() == want
 
 
+def test_pivot_count_stops_when_either_sequence_stops():
+    # No imaginary part and 1 - Re w = 1 with the radius chosen so that
+    # delta = 2 exactly: alpha = 2 a_ii and beta = 0, so a pivot of T - 2I is
+    # exactly zero, the first one for diag(1, 0) and the last for diag(4, 1),
+    # while every pivot of T + 2I is positive.
+    for (a00, a11), radius in (((1, 0), 0.5), ((4, 1), 0.125)):
+        a = SeifertMatrix(((a00, 1), (-1, a11)), kind="link")
+        band, blocks, _ = _tridiag_layout(a)
+        assert blocks == ((0, 2),) and band.diag_max * radius == 1.0
+        omc = (1.0, radius - 2.0 * signature._EPS)
+        assert _two_shift_counts(band, 0, 2, omc, (0.0, 0.0)) == (None, None)
+
+
 def test_antisymmetric_off_diagonal_splits_blocks_at_minus_one():
     # h_01 = (1-w)2 + (1-conj w)(-2) vanishes only at w = -1
     a = SeifertMatrix(((1, 2, 0), (-2, -1, 3), (0, 1, 2)), kind="link")
@@ -765,6 +778,36 @@ def test_link_with_vanishing_alexander_polynomial(monkeypatch):
         assert all(t[1] == zero for t in got)
 
 
+def test_near_one_stall_of_a_knot_is_decided_on_the_arc_through_one(monkeypatch):
+    # scripts/differential.py's scrambled torus2:4.  Next to w = 1 the real
+    # part of H is O(|1 - w|^2) against O(|1 - w|) for its imaginary part, and
+    # the float pass stalls at a 2x2 complement; exact elimination over
+    # Z[x]/Phi_10010 took over 40 s.
+    calls = _count_exact_eliminations(monkeypatch)
+    rng = random.Random(2024)
+    a = [_scrambled(torus_knot_seifert(n), rng) for n in (2, 3, 4)][-1]
+    assert _generic_float_pass(_mr_seifert_table(a, *_mr_root(1, 10010))) == (3, 3, 2)
+    start = time.perf_counter()
+    res = signature_details(a, UnitRoot(1, 10010))
+    assert time.perf_counter() - start < 0.5
+    assert res.inertia.as_tuple() == (4, 0, 4)
+    assert calls == []
+
+
+def test_link_stall_next_to_one_keeps_exact_elimination(monkeypatch):
+    # A link's A - A^T may be singular, so the arc through w = 1 says
+    # nothing: two zero rows leave a 2x2 zero complement at every root.
+    calls = _count_exact_eliminations(monkeypatch)
+    one = ((2, 0, 0, 1), (0, 0, 0, 0), (1, 0, -1, 1), (0, 0, 2, 1))
+    a = SeifertMatrix(tuple(row + (0,) for row in one) + ((0,) * 5,), kind="link")
+    for root in (UnitRoot(1, 60), UnitRoot(1, 30)):
+        calls.clear()
+        res = signature_details(a, root)
+        assert calls == [root]
+        assert res.inertia.as_tuple() == _residue_oracle(a, root)
+        assert res.inertia.zero == 2
+
+
 def test_float_stall_at_nonsingular_form_is_not_taken_for_a_zero():
     # At w = -1, H = 2(A + A^T) has the block [[4N, 4N+2], [4N+2, 4N]] on
     # rows 0 and 2, whose Schur complement -(16N + 4)/(4N) lies far inside
@@ -857,6 +900,9 @@ def test_exact_conductor_checked_once_per_grid(monkeypatch):
     assert calls == [1009]
     signature_details(TREFOIL, UnitRoot(2, 7))
     assert calls == [1009, 7]
+    # phi(d') divides phi(d) for every divisor d' of d = 7 * 11 * 13
+    avg_signature(torus_knot_seifert(3), 1001)
+    assert calls == [1009, 7, 1001]
 
 
 def test_exact_average_refuses_huge_conductor_with_the_same_message():
@@ -935,6 +981,51 @@ def test_arc_sum_without_unit_circle_roots():
     assert alexander._alexander_root_enclosures(figure_eight) == ()
     _assert_arcs_match(figure_eight, (2, 7, 100, 1009))
     assert avg_signature(figure_eight, 1009) == 0
+
+
+def test_no_arc_point_and_zero_signature_above_the_largest_root():
+    # The grid points certified above the largest root enclosure lie on the
+    # arc through w = 1, where sigma = 0 for a knot.  Their signatures are
+    # taken for an equal link matrix, which no arc argument decides.
+    rng = random.Random(21)
+    families = [build(n) for n in range(1, 7) for build in (torus_knot_seifert, jn_seifert)]
+    knots = families + [mirror(k) for k in families]
+    knots += [_connected_sum(k, k) for k in (torus_knot_seifert(2), torus_knot_seifert(3), jn_seifert(2))]
+    knots += [_scrambled(k, rng) for k in (torus_knot_seifert(2), torus_knot_seifert(4), jn_seifert(3))]
+    rng = random.Random(7)
+    randoms = [random_knot_seifert(rng, size_max=8) for _ in range(150)]
+    rootless = 0
+    for a in knots + randoms:
+        enclosures = alexander._alexander_root_enclosures(a)
+        rootless += not enclosures
+        top = enclosures[0][1] if enclosures else -math.inf
+        link = SeifertMatrix(a.entries, kind="link")
+        for d in (211, 1009):
+            above = [
+                k for k in range(1, d // 2 + 1) if signature._grid_x(k, d) - signature._X_MARGIN > top
+            ]
+            assert not {k for k, _ in signature._arc_points(a, d)} & set(above)
+            if d == 1009 and not a._tridiagonal:
+                # every generic point at 1009 would take 10 s: both ends of
+                # the run and its middle
+                above = above[:1] + above[len(above) // 2:][:1] + above[-1:]
+            for k in above:
+                assert _signature_exact_cached(link, k, d).as_tuple() == (a.size // 2, 0, a.size // 2)
+    assert rootless == 116  # jn:1, its mirror and 114 random knots
+
+
+def test_exact_average_by_arcs_skips_the_arc_through_one():
+    # torus2:n has n simple unit-circle roots and no grid point of a prime
+    # grid on them: one signature per arc but the one through w = 1
+    for n in range(1, 7):
+        _clear_engine_caches()
+        a = torus_knot_seifert(n)
+        assert signature._sum_by_arcs(a, 211)
+        avg_signature(a, 211)
+        assert _signature_exact_cached.cache_info().misses == n
+    _clear_engine_caches()
+    assert avg_signature(jn_seifert(1), 100003) == 0
+    assert _signature_exact_cached.cache_info().misses == 0
 
 
 def _bisection_enclosures(a):
@@ -1078,31 +1169,37 @@ def _placement_holds(d, k, beyond):
     return 1 <= k <= d // 2 + 1 and ext(k) and not ext(k - 1)
 
 
-def test_grid_placement_keeps_the_binary_search_post_condition():
+def test_grid_placement_keeps_the_binary_search_post_condition(monkeypatch):
     rng = random.Random(17)
     margin = 2.0 * signature._ROOT_ERR + 4.0 * signature._EPS
+    grid_x = signature._grid_x
+    calls = []
+    monkeypatch.setattr(signature, "_grid_x", lambda j, d: calls.append(j) or grid_x(j, d))
     dyadic = (2.0, 1.0, 0.5, 0.0, -0.5, -1.0, -2.0, 1.0 + 2.0**-48, -2.0 + 2.0**-48)
     probes = []
     for _ in range(400):
         d = rng.choice((rng.randint(2, 10**7), 12 * rng.randint(1, 8 * 10**5)))
         near = (2.0 - 2.0**-rng.randint(1, 50), -2.0 + 2.0**-rng.randint(1, 50))
-        on_grid = signature._grid_x(rng.randint(0, d // 2), d)
+        on_grid = grid_x(rng.randint(0, d // 2), d)
         for x in (*dyadic, *near, on_grid, rng.uniform(-2.0, 2.0)):
             for lo, hi in ((x, x), (x - 2.0**-48, x)):
-                for guess, test in (
-                    (hi + margin, lambda j: signature._grid_x(j, d) - margin <= hi),
-                    (lo - margin, lambda j: signature._grid_x(j, d) + margin < lo),
+                for end, below, test in (
+                    (hi, False, lambda j: grid_x(j, d) - margin <= hi),
+                    (lo, True, lambda j: grid_x(j, d) + margin < lo),
                 ):
-                    calls = []
-                    k = signature._first_grid_index(d, guess, lambda j: calls.append(j) or test(j))
+                    calls.clear()
+                    k = signature._first_grid_index(d, end, below)
                     assert _placement_holds(d, k, test), (d, x)
                     probes.append(len(calls))
     # O(1) per root: the walk from the acos guess settles before bisection
     assert max(probes) <= 4
 
 
-def test_grid_placement_survives_a_non_monotone_test():
+def test_grid_placement_survives_a_non_monotone_test(monkeypatch):
+    # The rounded grid stands in for any test: x_j lies far below or far
+    # above the enclosure end exactly where beyond(j) says.
     rng = random.Random(5)
+    calls = []
     for _ in range(2000):
         d = rng.randint(2, 10**6)
         flips = set(rng.sample(range(1, d // 2 + 1), min(d // 2, 5)))
@@ -1112,11 +1209,17 @@ def test_grid_placement_survives_a_non_monotone_test():
         def beyond(j):
             return (j >= threshold) != (j in flips)
 
-        calls = []
-        k = signature._first_grid_index(d, x, lambda j: calls.append(j) or beyond(j))
-        assert _placement_holds(d, k, beyond)
-        # a guess far off costs four walking probes, then bisection
-        assert len(calls) <= 4 + (d // 2 + 1).bit_length()
+        def fake_x(j, _d):
+            calls.append(j)
+            return x - 1.0 if beyond(j) else x + 1.0
+
+        monkeypatch.setattr(signature, "_grid_x", fake_x)
+        for below in (False, True):
+            calls.clear()
+            k = signature._first_grid_index(d, x, below)
+            assert _placement_holds(d, k, beyond)
+            # a guess far off costs four walking probes, then bisection
+            assert len(calls) <= 4 + (d // 2 + 1).bit_length()
 
 
 def test_arc_dispatch_rule():
