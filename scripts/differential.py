@@ -19,6 +19,9 @@ The records cover:
 - exact averages by both routes for torus2 and jn with n in {15, 30}, a
   K # K of size 60 and a connected sum whose unit-circle roots lie closer
   than root isolation's float sampling step, at primes 1009 and 5003;
+- the exact endpoints (float.hex) of the root enclosures of Delta for
+  torus2, jn and mirrored torus2 with n in {1, ..., 8, 15, 30, 60}, three
+  K # K with double roots and the random knots above;
 - `bounds` and `rho --levels` through the CLI, in-process, with their
   output and exit codes, including invalid slopes and modes.
 
@@ -32,7 +35,7 @@ import sys
 
 from click.testing import CliRunner
 
-from knotrho import signature
+from knotrho import alexander, signature
 from knotrho.cli import cli
 from knotrho.cyclotomic import UnitRoot
 from knotrho.seifert import (
@@ -149,6 +152,22 @@ def high_degree_records() -> None:
             })
 
 
+def enclosure_records(named) -> None:
+    """Root enclosures of Delta, by their exact endpoints."""
+    picked = []
+    for n in (*range(1, 9), 15, 30, 60):
+        t, j = torus_knot_seifert(n), jn_seifert(n)
+        picked += [(f"torus2:{n}", t), (f"jn:{n}", j), (f"-torus2:{n}", mirror(t))]
+    for name, k in (("torus2:2", torus_knot_seifert(2)), ("jn:2", jn_seifert(2)), ("torus2:5", torus_knot_seifert(5))):
+        picked.append((f"{name}#{name}", connected_sum(k, k)))
+    picked += [(n, a) for n, a in named if n.startswith("random")]
+    for name, a in picked:
+        emit({
+            "kind": "enclosures", "knot": name,
+            "ends": [[lo.hex(), hi.hex()] for lo, hi in alexander._alexander_root_enclosures(a)],
+        })
+
+
 def signature_records(named) -> None:
     for name, a in named:
         emit({"kind": "alexander", "knot": name, "poly": list(alexander_polynomial(a))})
@@ -194,6 +213,7 @@ def main() -> int:
     named = knots() + links()
     average_records([(n, a) for n, a in named if a.size <= 12])
     high_degree_records()
+    enclosure_records(named)
     signature_records([(n, a) for n, a in named if a.size <= 8])
     cli_records(named)
     return 0

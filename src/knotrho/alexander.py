@@ -4,21 +4,27 @@ Delta(t) = det(A^T - t A) in Z[t], by the band continuant for tridiagonal
 matrices and fraction-free Bareiss elimination otherwise.  For a knot,
 Delta is palindromic, Delta(t) = t^g Q(t + 1/t) with Q in Z[x], and its
 roots e^(i theta) on the unit circle are the roots x = 2 cos theta of Q in
-[-2, 2].  Those are isolated once per matrix, for the squarefree part q of
-Q.  A float stage samples q(2 cos theta) in the cosine basis, where it is
-well conditioned at high degree, and refines every sign change by Newton
-steps on Clenshaw's recurrence.  Each float root is then rounded outward to
-a dyadic bracket of width 2^-40, certified by the exact signs of q at its
-two ends: disjoint brackets with a sign change each, as many as the Sturm
-count of distinct roots of q in [-2, 2], hold one root each.  Any other
-case (roots closer together than the sampling step, or clustered so that
-the floats cannot place them within 2^-41) falls back to Sturm bisection
-over Z.  The signature engine's exact averages sum by the arcs between the
-enclosures.
+[-2, 2].  Those are isolated once per matrix.  A tridiagonal knot reads Q
+off its band, with no Delta built; other knots convert Delta.  A float
+stage samples Q(2 cos theta) in the cosine basis, where it is well
+conditioned at high degree, and refines every sign change by Newton steps
+on Clenshaw's recurrence.  Each float root is then rounded outward to a
+dyadic bracket of width 2^-40, certified by the exact signs of Q at its
+two ends and by Descartes' rule of signs: disjoint brackets with a sign
+change each, as many as the sign variations of Q carried by a Moebius map
+from (-2, 2) onto (0, inf), hold one simple root each, and there is no
+other root.  Any other case (more variations than brackets, from complex
+roots near the interval or from the repeated roots of K # K; roots closer
+together than the sampling step; clustered roots that the floats cannot
+place within 2^-41) falls back to the Sturm chain of the squarefree part
+q of Q: its count certifies float brackets of q, or else Sturm bisection
+over Z gives the enclosures.  The signature engine's exact averages sum
+by the arcs between the enclosures.
 """
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 from .cyclotomic import CyclotomicElement, UnitRoot, _poly_divexact, _poly_trim, cyc_field
 from .exceptions import InternalInconsistencyError, InvalidParameterError
@@ -108,6 +114,98 @@ def alexander_at(a: SeifertMatrix, root: UnitRoot) -> CyclotomicElement:
     return cyc_field(root.den).element(alexander_polynomial(a))
 
 
+# -- Q(x), with Delta(t) = t^g Q(t + 1/t), and the Descartes count -------------
+
+
+def _band_q(a: SeifertMatrix) -> list[int]:
+    """Q of the tridiagonal knot matrix a, from its band.
+
+    Divide the continuant D_i of A^T - tA by t^(i/2) and put
+    u = t^(1/2) - t^(-1/2), so u^2 = x - 2 for x = t + 1/t.  The diagonal
+    a_ii (1 - t) becomes -a_ii u and the off-diagonal product
+    pq - (p^2 + q^2) t + pq t^2 becomes pq x - p^2 - q^2, so D_i / t^(i/2)
+    is u^(i mod 2) R_i with R_0 = 1, R_1 = -a_11 and, for 1-based i,
+    R_i = -a_ii (x - 2 if i is even, else 1) R_(i-1) - (pq x - p^2 - q^2) R_(i-2),
+    p = a_(i-1,i), q = a_(i,i-1).  Q = R_m.
+    """
+    m = a.size
+    if m == 0:
+        return [1]
+    e = a.entries
+    prev2, prev1 = [1], [-e[0][0]]
+    for i in range(1, m):
+        d, p, q = e[i][i], e[i - 1][i], e[i][i - 1]
+        nxt = [0] * ((i + 1) // 2 + 1)
+        if d and i % 2:  # 1-based i + 1 even: -d (x - 2) R_(i-1)
+            for j, c in enumerate(prev1):
+                nxt[j] += 2 * d * c
+                nxt[j + 1] -= d * c
+        elif d:
+            for j, c in enumerate(prev1):
+                nxt[j] -= d * c
+        if p or q:
+            pq, s = p * q, p * p + q * q
+            for j, c in enumerate(prev2):
+                nxt[j] += s * c
+                nxt[j + 1] -= pq * c
+        prev2, prev1 = prev1, nxt
+    return _poly_trim(prev1)
+
+
+def _delta_q(delta: tuple[int, ...], m: int) -> list[int]:
+    """Q from the Alexander polynomial delta of a knot matrix of size
+    m = 2g.  Delta is palindromic, so with t^j + t^-j = V_j(t + 1/t),
+    V_0 = 2, V_1 = x and V_(j+1) = x V_j - V_(j-1), Q = c_g + sum c_(g+j) V_j.
+    """
+    g = m // 2
+    c = list(delta) + [0] * (m + 1 - len(delta))
+    if any(c[i] != c[m - i] for i in range(m + 1)):
+        raise InternalInconsistencyError("Alexander polynomial of a knot is not palindromic")
+    q = [c[g]] + [0] * g
+    v_prev, v = [2], [0, 1]
+    for j in range(1, g + 1):
+        for i, x in enumerate(v):
+            q[i] += c[g + j] * x
+        v_prev, v = v, _poly_sub([0] + v, v_prev)
+    return _poly_trim(q)
+
+
+def _knot_q(a: SeifertMatrix) -> list[int]:
+    """Q with Delta(t) = t^g Q(t + 1/t), for the knot matrix a of size 2g:
+    from the band for a tridiagonal matrix, else from Delta."""
+    return _band_q(a) if a._tridiagonal else _delta_q(alexander_polynomial(a), a.size)
+
+
+def _shift_by_one(r: list[int]) -> list[int]:
+    """Descending coefficients of p(x + 1), from those r of p: Horner's
+    Taylor shift, whose every pass is a running sum."""
+    r = list(r)
+    for top in range(len(r), 1, -1):
+        r[:top] = accumulate(r[:top])
+    return r
+
+
+def _at_minus_2x(p: list[int]) -> list[int]:
+    """Coefficients of p(-2x), from those of p, both ascending."""
+    return [(-c if i & 1 else c) << i for i, c in enumerate(p)]
+
+
+def _descartes_bound(q: list[int]) -> int:
+    """V, the sign variations of T(y) = (1 + y)^n q(4/(1 + y) - 2), n = deg q.
+
+    x = 4/(1 + y) - 2 maps y in (0, inf) one to one onto x in (-2, 2), so
+    by Descartes' rule of signs V is at least the number of roots of q in
+    (-2, 2), counted with multiplicity, and of the same parity; it equals
+    that number when q is real-rooted (Collins and Akritas, 1976).  Two
+    Taylor shifts give T: q(-2v - 2) from q(-2v), then with z = -v/2
+    q(4z - 2), whose reversal shifted by one is T.
+    """
+    r = _shift_by_one(_at_minus_2x(q)[::-1])
+    r = _shift_by_one(_at_minus_2x(r[::-1]))
+    signs = [c > 0 for c in r if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
 # -- the squarefree polynomial of the unit-circle roots and its Sturm chain -----
 
 
@@ -179,31 +277,20 @@ def _sign_variations(chain, num: int) -> int:
     return out
 
 
-def _root_polynomial(a: SeifertMatrix) -> tuple[list[int], list[list[int]]]:
-    """(q, Sturm chain of q) for the squarefree part q of Q, where
-    Delta(t) = t^g Q(t + 1/t) for the knot matrix a of size 2g.
+def _sturm_count(chain) -> int:
+    """Distinct roots in (-2, 2] of the first polynomial of the chain."""
+    unit = 1 << _ROOT_BITS
+    return _sign_variations(chain, -2 * unit) - _sign_variations(chain, 2 * unit)
 
-    Delta is palindromic for a knot, so with t^j + t^-j = V_j(t + 1/t),
-    V_0 = 2, V_1 = x and V_(j+1) = x V_j - V_(j-1), Q = c_g + sum c_(g+j) V_j.
-    The chain of q counts the distinct roots of Q in (lo, hi] for any
-    lo < hi, a count that repeated roots of Delta, as in K # K, would break
-    for the chain of Q itself.
+
+def _root_polynomial(q: list[int]) -> tuple[list[int], list[list[int]]]:
+    """(q, Sturm chain of q) for the squarefree part of the given q, which
+    is q itself, the same list, when q is squarefree.
+
+    The chain of the squarefree part counts the distinct roots of q in
+    (lo, hi] for any lo < hi, a count that repeated roots of Delta, as in
+    K # K, would break for the chain of Q itself.
     """
-    m = a.size
-    g = m // 2
-    c = list(alexander_polynomial(a))
-    c += [0] * (m + 1 - len(c))
-    if any(c[i] != c[m - i] for i in range(m + 1)):
-        raise InternalInconsistencyError("Alexander polynomial of a knot is not palindromic")
-    q = [c[g]] + [0] * g
-    v_prev, v = [2], [0, 1]
-    for j in range(1, g + 1):
-        for i, x in enumerate(v):
-            q[i] += c[g + j] * x
-        v_prev, v = v, _poly_sub([0] + v, v_prev)
-    q = _poly_trim(q)
-    if len(q) == 1:
-        return q, [q]
     chain = _sturm_chain(q)
     if len(chain[-1]) > 1:
         q = _poly_divexact(_primitive(q), _primitive(chain[-1]))
@@ -290,8 +377,8 @@ def _float_roots(q: list[int]) -> list[float]:
     return roots
 
 
-def _certified_brackets(q: list[int], chain, roots: list[float]) -> list[tuple[int, int]] | None:
-    """Enclosures (lo, hi) of the distinct roots of q in [-2, 2], in units of
+def _certified_brackets(q: list[int], count: int, roots: list[float]) -> list[tuple[int, int]] | None:
+    """Enclosures (lo, hi) of the roots of q in [-2, 2], in units of
     2^-_ROOT_BITS, from the descending float roots; None unless certified.
 
     Each root becomes a bracket of width 2 _HALF_WIDTH around it, clipped to
@@ -299,13 +386,17 @@ def _certified_brackets(q: list[int], chain, roots: list[float]) -> list[tuple[i
     divides the leading coefficient), the point itself if q vanishes there
     and otherwise a bracket with that end.  q must take nonzero opposite
     signs at the two ends of a bracket, so each holds an odd number of
-    roots, and the brackets must be disjoint.  As many of them as the
-    Sturm count of roots in (-2, 2] then hold one root each, and there are
-    no others, given q(-2) != 0, which the caller checks.
+    roots, and the brackets must be disjoint.  count bounds the roots of q
+    in (-2, 2) that the brackets can hold: the Descartes count of Q, which
+    counts them with multiplicity, or the Sturm count of the squarefree q,
+    which counts distinct roots in (-2, 2].  As many brackets as count
+    then hold one root each, simple for the Descartes count, and there
+    are no others, given q(-2) != 0, which the caller checks, and for the
+    Descartes count q(2) != 0, which holds for a knot: Q(2) = Delta(1) = +-1.
     """
-    unit = 1 << _ROOT_BITS
-    if len(roots) != _sign_variations(chain, -2 * unit) - _sign_variations(chain, 2 * unit):
+    if len(roots) != count:
         return None
+    unit = 1 << _ROOT_BITS
     lc = q[-1]
     step = 1 << max(_ROOT_BITS - ((lc & -lc).bit_length() - 1), 0)
     out = []
@@ -315,6 +406,8 @@ def _certified_brackets(q: list[int], chain, roots: list[float]) -> list[tuple[i
         if abs(c - cand) <= _HALF_WIDTH:
             s = _dyadic_sign(q, cand)
             if s == 0:
+                if out and out[-1][0] <= cand:
+                    return None
                 out.append((cand, cand))
                 continue
             lo, hi = (cand, cand + 2 * _HALF_WIDTH) if c >= cand else (cand - 2 * _HALF_WIDTH, cand)
@@ -384,17 +477,28 @@ def _alexander_root_enclosures(a: SeifertMatrix) -> tuple[tuple[float, float], .
     endpoints are dyadic floats, exact; an exact dyadic root is a point.
 
     The roots of Delta on the unit circle are the t = e^(i theta) with
-    Q(2 cos theta) = 0.  Certified float brackets (_certified_brackets of
-    _float_roots) give the enclosures; where they cannot be certified,
-    Sturm bisection (_sturm_bisection) does.
+    Q(2 cos theta) = 0.  Float brackets of the roots of Q (_float_roots)
+    are certified by the Descartes count of Q (_certified_brackets with
+    _descartes_bound); a count of 0 needs no float stage.  Where that fails
+    (a count past the brackets, a repeated root, Q(-2) = 0), the Sturm
+    chain of the squarefree part q of Q certifies float brackets of q, or
+    failing that gives the enclosures by Sturm bisection (_sturm_bisection).
     """
-    q, chain = _root_polynomial(a)
-    if len(q) == 1:
+    big_q = _knot_q(a)
+    if len(big_q) == 1:
         return ()
-    found = None
-    if sum(c * (-2) ** i for i, c in enumerate(q)):  # q(-2) != 0: Delta(-1) is odd for a knot
-        found = _certified_brackets(q, chain, _float_roots(q))
+    found = roots = None
+    if sum(c * (-2) ** i for i, c in enumerate(big_q)):  # Q(-2) != 0: Delta(-1) is odd for a knot
+        count = _descartes_bound(big_q)
+        roots = _float_roots(big_q) if count else []
+        found = _certified_brackets(big_q, count, roots)
     if found is None:
-        found = _sturm_bisection(q, chain)
+        q, chain = _root_polynomial(big_q)
+        if roots is not None:  # q(-2) != 0
+            if q is not big_q:  # Q has a repeated factor
+                roots = _float_roots(q)
+            found = _certified_brackets(q, _sturm_count(chain), roots)
+        if found is None:
+            found = _sturm_bisection(q, chain)
     unit = 1 << _ROOT_BITS
     return tuple(sorted(((lo / unit, hi / unit) for lo, hi in found), reverse=True))

@@ -33,7 +33,7 @@ from .bounds import (
 from .exceptions import CertificationError, KnotRhoError, KnotSpecError
 from .cyclotomic import UnitRoot
 from .rho import rho_knot_surgery_result
-from .seifert import SeifertMatrix, jn_seifert, seifert_from_json, torus_knot_seifert, unknot_seifert
+from .seifert import KNOT_FAMILIES, SeifertMatrix, jn_seifert, seifert_from_json, unknot_seifert
 from .signature import (
     alexander_at,
     avg_signature_details,
@@ -53,7 +53,7 @@ def parse_knot_spec(spec: str) -> tuple[str, SeifertMatrix]:
     head, sep, tail = spec.partition(":")
     if not sep:
         raise KnotSpecError(f"unknown knot spec {spec!r}; expected a family prefix", position=0)
-    if head in ("torus2", "jn"):
+    if head in KNOT_FAMILIES:
         try:
             n = int(tail)
         except ValueError:
@@ -61,8 +61,7 @@ def parse_knot_spec(spec: str) -> tuple[str, SeifertMatrix]:
                 f"family {head!r} needs an integer parameter, got {tail!r}",
                 position=len(head) + 1,
             ) from None
-        matrix = torus_knot_seifert(n) if head == "torus2" else jn_seifert(n)
-        return spec, matrix
+        return spec, KNOT_FAMILIES[head](n)
     if head == "file":
         try:
             with open(tail, "r", encoding="utf-8") as fh:

@@ -191,9 +191,12 @@ def per_matrix_cache(fn):
         the front table, or the matrix whose entries it read has died."""
         key = weakref.ref(a)
         box = table.get(key)
-        owner = box is None or box[0] is None
+        # Read the box once: its owner may die, and empty it, at any moment.
+        entries = None if box is None else box[0]
+        owner = entries is None
         if owner:
-            box = table[key] = [{}]
+            entries = {}
+            box = table[key] = [entries]
         ident = id(a)
 
         def drop(_):
@@ -203,7 +206,7 @@ def per_matrix_cache(fn):
                 box[0] = None
 
         front[ident] = (box, weakref.ref(a, drop))
-        return box[0]
+        return entries
 
     @functools.wraps(fn)
     def cached(a: SeifertMatrix, *args):
@@ -417,6 +420,10 @@ def twist_reduction(d: int, n: int) -> TwistReduction:
 
 # -- family identifiers ------------------------------------------------------
 
+# The parametrised families by name, the one table that knot specs
+# ('torus2:3') and KnotFamilyId read.
+KNOT_FAMILIES = {"torus2": torus_knot_seifert, "jn": jn_seifert}
+
 
 @dataclass(frozen=True)
 class KnotFamilyId:
@@ -430,12 +437,10 @@ class KnotFamilyId:
     family: str
     parameter: int = 0
 
-    _FAMILIES = ("unknot", "torus2", "jn", "custom")
-
     def __post_init__(self):
-        if self.family not in self._FAMILIES:
+        if self.family not in ("unknot", "custom", *KNOT_FAMILIES):
             raise InvalidParameterError(f"unknown family {self.family!r}")
-        if self.family in ("torus2", "jn") and self.parameter < 1:
+        if self.family in KNOT_FAMILIES and self.parameter < 1:
             raise InvalidParameterError(
                 f"family {self.family!r} needs parameter >= 1, got {self.parameter}"
             )
@@ -443,13 +448,11 @@ class KnotFamilyId:
     def seifert(self) -> SeifertMatrix:
         if self.family == "unknot":
             return unknot_seifert()
-        if self.family == "torus2":
-            return torus_knot_seifert(self.parameter)
-        if self.family == "jn":
-            return jn_seifert(self.parameter)
+        if self.family in KNOT_FAMILIES:
+            return KNOT_FAMILIES[self.family](self.parameter)
         raise InvalidParameterError("custom family has no built-in Seifert matrix")
 
     def __str__(self) -> str:
-        if self.family in ("torus2", "jn"):
+        if self.family in KNOT_FAMILIES:
             return f"{self.family}:{self.parameter}"
         return self.family

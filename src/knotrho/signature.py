@@ -594,17 +594,18 @@ def _grid_x(k: int, d: int) -> float:
 _X_MARGIN = 2.0 * _ROOT_ERR + 4.0 * _EPS
 
 
-def _first_grid_index(d: int, end: float, below: bool) -> int:
-    """A k in 1 .. d // 2 + 1 with past(k) true and past(k - 1) false,
-    taking past(0) false and past(d // 2 + 1) true, where past(k) says
-    that x_k is not certified above end, _grid_x(k, d) - _X_MARGIN <= end,
-    or, when below, that it is certified below end,
-    _grid_x(k, d) + _X_MARGIN < end.  Rounded, past need not be monotone.
-    The first four probes walk from the k where 2 cos(2 pi k/d) falls to
+def _first_grid_index(d: int, end: float, below: bool, start: int = 0) -> int:
+    """A k in start + 1 .. d // 2 + 1 with past(k) true and past(k - 1)
+    false, taking past(start) false and past(d // 2 + 1) true, where
+    past(k) says that x_k is not certified above end,
+    _grid_x(k, d) - _X_MARGIN <= end, or, when below, that it is certified
+    below end, _grid_x(k, d) + _X_MARGIN < end.  The caller vouches for
+    past(start) being false.  Rounded, past need not be monotone.  The
+    first four probes walk from the k where 2 cos(2 pi k/d) falls to
     end -/+ _X_MARGIN; bisection does the rest."""
     half = 0.5 * (end - _X_MARGIN if below else end + _X_MARGIN)
     half = -1.0 if half < -1.0 else 1.0 if half > 1.0 else half
-    lo, hi = 0, d // 2 + 1
+    lo, hi = start, d // 2 + 1
     k = math.ceil(d * math.acos(half) / (2.0 * math.pi))
     probes = 0
     while hi - lo > 1:
@@ -634,6 +635,9 @@ def _arc_points(a: SeifertMatrix, d: int) -> list[tuple[int, int]]:
     _alexander_root_enclosures, _first_grid_index places a point `first`
     whose predecessor is certified above hi, so all earlier points are,
     and a point `below` certified below lo, so all later points are.  The
+    walk for `below` goes on from first - 1, which is not certified below
+    lo: it is certified above hi, or, where `first` is raised to the
+    previous root's `below`, not certified below that root's lo > hi.  The
     points from `first` to `below` may meet the root; each is its own
     point.  Every maximal run of the other points lies in one open arc,
     where det H = (1 - conj w)^m Delta(w) != 0, so H is nonsingular along
@@ -659,11 +663,10 @@ def _arc_points(a: SeifertMatrix, d: int) -> list[tuple[int, int]]:
 
     for lo, hi in _alexander_root_enclosures(a):
         first = _first_grid_index(d, hi, False)
-        below = _first_grid_index(d, lo, True)
         if pos is None:
             pos = first  # skip the arc through w = 1
         first = max(first, pos)
-        below = max(below, first)
+        below = _first_grid_index(d, lo, True, first - 1)
         run(pos, first)
         points.extend(_grid_points(d, first, below))
         pos = below

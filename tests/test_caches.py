@@ -44,6 +44,7 @@ def test_entries_die_with_their_matrix():
     avg_signature(a, 10)  # whole grid, exact chain at the jump points
     avg_signature(a, 1009)  # arcs between the roots of Delta
     hermitian_form(a, UnitRoot(1, 5))
+    alexander_polynomial(a)  # the arc route reads Q off the band, not Delta
     assert all(cache.cache_info().currsize > 0 for cache in MATRIX_CACHES)
     del a
     gc.collect()

@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from knotrho.cli import cli
-from knotrho.seifert import jn_seifert
+from knotrho.cli import cli, parse_knot_spec
+from knotrho.exceptions import InvalidParameterError, KnotSpecError
+from knotrho.seifert import KNOT_FAMILIES, KnotFamilyId, jn_seifert
 
 
 @pytest.fixture
@@ -61,6 +62,24 @@ def test_sig_bad_spec_exits_2(runner):
     res = runner.invoke(cli, ["sig", "torus2:x", "--omega", "1/2"])
     assert res.exit_code == 2
     assert "position" in res.output
+
+
+def test_knot_specs_and_family_ids_read_one_table():
+    assert set(KNOT_FAMILIES) == {"torus2", "jn"}
+    for name in KNOT_FAMILIES:
+        assert parse_knot_spec(f"{name}:3") == (f"{name}:3", KnotFamilyId(name, 3).seifert())
+        assert str(KnotFamilyId(name, 3)) == f"{name}:3"
+    for spec, message, position in (
+        ("torus3:1", "unknown family 'torus3'", 0),
+        ("jn:x", "family 'jn' needs an integer parameter, got 'x'", 3),
+        ("torus2", "unknown knot spec 'torus2'; expected a family prefix", 0),
+    ):
+        with pytest.raises(KnotSpecError) as info:
+            parse_knot_spec(spec)
+        assert str(info.value) == f"{message} (at position {position})"
+        assert info.value.position == position
+    with pytest.raises(InvalidParameterError, match="family parameter must be >= 1, got 0"):
+        parse_knot_spec("torus2:0")
 
 
 def test_sig_require_certified_exits_3(runner):

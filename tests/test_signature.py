@@ -1030,7 +1030,7 @@ def test_exact_average_by_arcs_skips_the_arc_through_one():
 
 def _bisection_enclosures(a):
     """The Sturm bisection route alone, as _alexander_root_enclosures reports it."""
-    q, chain = alexander._root_polynomial(a)
+    q, chain = alexander._root_polynomial(alexander._knot_q(a))
     if len(q) == 1:
         return ()
     unit = 2.0**alexander._ROOT_BITS
@@ -1079,9 +1079,10 @@ def test_root_isolation_falls_back_to_bisection_for_close_roots():
     # unit-circle roots lie closer than the float sampling step, so the
     # float stage finds 13 sign changes against a Sturm count of 15.
     a = _connected_sum(torus_knot_seifert(8), jn_seifert(8))
-    q, chain = alexander._root_polynomial(a)
+    q, chain = alexander._root_polynomial(alexander._knot_q(a))
     assert len(alexander._float_roots(q)) == 13
-    assert alexander._certified_brackets(q, chain, alexander._float_roots(q)) is None
+    assert alexander._sturm_count(chain) == alexander._descartes_bound(q) == 15
+    assert alexander._certified_brackets(q, 15, alexander._float_roots(q)) is None
     enclosures = alexander._alexander_root_enclosures(a)
     assert len(enclosures) == 15
     assert enclosures == _bisection_enclosures(a)
@@ -1089,49 +1090,178 @@ def test_root_isolation_falls_back_to_bisection_for_close_roots():
 
 
 def test_certified_roots_cost_two_exact_signs_each(monkeypatch):
-    # Two chain evaluations count the roots; every other exact sign is one
-    # end of a bracket, whatever the degree.
+    # The Descartes count of Q certifies the float brackets of the families,
+    # so no Sturm chain is built; every exact sign is one end of a bracket,
+    # whatever the degree.
     calls = {"chain": 0, "sign": 0}
-    in_chain = []
-    sign, variations = alexander._dyadic_sign, alexander._sign_variations
+    sign, chain = alexander._dyadic_sign, alexander._sturm_chain
 
     def counting_sign(p, num):
-        calls["sign"] += not in_chain
+        calls["sign"] += 1
         return sign(p, num)
 
-    def counting_variations(chain, num):
+    def counting_chain(p):
         calls["chain"] += 1
-        in_chain.append(1)
-        try:
-            return variations(chain, num)
-        finally:
-            in_chain.pop()
+        return chain(p)
 
     monkeypatch.setattr(alexander, "_dyadic_sign", counting_sign)
-    monkeypatch.setattr(alexander, "_sign_variations", counting_variations)
+    monkeypatch.setattr(alexander, "_sturm_chain", counting_chain)
     # torus2:1 and torus2:25 have the exact root x = 1, a point enclosure
     knots = [torus_knot_seifert(1), torus_knot_seifert(25)]
-    knots += [build(n) for n in (2, 3, 6, 15, 30, 60) for build in (jn_seifert, torus_knot_seifert)]
+    knots += [build(n) for n in (2, 3, 6, 15, 30, 60, 150) for build in (jn_seifert, torus_knot_seifert)]
     for a in knots:
         alexander._alexander_root_enclosures.cache_clear()
         calls.update(chain=0, sign=0)
         enclosures = alexander._alexander_root_enclosures(a)
         assert enclosures
-        assert calls["chain"] == 2
+        assert calls["chain"] == 0
         assert calls["sign"] <= 2 * len(enclosures)
     assert (1.0, 1.0) in alexander._alexander_root_enclosures(torus_knot_seifert(25))
 
 
 def test_certificate_rejects_a_float_root_found_twice():
     # Two float estimates of one root of q = x^2 - x - 1 give as many
-    # brackets as the Sturm count, each with a sign change, but they overlap
+    # brackets as the root count, each with a sign change, but they overlap
     # and miss the other root.
-    q, chain = alexander._root_polynomial(torus_knot_seifert(2))
+    q, chain = alexander._root_polynomial(alexander._knot_q(torus_knot_seifert(2)))
     assert q == [-1, -1, 1]
+    assert alexander._sturm_count(chain) == alexander._descartes_bound(q) == 2
     good = [(1 + math.sqrt(5)) / 2, (1 - math.sqrt(5)) / 2]
-    assert alexander._certified_brackets(q, chain, good) is not None
+    assert alexander._certified_brackets(q, 2, good) is not None
     twice = [good[0], good[0] - 2.0**-46]
-    assert alexander._certified_brackets(q, chain, twice) is None
+    assert alexander._certified_brackets(q, 2, twice) is None
+    assert alexander._certified_brackets(q, 3, good) is None
+    # Two float estimates of the dyadic root x = 1 of the trefoil's
+    # q = x - 1 both round to the point enclosure (1, 1): a second point
+    # on the first must be rejected like an overlapping bracket.
+    q = alexander._knot_q(torus_knot_seifert(1))
+    assert q == [-1, 1]
+    unit = 1 << alexander._ROOT_BITS
+    assert alexander._certified_brackets(q, 1, [1.0]) == [(unit, unit)]
+    assert alexander._certified_brackets(q, 2, [1.0, 1.0 - 2.0**-50]) is None
+
+
+def _random_tridiagonal_knot(rng, g):
+    """A tridiagonal knot matrix of size 2g: A - A^T is unimodular iff
+    a_(i,i+1) - a_(i+1,i) = +-1 at every odd 1-based i; the other
+    off-diagonal pairs are free, and sometimes zero."""
+    m = 2 * g
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m):
+        rows[i][i] = rng.randint(-3, 3)
+        if i + 1 < m:
+            p = rng.randint(-3, 3)
+            q = p - rng.choice((1, -1)) if i % 2 == 0 else rng.choice((0, p, -p, rng.randint(-3, 3)))
+            rows[i][i + 1], rows[i + 1][i] = p, q
+    return SeifertMatrix(tuple(tuple(r) for r in rows), kind="knot")
+
+
+@given(st.integers(0, 10**9))
+def test_q_from_the_band_matches_the_conversion_from_delta(seed):
+    rng = random.Random(seed)
+    a = _random_tridiagonal_knot(rng, rng.randint(0, 6))
+    for k in (a, mirror(a)):
+        assert k._tridiagonal
+        assert alexander._band_q(k) == alexander._delta_q(alexander_polynomial(k), k.size)
+
+
+def test_q_from_the_band_on_the_families():
+    assert alexander._band_q(unknot_seifert()) == [1]
+    for n in range(1, 61):
+        for build in (torus_knot_seifert, jn_seifert):
+            a = build(n)
+            assert alexander._band_q(a) == alexander._delta_q(alexander_polynomial(a), a.size)
+
+
+def _poly_from_factors(factors):
+    out = [1]
+    for f in factors:
+        out = alexander._poly_mul(out, f)
+    return out
+
+
+@given(
+    st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 4)), max_size=6),
+    st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 5)), max_size=3),
+)
+def test_descartes_bound_counts_roots_in_the_open_interval(real, quadratics):
+    # real roots a / b, repeated at will, and complex pairs x^2 + p x + r
+    # with p^2 < 4r, whose roots V may count in pairs
+    linear = [[-a, b] for a, b in real]
+    complex_pairs = [[p * p // 4 + extra, p, 1] for p, extra in quadratics]
+    inside = sum(-2 * b < a < 2 * b for a, b in real)
+    q = _poly_from_factors(linear + complex_pairs)
+    if len(q) == 1:
+        return
+    v = alexander._descartes_bound(q)
+    assert v >= inside and (v - inside) % 2 == 0
+    if not complex_pairs:
+        assert v == inside
+
+
+def test_descartes_bound_on_known_polynomials():
+    # x^2 - x - 1 (torus2:2): roots 1.618 and -0.618; (x - 1)^3 (x + 3);
+    # x^2 + 1 has no real root but two sign changes after the map
+    assert alexander._descartes_bound([-1, -1, 1]) == 2
+    assert alexander._descartes_bound(_poly_from_factors([[-1, 1]] * 3 + [[3, 1]])) == 3
+    assert alexander._descartes_bound([1, 0, 1]) == 2
+    assert alexander._descartes_bound([-2, 1]) == 0  # the root x = 2 is not in (-2, 2)
+
+
+def test_repeated_unit_circle_roots_take_the_chain_route(monkeypatch):
+    # Delta(K # K) = Delta_K^2: the Descartes count doubles every root, so
+    # the Sturm chain of the squarefree part decides, and the enclosures are
+    # those the chain route gave before the Descartes count existed.
+    built = []
+    chain = alexander._sturm_chain
+    monkeypatch.setattr(alexander, "_sturm_chain", lambda p: built.append(p) or chain(p))
+    expected = {
+        torus_knot_seifert(2): (
+            ("0x1.9e3779b97eca0p+0", "0x1.9e3779b97fca0p+0"),
+            ("-0x1.3c6ef372ff940p-1", "-0x1.3c6ef372fd940p-1"),
+        ),
+        jn_seifert(2): (("0x1.8722191a00d80p-2", "0x1.8722191a04d80p-2"),),
+        TREFOIL: (("0x1.0000000000000p+0", "0x1.0000000000000p+0"),),
+    }
+    for k, want in expected.items():
+        double = _connected_sum(k, k)
+        q = alexander._knot_q(double)
+        assert alexander._descartes_bound(q) == 2 * len(want)
+        built.clear()
+        alexander._alexander_root_enclosures.cache_clear()
+        got = alexander._alexander_root_enclosures(double)
+        assert built
+        assert got == tuple((float.fromhex(lo), float.fromhex(hi)) for lo, hi in want)
+
+
+def test_descartes_excess_is_certified_by_the_sturm_count(monkeypatch):
+    # Q has one root in (-2, 2) and a complex pair that adds two sign
+    # variations after the map: the Descartes count 3 rejects the one
+    # float bracket, and the Sturm count certifies it without bisection.
+    a = SeifertMatrix(
+        (
+            (3, -1, -2, -3, 2, -1),
+            (-2, -3, 2, -2, -1, 3),
+            (-2, 2, -2, 0, 0, 3),
+            (-3, -2, -1, -3, -3, 3),
+            (2, -1, 0, -3, -2, 4),
+            (-1, 3, 3, 3, 3, 2),
+        ),
+        kind="knot",
+    )
+    q = alexander._knot_q(a)
+    assert q == [-12169, 19011, -9897, 1717]
+    assert alexander._descartes_bound(q) == 3
+
+    def no_bisection(*args):
+        raise AssertionError("Sturm bisection reached")
+
+    monkeypatch.setattr(alexander, "_sturm_bisection", no_bisection)
+    alexander._alexander_root_enclosures.cache_clear()
+    enclosures = alexander._alexander_root_enclosures(a)
+    assert len(enclosures) == 1
+    monkeypatch.undo()
+    assert _assert_enclosures(a) == enclosures
 
 
 def test_exact_average_by_arcs_leaves_numpy_unloaded():
@@ -1176,7 +1306,7 @@ def test_grid_placement_keeps_the_binary_search_post_condition(monkeypatch):
     calls = []
     monkeypatch.setattr(signature, "_grid_x", lambda j, d: calls.append(j) or grid_x(j, d))
     dyadic = (2.0, 1.0, 0.5, 0.0, -0.5, -1.0, -2.0, 1.0 + 2.0**-48, -2.0 + 2.0**-48)
-    probes = []
+    probes, onward = {False: [], True: []}, []
     for _ in range(400):
         d = rng.choice((rng.randint(2, 10**7), 12 * rng.randint(1, 8 * 10**5)))
         near = (2.0 - 2.0**-rng.randint(1, 50), -2.0 + 2.0**-rng.randint(1, 50))
@@ -1190,9 +1320,17 @@ def test_grid_placement_keeps_the_binary_search_post_condition(monkeypatch):
                     calls.clear()
                     k = signature._first_grid_index(d, end, below)
                     assert _placement_holds(d, k, test), (d, x)
-                    probes.append(len(calls))
-    # O(1) per root: the walk from the acos guess settles before bisection
-    assert max(probes) <= 4
+                    probes[below].append(len(calls))
+                # as _arc_points places them: `below` goes on from first - 1
+                first = signature._first_grid_index(d, hi, False)
+                calls.clear()
+                k = signature._first_grid_index(d, lo, True, first - 1)
+                assert k >= first and _placement_holds(d, k, lambda j: grid_x(j, d) + margin < lo)
+                onward.append(len(calls))
+    # O(1) per root: the walk from the acos guess settles before bisection,
+    # and going on from first - 1 saves probes on placing `below`
+    assert max(probes[False] + probes[True] + onward) <= 4
+    assert sum(onward) < 0.8 * sum(probes[True])
 
 
 def test_grid_placement_survives_a_non_monotone_test(monkeypatch):
