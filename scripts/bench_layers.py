@@ -1,0 +1,155 @@
+#!/usr/bin/env python3
+"""Per-layer timings of knotrho's exact knot averages, as JSON.
+
+    PYTHONPATH=old/src python3 scripts/bench_layers.py --label parent --out BENCH.json
+    PYTHONPATH=new/src python3 scripts/bench_layers.py --label change --out BENCH.json
+
+Each run adds its results under --label to the JSON object in --out
+(created if missing), so two source trees can be measured into one file
+on one machine.  Standard library only.  The layers:
+
+- "isolation": root isolation (_alexander_root_enclosures) of jn:60,
+  jn:150 and jn:300 with cold caches, best of three, with the number of
+  exact bracket signs (_dyadic_sign calls) it made;
+- "averages": exact averages of the twelve prime-avg knots (torus2:n and
+  jn:n, n = 1 .. 6) at one prime each, summed over the twelve, cold (every
+  cache cleared, root isolation included) and warm (root enclosures
+  already cached by an average at another prime, as for the equal
+  matrices of a prime-avg round); median of REPEATS;
+- "arc_point": the cost of one sigma at the arc points of torus2:6 and
+  jn:6 at d = 1009, through the per-matrix memo (_signature_exact_cached,
+  cleared before each pass, so every call misses) and, where the tree
+  has one, through the core (_exact_counts) with the layout fetched once;
+  median of REPEATS passes, divided by the number of points.
+
+Times are in seconds (µs per point for "arc_point").
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import statistics
+import time
+
+from knotrho import alexander, cyclotomic, signature
+from knotrho.seifert import jn_seifert, torus_knot_seifert
+
+REPEATS = 21
+# Torus parameter n -> a prime near the middle centre of prime-avg's
+# EXACT_CENTERS, and a second prime that warms the root enclosures.
+AVERAGE_GRIDS = {1: (701, 541), 2: (419, 337), 3: (337, 277), 4: (293, 241), 5: (263, 211), 6: (241, 199)}
+
+
+def clear_caches() -> None:
+    for module in (alexander, signature, cyclotomic):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+def isolation() -> dict:
+    calls = [0]
+    exact_sign = alexander._dyadic_sign
+
+    def counting(p, num):
+        calls[0] += 1
+        return exact_sign(p, num)
+
+    out = {}
+    alexander._dyadic_sign = counting
+    try:
+        for n in (60, 150, 300):
+            a = jn_seifert(n)
+            times = []
+            for _ in range(3):
+                clear_caches()
+                calls[0] = 0
+                t0 = time.perf_counter()
+                alexander._alexander_root_enclosures(a)
+                times.append(time.perf_counter() - t0)
+            out[f"jn:{n}"] = {"best_s": min(times), "exact_signs": calls[0]}
+    finally:
+        alexander._dyadic_sign = exact_sign
+    return out
+
+
+def averages() -> dict:
+    knots = [(build, n) for build in (torus_knot_seifert, jn_seifert) for n in AVERAGE_GRIDS]
+    cold, warm = [], []
+    for _ in range(REPEATS):
+        total = 0.0
+        for build, n in knots:
+            a = build(n)
+            clear_caches()
+            t0 = time.perf_counter()
+            signature.avg_signature_details(a, AVERAGE_GRIDS[n][0])
+            total += time.perf_counter() - t0
+        cold.append(total)
+        total = 0.0
+        for build, n in knots:
+            a = build(n)
+            clear_caches()
+            signature.avg_signature_details(a, AVERAGE_GRIDS[n][1])
+            t0 = time.perf_counter()
+            signature.avg_signature_details(a, AVERAGE_GRIDS[n][0])
+            total += time.perf_counter() - t0
+        warm.append(total)
+    return {"cold_s": statistics.median(cold), "warm_s": statistics.median(warm), "knots": len(knots)}
+
+
+def arc_point() -> dict:
+    core = getattr(signature, "_exact_counts", None)
+    out = {}
+    d = 1009
+    for name, a in (("torus2:6", torus_knot_seifert(6)), ("jn:6", jn_seifert(6))):
+        points = [(k // math.gcd(k, d), d // math.gcd(k, d)) for k, _ in signature._arc_points(a, d)]
+        memo, direct = [], []
+        for _ in range(REPEATS):
+            signature._signature_exact_cached.cache_clear()
+            t0 = time.perf_counter()
+            for num, den in points:
+                signature._signature_exact_cached(a, num, den)
+            memo.append(time.perf_counter() - t0)
+            if core is not None:
+                t0 = time.perf_counter()
+                layout = signature._tridiag_layout(a)
+                for num, den in points:
+                    core(a, layout, num, den)
+                direct.append(time.perf_counter() - t0)
+        out[name] = {
+            "points": len(points),
+            "memo_us": 1e6 * statistics.median(memo) / len(points),
+            "core_us": 1e6 * statistics.median(direct) / len(points) if direct else None,
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True, help="key of this run in the output object")
+    parser.add_argument("--out", required=True, help="JSON file to add the results to")
+    args = parser.parse_args(argv)
+    results = {
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
+        "isolation": isolation(),
+        "averages": averages(),
+        "arc_point": arc_point(),
+    }
+    merged = {}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            merged = json.load(fh)
+    merged[args.label] = results
+    with open(args.out, "w") as fh:
+        json.dump(merged, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(json.dumps(results, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

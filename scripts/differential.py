@@ -20,8 +20,9 @@ The records cover:
   K # K of size 60 and a connected sum whose unit-circle roots lie closer
   than root isolation's float sampling step, at primes 1009 and 5003;
 - the exact endpoints (float.hex) of the root enclosures of Delta for
-  torus2, jn and mirrored torus2 with n in {1, ..., 8, 15, 30, 60}, three
-  K # K with double roots and the random knots above;
+  torus2, jn and mirrored torus2 with n in {1, ..., 8, 15, 30, 60}, for
+  jn:150, jn:300 and torus2:300, whose bracket signs are decided at high
+  degree, three K # K with double roots and the random knots above;
 - `bounds` and `rho --levels` through the CLI, in-process, with their
   output and exit codes, including invalid slopes and modes.
 
@@ -158,6 +159,7 @@ def enclosure_records(named) -> None:
     for n in (*range(1, 9), 15, 30, 60):
         t, j = torus_knot_seifert(n), jn_seifert(n)
         picked += [(f"torus2:{n}", t), (f"jn:{n}", j), (f"-torus2:{n}", mirror(t))]
+    picked += [("jn:150", jn_seifert(150)), ("jn:300", jn_seifert(300)), ("torus2:300", torus_knot_seifert(300))]
     for name, k in (("torus2:2", torus_knot_seifert(2)), ("jn:2", jn_seifert(2)), ("torus2:5", torus_knot_seifert(5))):
         picked.append((f"{name}#{name}", connected_sum(k, k)))
     picked += [(n, a) for n, a in named if n.startswith("random")]

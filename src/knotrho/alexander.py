@@ -9,11 +9,14 @@ off its band, with no Delta built; other knots convert Delta.  A float
 stage samples Q(2 cos theta) in the cosine basis, where it is well
 conditioned at high degree, and refines every sign change by Newton steps
 on Clenshaw's recurrence.  Each float root is then rounded outward to a
-dyadic bracket of width 2^-40, certified by the exact signs of Q at its
-two ends and by Descartes' rule of signs: disjoint brackets with a sign
+dyadic bracket of width 2^-40, certified by the signs of Q at its two
+ends and by Descartes' rule of signs: disjoint brackets with a sign
 change each, as many as the sign variations of Q carried by a Moebius map
 from (-2, 2) onto (0, inf), hold one simple root each, and there is no
-other root.  Any other case (more variations than brackets, from complex
+other root.  The signs come from Clenshaw's recurrence on the same
+scaled coefficients with a rigorous running error bound; integer Horner
+at the dyadic point decides only where the float value does not clear
+it, and at a dyadic candidate root.  Any other case (more variations than brackets, from complex
 roots near the interval or from the repeated roots of K # K; roots closer
 together than the sampling step; clustered roots that the floats cannot
 place within 2^-41) falls back to the Sturm chain of the squarefree part
@@ -314,6 +317,18 @@ def _cosine_coefficients(q: list[int]) -> list[int]:
     return b
 
 
+def _cosine_floats(q: list[int]) -> tuple[list[float], float, float]:
+    """(rev, f0, weight): q(2 cos theta) / top = f_0 + sum_(j >= 1) f_j V_j,
+    with b = _cosine_coefficients(q), top = max |b_j| and each f_j = b_j / top
+    correctly rounded, whatever the size of b_j, so |f_j| <= 1 and no value
+    overflows; rev = [f_n, ..., f_1] and weight = 2 (|f_0| + 2 sum |f_j|),
+    the coefficients' share of _float_sign's bound."""
+    b = _cosine_coefficients(q)
+    top = max(map(abs, b))
+    f = [c / top for c in b]
+    return f[:0:-1], f[0], 2.0 * (abs(f[0]) + 2.0 * math.fsum(map(abs, f[1:])))
+
+
 def _clenshaw(rev: list[float], f0: float, x: float) -> float:
     """F(x) for F = f_0 + sum_(j >= 1) f_j V_j(x), rev = [f_n, ..., f_1], by
     Clenshaw's recurrence u_j = f_j + x u_(j+1) - u_(j+2), F = f_0 + x u_1 - 2 u_2."""
@@ -321,6 +336,38 @@ def _clenshaw(rev: list[float], f0: float, x: float) -> float:
     for c in rev:
         u, u2 = c + x * u - u2, u
     return f0 + x * u - 2.0 * u2
+
+
+_CLENSHAW_ERR = 2.0**-52  # twice the unit roundoff u = 2^-53
+_SUBNORMAL = 2.0**-1074  # twice the absolute error of an underflowing product or quotient
+
+
+def _float_sign(cosine, x: float) -> int:
+    """Sign of q(x) at a float x in [-2, 2], from Clenshaw's recurrence on
+    cosine = _cosine_floats(q), or 0 where the computed value v does not
+    clear its rounding bound, which it never does at a root.
+
+    A running error bound (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 5).  Each step u^_j = fl(fl(f_j + fl(x u^_(j+1))) - u^_(j+2))
+    commits an error d_j, so the computed u^ are the exact recurrence of
+    the coefficients f_j + d_j, and v = F(x) + d_0 + sum d_j V_j(x) with
+    |V_j(x)| = |2 cos j theta| <= 2 on [-2, 2].  Round to nearest gives
+    |fl(a) - a| <= u |fl(a)|, plus 2^-1075 for an underflowing product, so
+    |d_j| <= (1 + u)^2 u (|f_j| + 4 |u^_(j+1)| + |u^_j|) + 2^-1075, and the
+    last step likewise with |v|.  Rounding b_j / top moves F by at most
+    u (|f_0| + 2 sum |f_j|) + (2n + 1) 2^-1075.  In all,
+        |v - q(x) / top| <= (1 + u)^2 u (|v| + weight + 10 sum |u^_j|) + (4n + 2) 2^-1075,
+    and the bound below, with 2u for u, also covers its own rounding.  A
+    value or bound that overflows compares as undecided.
+    """
+    rev, f0, weight = cosine
+    u = u2 = total = 0.0
+    for c in rev:
+        u, u2 = c + x * u - u2, u
+        total += abs(u)
+    v = f0 + x * u - 2.0 * u2
+    bound = _CLENSHAW_ERR * (abs(v) + weight + 10.0 * total) + (4 * len(rev) + 2) * _SUBNORMAL
+    return (v > bound) - (v < -bound)
 
 
 def _newton_root(rev: list[float], f0: float, lo: float, f_lo: float, hi: float, f_hi: float):
@@ -352,16 +399,13 @@ def _newton_root(rev: list[float], f0: float, lo: float, f_lo: float, hi: float,
     return x
 
 
-def _float_roots(q: list[int]) -> list[float]:
-    """Float estimates of the roots of q in (-2, 2), descending.  Samples at
-    theta = pi s / S, S = _SAMPLES_PER_DEGREE (deg q + 1), find every root
-    whose neighbours lie at least one step away; the coefficients are
-    scaled to at most 1, so no value overflows."""
-    b = _cosine_coefficients(q)
-    top = max(map(abs, b))
-    f = [c / top for c in b]  # correctly rounded, whatever the size of c
-    rev, f0 = f[:0:-1], f[0]
-    steps = _SAMPLES_PER_DEGREE * len(q)
+def _float_roots(cosine) -> list[float]:
+    """Float estimates of the roots of q in (-2, 2), descending, from
+    cosine = _cosine_floats(q).  Samples at theta = pi s / S,
+    S = _SAMPLES_PER_DEGREE (deg q + 1), find every root whose neighbours
+    lie at least one step away."""
+    rev, f0, _ = cosine
+    steps = _SAMPLES_PER_DEGREE * (len(rev) + 1)
     roots = []
     x_prev = v_prev = zero = None
     for s in range(steps + 1):
@@ -377,7 +421,9 @@ def _float_roots(q: list[int]) -> list[float]:
     return roots
 
 
-def _certified_brackets(q: list[int], count: int, roots: list[float]) -> list[tuple[int, int]] | None:
+def _certified_brackets(
+    q: list[int], cosine, count: int, roots: list[float]
+) -> list[tuple[int, int]] | None:
     """Enclosures (lo, hi) of the roots of q in [-2, 2], in units of
     2^-_ROOT_BITS, from the descending float roots; None unless certified.
 
@@ -386,7 +432,9 @@ def _certified_brackets(q: list[int], count: int, roots: list[float]) -> list[tu
     divides the leading coefficient), the point itself if q vanishes there
     and otherwise a bracket with that end.  q must take nonzero opposite
     signs at the two ends of a bracket, so each holds an odd number of
-    roots, and the brackets must be disjoint.  count bounds the roots of q
+    roots, and the brackets must be disjoint.  Those signs come from
+    _float_sign on cosine = _cosine_floats(q), and from _dyadic_sign where
+    it declines and at the dyadic candidate.  count bounds the roots of q
     in (-2, 2) that the brackets can hold: the Descartes count of Q, which
     counts them with multiplicity, or the Sturm count of the squarefree q,
     which counts distinct roots in (-2, 2].  As many brackets as count
@@ -415,8 +463,9 @@ def _certified_brackets(q: list[int], count: int, roots: list[float]) -> list[tu
             s = None
             lo, hi = round(c) - _HALF_WIDTH, round(c) + _HALF_WIDTH
         lo, hi = max(lo, -2 * unit), min(hi, 2 * unit)
-        s_lo = s if s is not None and lo == cand else _dyadic_sign(q, lo)
-        s_hi = s if s is not None and hi == cand else _dyadic_sign(q, hi)
+        # lo / unit and hi / unit are exact: |lo|, |hi| <= 2^(_ROOT_BITS + 1)
+        s_lo = s if s is not None and lo == cand else _float_sign(cosine, lo / unit) or _dyadic_sign(q, lo)
+        s_hi = s if s is not None and hi == cand else _float_sign(cosine, hi / unit) or _dyadic_sign(q, hi)
         if s_lo * s_hi >= 0 or (out and out[-1][0] <= hi):
             return None
         out.append((lo, hi))
@@ -490,14 +539,16 @@ def _alexander_root_enclosures(a: SeifertMatrix) -> tuple[tuple[float, float], .
     found = roots = None
     if sum(c * (-2) ** i for i, c in enumerate(big_q)):  # Q(-2) != 0: Delta(-1) is odd for a knot
         count = _descartes_bound(big_q)
-        roots = _float_roots(big_q) if count else []
-        found = _certified_brackets(big_q, count, roots)
+        cosine = _cosine_floats(big_q) if count else None
+        roots = _float_roots(cosine) if count else []
+        found = _certified_brackets(big_q, cosine, count, roots)
     if found is None:
         q, chain = _root_polynomial(big_q)
         if roots is not None:  # q(-2) != 0
             if q is not big_q:  # Q has a repeated factor
-                roots = _float_roots(q)
-            found = _certified_brackets(q, _sturm_count(chain), roots)
+                cosine = _cosine_floats(q)
+                roots = _float_roots(cosine)
+            found = _certified_brackets(q, cosine, _sturm_count(chain), roots)
         if found is None:
             found = _sturm_bisection(q, chain)
     unit = 1 << _ROOT_BITS

@@ -42,6 +42,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .cyclotomic import (
+    MAX_EXACT_DEGREE,
     CyclotomicElement,
     UnitRoot,
     certified_sign,
@@ -492,15 +493,17 @@ def _generic_seifert_inertia(a: SeifertMatrix, omc, s, num: int, den: int) -> In
     return _generic_inertia_exact(_herm_residues(a, den), root)
 
 
-@per_matrix_cache
-def _signature_exact_cached(a: SeifertMatrix, num: int, den: int) -> InertiaTriple:
-    """Exact inertia of H at w = e^{2 pi i num/den}.  Callers pass the
-    smaller of num and den - num: H(conj w) = conj H(w) has the same inertia,
-    and check the conductor with exact_degree first."""
+def _exact_counts(a: SeifertMatrix, layout, num: int, den: int) -> tuple[int, int]:
+    """(negative, zero) eigenvalue counts of H at w = e^{2 pi i num/den},
+    certified, for the layout _tridiag_layout(a): the signature engine's
+    core, with no memo.  Callers pass the smaller of num and den - num:
+    H(conj w) = conj H(w) has the same inertia, and check the conductor
+    with _check_conductor first."""
     omc, s = _mr_root(num, den)
-    band, blocks, blocks_den2 = _tridiag_layout(a)
+    band, blocks, blocks_den2 = layout
     if band is None:
-        return _generic_seifert_inertia(a, omc, s, num, den)
+        triple = _generic_seifert_inertia(a, omc, s, num, den)
+        return triple.negative, triple.zero
     neg = zero = 0
     for start, stop in blocks_den2 if den == 2 else blocks:
         if stop - start == 1:
@@ -512,7 +515,25 @@ def _signature_exact_cached(a: SeifertMatrix, num: int, den: int) -> InertiaTrip
             block_neg, block_zero = _block_counts(a, band, start, stop, omc, s, num, den)
             neg += block_neg
             zero += block_zero
+    return neg, zero
+
+
+@per_matrix_cache
+def _signature_exact_cached(a: SeifertMatrix, num: int, den: int) -> InertiaTriple:
+    """Exact inertia of H at w = e^{2 pi i num/den}: _exact_counts, kept
+    per matrix for signature_details and the whole-grid sums, whose
+    signatures rho --levels reads again."""
+    neg, zero = _exact_counts(a, _tridiag_layout(a), num, den)
     return InertiaTriple(a.size - neg - zero, zero, neg)
+
+
+def _check_conductor(d: int) -> None:
+    """ConductorLimitError, as exact_degree raises it, for a conductor d
+    whose exact arithmetic would exceed MAX_EXACT_DEGREE.  No d up to
+    MAX_EXACT_DEGREE + 1 can, since phi(d) < d for d > 1, so only larger
+    d are factored."""
+    if d > MAX_EXACT_DEGREE + 1:
+        exact_degree(d)
 
 
 def signature_details(a: SeifertMatrix, root: UnitRoot, mode: str = "exact") -> SignatureResult:
@@ -523,7 +544,7 @@ def signature_details(a: SeifertMatrix, root: UnitRoot, mode: str = "exact") -> 
         triple = InertiaTriple(0, a.size, 0, certified=True)
         return SignatureResult(0, triple, a.size > 0, True)
     if mode == "exact":
-        exact_degree(root.den)  # refuse huge conductors even where floats would decide
+        _check_conductor(root.den)  # refuse huge conductors even where floats would decide
         triple = _signature_exact_cached(a, min(root.num, root.den - root.num), root.den)
     else:
         h = _numeric_hermitians(_complex_entries(a), [root.to_complex()])
@@ -548,19 +569,29 @@ def _grid_points(d: int, k0: int, k1: int):
 
 def _exact_sum(a: SeifertMatrix, d: int, points) -> int:
     """Sum of weight * sigma over grid points (k, weight) of the d-th roots,
-    one certified signature per point at its reduced fraction; the caller
-    checks the conductors."""
+    one certified count per point at its reduced fraction, straight from
+    _exact_counts with the layout fetched once: the arc route, whose few
+    points no later call reads again.  The caller checks the conductors."""
+    layout = _tridiag_layout(a)
+    m = a.size
     total = 0
     for k, weight in points:
         g = math.gcd(k, d)
-        total += weight * _signature_exact_cached(a, k // g, d // g).signature
+        neg, zero = _exact_counts(a, layout, k // g, d // g)
+        total += weight * (m - 2 * neg - zero)
     return total
 
 
 def _exact_grid_sum(a: SeifertMatrix, d: int) -> int:
-    """Sum of sigma over the d-th roots of unity other than 1, one signature
-    per conjugate pair: the reference the arc route is tested against."""
-    return _exact_sum(a, d, _grid_points(d, 1, d // 2 + 1))
+    """Sum of sigma over the d-th roots of unity other than 1, one memoised
+    signature per conjugate pair, which rho --levels reads again: the
+    route of links and small grids, and the reference the arc route is
+    tested against."""
+    total = 0
+    for k, weight in _grid_points(d, 1, d // 2 + 1):
+        g = math.gcd(k, d)
+        total += weight * _signature_exact_cached(a, k // g, d // g).signature
+    return total
 
 
 def _float_grid_sum(a: SeifertMatrix, d: int) -> tuple[int, bool]:
@@ -594,32 +625,54 @@ def _grid_x(k: int, d: int) -> float:
 _X_MARGIN = 2.0 * _ROOT_ERR + 4.0 * _EPS
 
 
-def _first_grid_index(d: int, end: float, below: bool, start: int = 0) -> int:
-    """A k in start + 1 .. d // 2 + 1 with past(k) true and past(k - 1)
-    false, taking past(start) false and past(d // 2 + 1) true, where
-    past(k) says that x_k is not certified above end,
-    _grid_x(k, d) - _X_MARGIN <= end, or, when below, that it is certified
-    below end, _grid_x(k, d) + _X_MARGIN < end.  The caller vouches for
-    past(start) being false.  Rounded, past need not be monotone.  The
-    first four probes walk from the k where 2 cos(2 pi k/d) falls to
-    end -/+ _X_MARGIN; bisection does the rest."""
-    half = 0.5 * (end - _X_MARGIN if below else end + _X_MARGIN)
-    half = -1.0 if half < -1.0 else 1.0 if half > 1.0 else half
-    lo, hi = start, d // 2 + 1
-    k = math.ceil(d * math.acos(half) / (2.0 * math.pi))
+def _grid_walk(d: int, end: float, below: bool, left: int, k: int) -> tuple[int, float | None]:
+    """(right, x) with right in left + 1 .. d // 2 + 1, past(right) true and
+    past(right - 1) false, taking past(left) false and past(d // 2 + 1)
+    true, where past(j) says that x_j is not certified above end,
+    _grid_x(j, d) - _X_MARGIN <= end, or, when below, that it is certified
+    below end, _grid_x(j, d) + _X_MARGIN < end; x is _grid_x(right, d), or
+    None where right = d // 2 + 1 was never probed.  The caller vouches for
+    past(left) being false.  Rounded, past need not be monotone.  The first
+    four probes walk from the guess k; bisection does the rest."""
+    right, x_right = d // 2 + 1, None
     probes = 0
-    while hi - lo > 1:
+    while right - left > 1:
         if probes < 4:
-            k = lo + 1 if k <= lo else hi - 1 if k >= hi else k
+            k = left + 1 if k <= left else right - 1 if k >= right else k
         else:
-            k = (lo + hi) // 2
+            k = (left + right) // 2
         probes += 1
         x_k = _grid_x(k, d)
         if x_k + _X_MARGIN < end if below else x_k - _X_MARGIN <= end:
-            hi, k = k, k - 1
+            right, x_right, k = k, x_k, k - 1
         else:
-            lo, k = k, k + 1
-    return hi
+            left, k = k, k + 1
+    return right, x_right
+
+
+def _place_enclosure(d: int, lo: float, hi: float, pos: int) -> tuple[int, int]:
+    """(first, below) for the root enclosure [lo, hi] in the grid of the
+    d-th roots, placed by one walk from one acos guess.
+
+    first is the larger of pos and the k in 1 .. d // 2 + 1 whose x_k is
+    not certified above hi while x_(k-1) is (_grid_walk from 0, with x_0
+    taken as above): the k where 2 cos(2 pi k/d) falls to hi + _X_MARGIN
+    is the guess.  below is the k in first .. d // 2 + 1 whose x_k is
+    certified below lo while x_(k-1) is not, the walk going on from
+    first - 1, which the caller vouches is not certified below lo (see
+    _arc_points).  Where first was not raised to pos, its own probe
+    decides whether below = first, so the usual root, whose enclosure no
+    grid point meets, costs the two probes that place first.
+    """
+    half = 0.5 * (hi + _X_MARGIN)
+    half = -1.0 if half < -1.0 else 1.0 if half > 1.0 else half
+    first, x_first = _grid_walk(d, hi, False, 0, math.ceil(d * math.acos(half) / (2.0 * math.pi)))
+    if first < pos:
+        first, x_first = pos, None
+    if x_first is not None and x_first + _X_MARGIN < lo:
+        return first, first
+    left = first - 1 if x_first is None else first
+    return first, _grid_walk(d, lo, True, left, left + 1)[0]
 
 
 def _arc_points(a: SeifertMatrix, d: int) -> list[tuple[int, int]]:
@@ -632,7 +685,7 @@ def _arc_points(a: SeifertMatrix, d: int) -> list[tuple[int, int]]:
     The grid points k = 1 .. d // 2 stand for their conjugate pairs
     (weight 2, or 1 at k = d/2) and sit at x_k = 2 cos(2 pi k/d), which
     decreases strictly in k.  For each root enclosure [lo, hi] of
-    _alexander_root_enclosures, _first_grid_index places a point `first`
+    _alexander_root_enclosures, _place_enclosure places a point `first`
     whose predecessor is certified above hi, so all earlier points are,
     and a point `below` certified below lo, so all later points are.  The
     walk for `below` goes on from first - 1, which is not certified below
@@ -662,11 +715,9 @@ def _arc_points(a: SeifertMatrix, d: int) -> list[tuple[int, int]]:
             points.append(((k0 + k1 - 1) // 2, 2 * (k1 - k0) - (k1 > half and 2 * half == d)))
 
     for lo, hi in _alexander_root_enclosures(a):
-        first = _first_grid_index(d, hi, False)
+        first, below = _place_enclosure(d, lo, hi, 0 if pos is None else pos)
         if pos is None:
             pos = first  # skip the arc through w = 1
-        first = max(first, pos)
-        below = _first_grid_index(d, lo, True, first - 1)
         run(pos, first)
         points.extend(_grid_points(d, first, below))
         pos = below
@@ -718,12 +769,12 @@ def avg_signature_details(a: SeifertMatrix, d: int, mode: str = "exact") -> AvgS
         total, certified = _float_grid_sum(a, d)
         return AvgSignatureResult(Fraction(total, d), certified)
     try:
-        exact_degree(d)
+        _check_conductor(d)
     except ConductorLimitError:
         # phi(d') divides phi(d) for every divisor d' of d, so only a refused
         # d needs the walk, which names the smallest refused conductor.
         for dd in _divisors(d)[1:]:
-            exact_degree(dd)
+            _check_conductor(dd)
         raise
     if _sum_by_arcs(a, d):
         total = _exact_sum(a, d, _arc_points(a, d))

@@ -692,10 +692,24 @@ def test_twist_family_needs_no_exact_chain(monkeypatch):
     assert calls == []
 
 
-def test_rho_closed_form_by_arcs_matches_the_levels_per_root():
-    # The closed form sums by arcs: one signature per arc and per grid point
-    # meeting a root enclosure.  The level loop then evaluates every
-    # conjugate pair once, and the two independent routes agree.
+def _spy_on_the_core(monkeypatch) -> list:
+    """Record the (num, den) of every call to the signature engine's core."""
+    calls = []
+    core = signature._exact_counts
+
+    def counting(a, layout, num, den):
+        calls.append((num, den))
+        return core(a, layout, num, den)
+
+    monkeypatch.setattr(signature, "_exact_counts", counting)
+    return calls
+
+
+def test_rho_closed_form_by_arcs_matches_the_levels_per_root(monkeypatch):
+    # The closed form sums by arcs, through the core with no memo entry:
+    # one signature per arc and per grid point meeting a root enclosure.
+    # The level loop then evaluates every conjugate pair once through the
+    # memo, and the two independent routes agree.
     _clear_engine_caches()
     a = jn_seifert(3)
     d = 401
@@ -705,9 +719,10 @@ def test_rho_closed_form_by_arcs_matches_the_levels_per_root():
         any(lo - 1e-12 <= 2 * math.cos(2 * math.pi * k / d) <= hi + 1e-12 for lo, hi in enclosures)
         for k in range(1, d // 2 + 1)
     )
+    calls = _spy_on_the_core(monkeypatch)
     avg = avg_signature(a, d)
-    info = _signature_exact_cached.cache_info()
-    assert 0 < info.misses <= len(enclosures) + 1 + boundary
+    assert 0 < len(calls) <= len(enclosures) + 1 + boundary
+    assert _signature_exact_cached.cache_info().currsize == 0
     res = rho_knot_surgery_result(a, d)
     info = _signature_exact_cached.cache_info()
     assert info.misses == info.currsize == d // 2
@@ -887,14 +902,15 @@ def test_large_singular_generic_profile_is_fast(monkeypatch):
 
 
 def test_exact_conductor_checked_once_per_grid(monkeypatch):
-    calls = []
-    original = signature.exact_degree
+    calls, factored = [], []
+    check, degree = signature._check_conductor, signature.exact_degree
 
     def counting(d):
         calls.append(d)
-        return original(d)
+        return check(d)
 
-    monkeypatch.setattr(signature, "exact_degree", counting)
+    monkeypatch.setattr(signature, "_check_conductor", counting)
+    monkeypatch.setattr(signature, "exact_degree", lambda d: factored.append(d) or degree(d))
     _clear_engine_caches()
     avg_signature(torus_knot_seifert(3), 1009)
     assert calls == [1009]
@@ -903,6 +919,14 @@ def test_exact_conductor_checked_once_per_grid(monkeypatch):
     # phi(d') divides phi(d) for every divisor d' of d = 7 * 11 * 13
     avg_signature(torus_knot_seifert(3), 1001)
     assert calls == [1009, 7, 1001]
+    # phi(d) < d: no conductor up to MAX_EXACT_DEGREE + 1 is factored
+    top = cyclotomic.MAX_EXACT_DEGREE + 1
+    assert cyclotomic.exact_degree(top) <= cyclotomic.MAX_EXACT_DEGREE
+    signature_details(TREFOIL, UnitRoot(1, top))
+    assert factored == []
+    with pytest.raises(ConductorLimitError):
+        signature_details(TREFOIL, UnitRoot(1, 200003))
+    assert factored == [200003]
 
 
 def test_exact_average_refuses_huge_conductor_with_the_same_message():
@@ -976,6 +1000,50 @@ def test_arc_sums_match_on_the_generic_path():
         _assert_arcs_match(scrambled, (6, 10, 18, 30, 42, 211))
 
 
+def _composite(x: int) -> bool:
+    return any(x % p == 0 for p in range(2, int(x**0.5) + 1))
+
+
+@given(st.integers(0, 10**9))
+def test_arc_route_through_the_core_matches_the_grid(seed):
+    # The arc route sums straight through the core, with no memo, and
+    # must equal the whole grid summed through the memo: on random
+    # tridiagonal knots with zero off-diagonals and zero diagonal entries,
+    # their mirrors, and torus2:n at multiples of 2n + 1, whose even
+    # multiples put grid points on roots, where the core counts a zero
+    # eigenvalue by its exact fallback.
+    rng = random.Random(seed)
+    a = _random_tridiagonal_knot(rng, rng.randint(1, 8))
+    grids = [
+        rng.choice([d for d in range(4 * a.size + 17, 1501) if _composite(d) == composite])
+        for composite in (False, True)
+    ]
+    for k in (a, mirror(a)):
+        _assert_arcs_match(k, grids)
+    n = rng.randint(1, 6)
+    torus = torus_knot_seifert(n)
+    low = (4 * torus.size + 17 + 2 * n) // (2 * n + 1)
+    core = signature._exact_counts
+    zeros = []
+
+    def counting(a, layout, num, den):
+        neg, zero = core(a, layout, num, den)
+        zeros.append(zero)
+        return neg, zero
+
+    even = 2 * rng.randint(low // 2 + 1, 1500 // (4 * n + 2))
+    for multiple in (even, rng.randint(low, 1500 // (2 * n + 1))):
+        d = multiple * (2 * n + 1)
+        assert signature._sum_by_arcs(torus, d)
+        zeros.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(signature, "_exact_counts", counting)
+            arcs = signature._exact_sum(torus, d, signature._arc_points(torus, d))
+        assert arcs == signature._exact_grid_sum(torus, d), (n, d)
+        # the grid point k = d / (4n + 2) is the root e^(i pi / (2n + 1))
+        assert any(zeros) == (d % (4 * n + 2) == 0)
+
+
 def test_arc_sum_without_unit_circle_roots():
     figure_eight = jn_seifert(1)
     assert alexander._alexander_root_enclosures(figure_eight) == ()
@@ -1014,18 +1082,21 @@ def test_no_arc_point_and_zero_signature_above_the_largest_root():
     assert rootless == 116  # jn:1, its mirror and 114 random knots
 
 
-def test_exact_average_by_arcs_skips_the_arc_through_one():
+def test_exact_average_by_arcs_skips_the_arc_through_one(monkeypatch):
     # torus2:n has n simple unit-circle roots and no grid point of a prime
     # grid on them: one signature per arc but the one through w = 1
+    calls = _spy_on_the_core(monkeypatch)
     for n in range(1, 7):
         _clear_engine_caches()
         a = torus_knot_seifert(n)
         assert signature._sum_by_arcs(a, 211)
+        calls.clear()
         avg_signature(a, 211)
-        assert _signature_exact_cached.cache_info().misses == n
+        assert len(calls) == n
     _clear_engine_caches()
+    calls.clear()
     assert avg_signature(jn_seifert(1), 100003) == 0
-    assert _signature_exact_cached.cache_info().misses == 0
+    assert calls == []
 
 
 def _bisection_enclosures(a):
@@ -1080,9 +1151,10 @@ def test_root_isolation_falls_back_to_bisection_for_close_roots():
     # float stage finds 13 sign changes against a Sturm count of 15.
     a = _connected_sum(torus_knot_seifert(8), jn_seifert(8))
     q, chain = alexander._root_polynomial(alexander._knot_q(a))
-    assert len(alexander._float_roots(q)) == 13
+    cosine = alexander._cosine_floats(q)
+    assert len(alexander._float_roots(cosine)) == 13
     assert alexander._sturm_count(chain) == alexander._descartes_bound(q) == 15
-    assert alexander._certified_brackets(q, 15, alexander._float_roots(q)) is None
+    assert alexander._certified_brackets(q, cosine, 15, alexander._float_roots(cosine)) is None
     enclosures = alexander._alexander_root_enclosures(a)
     assert len(enclosures) == 15
     assert enclosures == _bisection_enclosures(a)
@@ -1091,8 +1163,9 @@ def test_root_isolation_falls_back_to_bisection_for_close_roots():
 
 def test_certified_roots_cost_two_exact_signs_each(monkeypatch):
     # The Descartes count of Q certifies the float brackets of the families,
-    # so no Sturm chain is built; every exact sign is one end of a bracket,
-    # whatever the degree.
+    # so no Sturm chain is built, and the float signs decide every bracket
+    # end: the one exact sign is the test of the dyadic candidate x = 1,
+    # an exact root, whatever the degree.
     calls = {"chain": 0, "sign": 0}
     sign, chain = alexander._dyadic_sign, alexander._sturm_chain
 
@@ -1115,7 +1188,7 @@ def test_certified_roots_cost_two_exact_signs_each(monkeypatch):
         enclosures = alexander._alexander_root_enclosures(a)
         assert enclosures
         assert calls["chain"] == 0
-        assert calls["sign"] <= 2 * len(enclosures)
+        assert calls["sign"] == ((1.0, 1.0) in enclosures)
     assert (1.0, 1.0) in alexander._alexander_root_enclosures(torus_knot_seifert(25))
 
 
@@ -1126,19 +1199,67 @@ def test_certificate_rejects_a_float_root_found_twice():
     q, chain = alexander._root_polynomial(alexander._knot_q(torus_knot_seifert(2)))
     assert q == [-1, -1, 1]
     assert alexander._sturm_count(chain) == alexander._descartes_bound(q) == 2
+    cosine = alexander._cosine_floats(q)
     good = [(1 + math.sqrt(5)) / 2, (1 - math.sqrt(5)) / 2]
-    assert alexander._certified_brackets(q, 2, good) is not None
+    assert alexander._certified_brackets(q, cosine, 2, good) is not None
     twice = [good[0], good[0] - 2.0**-46]
-    assert alexander._certified_brackets(q, 2, twice) is None
-    assert alexander._certified_brackets(q, 3, good) is None
+    assert alexander._certified_brackets(q, cosine, 2, twice) is None
+    assert alexander._certified_brackets(q, cosine, 3, good) is None
     # Two float estimates of the dyadic root x = 1 of the trefoil's
     # q = x - 1 both round to the point enclosure (1, 1): a second point
     # on the first must be rejected like an overlapping bracket.
     q = alexander._knot_q(torus_knot_seifert(1))
     assert q == [-1, 1]
     unit = 1 << alexander._ROOT_BITS
-    assert alexander._certified_brackets(q, 1, [1.0]) == [(unit, unit)]
-    assert alexander._certified_brackets(q, 2, [1.0, 1.0 - 2.0**-50]) is None
+    cosine = alexander._cosine_floats(q)
+    assert alexander._certified_brackets(q, cosine, 1, [1.0]) == [(unit, unit)]
+    assert alexander._certified_brackets(q, cosine, 2, [1.0, 1.0 - 2.0**-50]) is None
+
+
+def _exact_sign(q, x: float) -> int:
+    value = Fraction(0)
+    for c in reversed(q):
+        value = value * Fraction(x) + c
+    return (value > 0) - (value < 0)
+
+
+@given(st.integers(0, 10**9))
+def test_float_signs_match_the_exact_signs(seed):
+    # Where the float sign of q decides, it is the exact sign: at the ends
+    # of the brackets that _certified_brackets tests and at the dyadic grid
+    # points next to each float root, against _dyadic_sign, and at the
+    # floats within 2^-50 of it, against rational arithmetic.
+    rng = random.Random(seed)
+    if rng.random() < 0.3:
+        a = rng.choice((torus_knot_seifert, jn_seifert))(rng.randint(1, 60))
+    else:
+        a = random_knot_seifert(rng, size_max=24, spread=rng.choice((1, 3, 10, 100, 1000)))
+    q = alexander._knot_q(a)
+    if len(q) == 1:
+        return
+    cosine = alexander._cosine_floats(q)
+    unit, half = 1 << alexander._ROOT_BITS, alexander._HALF_WIDTH
+    roots = alexander._float_roots(cosine)
+    for x in rng.sample(roots, min(len(roots), 8)):
+        c = round(x * unit)
+        for num in (c - half, c + half, c - 1, c, c + 1):
+            if -2 * unit <= num <= 2 * unit:
+                s = alexander._float_sign(cosine, num / unit)
+                assert s in (0, alexander._dyadic_sign(q, num)), (q, num)
+        for j in range(-4, 5):
+            y = x + j * 2.0**-52
+            if -2.0 <= y <= 2.0:
+                s = alexander._float_sign(cosine, y)
+                assert s in (0, _exact_sign(q, y)), (q, y)
+
+
+def test_float_sign_declines_at_an_exact_root():
+    # x = 1 is a root of Q for torus2:1 and torus2:25 (3 divides 2n + 1)
+    for n in (1, 25):
+        q = alexander._knot_q(torus_knot_seifert(n))
+        assert _exact_sign(q, 1.0) == 0
+        assert alexander._float_sign(alexander._cosine_floats(q), 1.0) == 0
+        assert alexander._float_sign(alexander._cosine_floats(q), 1.0 + 2.0**-40) != 0
 
 
 def _random_tridiagonal_knot(rng, g):
@@ -1306,31 +1427,30 @@ def test_grid_placement_keeps_the_binary_search_post_condition(monkeypatch):
     calls = []
     monkeypatch.setattr(signature, "_grid_x", lambda j, d: calls.append(j) or grid_x(j, d))
     dyadic = (2.0, 1.0, 0.5, 0.0, -0.5, -1.0, -2.0, 1.0 + 2.0**-48, -2.0 + 2.0**-48)
-    probes, onward = {False: [], True: []}, []
+    probes, raised = [], []
     for _ in range(400):
         d = rng.choice((rng.randint(2, 10**7), 12 * rng.randint(1, 8 * 10**5)))
         near = (2.0 - 2.0**-rng.randint(1, 50), -2.0 + 2.0**-rng.randint(1, 50))
         on_grid = grid_x(rng.randint(0, d // 2), d)
         for x in (*dyadic, *near, on_grid, rng.uniform(-2.0, 2.0)):
             for lo, hi in ((x, x), (x - 2.0**-48, x)):
-                for end, below, test in (
-                    (hi, False, lambda j: grid_x(j, d) - margin <= hi),
-                    (lo, True, lambda j: grid_x(j, d) + margin < lo),
-                ):
-                    calls.clear()
-                    k = signature._first_grid_index(d, end, below)
-                    assert _placement_holds(d, k, test), (d, x)
-                    probes[below].append(len(calls))
-                # as _arc_points places them: `below` goes on from first - 1
-                first = signature._first_grid_index(d, hi, False)
                 calls.clear()
-                k = signature._first_grid_index(d, lo, True, first - 1)
-                assert k >= first and _placement_holds(d, k, lambda j: grid_x(j, d) + margin < lo)
-                onward.append(len(calls))
+                first, below = signature._place_enclosure(d, lo, hi, 0)
+                probes.append(len(calls))
+                assert _placement_holds(d, first, lambda j: grid_x(j, d) - margin <= hi), (d, x)
+                assert below >= first
+                assert _placement_holds(d, below, lambda j: grid_x(j, d) + margin < lo), (d, x)
+                # raised to a previous root's `below`, as _arc_points may:
+                # `below` goes on from the raised first - 1
+                calls.clear()
+                assert signature._place_enclosure(d, lo, hi, below) == (max(first, below), below)
+                raised.append(len(calls))
     # O(1) per root: the walk from the acos guess settles before bisection,
-    # and going on from first - 1 saves probes on placing `below`
-    assert max(probes[False] + probes[True] + onward) <= 4
-    assert sum(onward) < 0.8 * sum(probes[True])
+    # and the probe that places `first` places `below` wherever no grid
+    # point meets the enclosure: 2.13 probes per root here, against 3.09
+    # for a second walk from a second guess
+    assert max(probes) <= 3 and max(raised) <= 4
+    assert sum(probes) <= 2.2 * len(probes)
 
 
 def test_grid_placement_survives_a_non_monotone_test(monkeypatch):
@@ -1352,12 +1472,20 @@ def test_grid_placement_survives_a_non_monotone_test(monkeypatch):
             return x - 1.0 if beyond(j) else x + 1.0
 
         monkeypatch.setattr(signature, "_grid_x", fake_x)
+        budget = 4 + (d // 2 + 1).bit_length()
+        # either end's walk, from any guess: a guess far off costs four
+        # walking probes, then bisection
         for below in (False, True):
             calls.clear()
-            k = signature._first_grid_index(d, x, below)
+            k, _ = signature._grid_walk(d, x, below, 0, rng.randint(0, d // 2 + 1))
             assert _placement_holds(d, k, beyond)
-            # a guess far off costs four walking probes, then bisection
-            assert len(calls) <= 4 + (d // 2 + 1).bit_length()
+            assert len(calls) <= budget
+        # the probe that placed first also places below
+        calls.clear()
+        first, below = signature._place_enclosure(d, x, x, 0)
+        assert _placement_holds(d, first, beyond)
+        assert below == first
+        assert len(calls) <= budget
 
 
 def test_arc_dispatch_rule():
