@@ -20,7 +20,13 @@ on one machine.  Standard library only.  The layers:
   jn:6 at d = 1009, through the per-matrix memo (_signature_exact_cached,
   cleared before each pass, so every call misses) and, where the tree
   has one, through the core (_exact_counts) with the layout fetched once;
-  median of REPEATS passes, divided by the number of points.
+  median of REPEATS passes, divided by the number of points;
+- "cold_import": the import of prime-avg's modules (knotrho, seifert,
+  signature, cyclotomic) and of knotrho.cli, each timed in COLD_RUNS fresh
+  interpreters started with this one's environment: the median time and
+  the number of modules the import adds, with the PYTHONDONTWRITEBYTECODE
+  setting (unset, bytecode caches are written by the first run and read
+  by the rest).
 
 Times are in seconds (µs per point for "arc_point").
 """
@@ -33,6 +39,8 @@ import math
 import os
 import platform
 import statistics
+import subprocess
+import sys
 import time
 
 from knotrho import alexander, cyclotomic, signature
@@ -42,6 +50,19 @@ REPEATS = 21
 # Torus parameter n -> a prime near the middle centre of prime-avg's
 # EXACT_CENTERS, and a second prime that warms the root enclosures.
 AVERAGE_GRIDS = {1: (701, 541), 2: (419, 337), 3: (337, 277), 4: (293, 241), 5: (263, 211), 6: (241, 199)}
+COLD_RUNS = 15
+COLD_IMPORTS = {
+    "prime-avg": "import knotrho, knotrho.seifert, knotrho.signature, knotrho.cyclotomic",
+    "cli": "import knotrho.cli",
+}
+# Prints the seconds an import takes and the number of modules it adds.
+COLD_PROBE = (
+    "import sys, time\n"
+    "before = len(sys.modules)\n"
+    "t0 = time.perf_counter()\n"
+    "{statement}\n"
+    "print(time.perf_counter() - t0, len(sys.modules) - before)\n"
+)
 
 
 def clear_caches() -> None:
@@ -128,6 +149,21 @@ def arc_point() -> dict:
     return out
 
 
+def cold_import() -> dict:
+    out: dict = {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
+    for name, statement in COLD_IMPORTS.items():
+        times = []
+        for _ in range(COLD_RUNS):
+            proc = subprocess.run(
+                [sys.executable, "-c", COLD_PROBE.format(statement=statement)],
+                capture_output=True, text=True, check=True,
+            )
+            seconds, added = proc.stdout.split()
+            times.append(float(seconds))
+        out[name] = {"median_s": statistics.median(times), "modules_added": int(added)}
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="key of this run in the output object")
@@ -138,6 +174,7 @@ def main(argv=None) -> int:
         "isolation": isolation(),
         "averages": averages(),
         "arc_point": arc_point(),
+        "cold_import": cold_import(),
     }
     merged = {}
     if os.path.exists(args.out):

@@ -10,11 +10,11 @@ clamped, so callers can see when a bound carries no information.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .exceptions import InvalidParameterError, InvalidSlopeError
+from .records import Record
 from .seifert import SeifertMatrix
 from .signature import avg_signature
 
@@ -27,22 +27,20 @@ UPPER_SLOPE_COEFF = 96
 UPPER_CROSSING_COEFF = 128
 
 
-@dataclass(frozen=True)
-class CuspData:
+class CuspData(Record):
     """Translation lengths of the meridian and longitude on a maximal cusp."""
 
-    meridian: complex
-    longitude: float
+    _fields = ("meridian", "longitude")
 
-    def __post_init__(self):
-        if not self.longitude > 0:
+    def __init__(self, meridian: complex, longitude: float):
+        if not longitude > 0:
             raise InvalidParameterError(
-                f"longitude translation must be positive, got {self.longitude}"
+                f"longitude translation must be positive, got {longitude}"
             )
+        self.__dict__.update(meridian=meridian, longitude=longitude)
 
 
-@dataclass(frozen=True)
-class PublishedConstants:
+class PublishedConstants(Record):
     """Frozen published constants with provenance tags.
 
     The hyperbolic data describe the two-component surgery-description link
@@ -50,14 +48,38 @@ class PublishedConstants:
     hyperbolic-geometry software and are treated as inputs here.
     """
 
-    universal_rho_per_tet: int = UNIVERSAL_RHO_PER_TET
-    lower_bound_denom: int = LOWER_BOUND_DENOM
-    upper_slope_coeff: int = UPPER_SLOPE_COEFF
-    upper_crossing_coeff: int = UPPER_CROSSING_COEFF
-    link_volume: float = 5.3335
-    ideal_tet_volume: float = 1.01494
-    norm_bound_published: float = 5.2552
-    cusp: CuspData = CuspData(-0.4204 + 1.1124j, 3.3636)
+    _fields = (
+        "universal_rho_per_tet",
+        "lower_bound_denom",
+        "upper_slope_coeff",
+        "upper_crossing_coeff",
+        "link_volume",
+        "ideal_tet_volume",
+        "norm_bound_published",
+        "cusp",
+    )
+
+    def __init__(
+        self,
+        universal_rho_per_tet: int = UNIVERSAL_RHO_PER_TET,
+        lower_bound_denom: int = LOWER_BOUND_DENOM,
+        upper_slope_coeff: int = UPPER_SLOPE_COEFF,
+        upper_crossing_coeff: int = UPPER_CROSSING_COEFF,
+        link_volume: float = 5.3335,
+        ideal_tet_volume: float = 1.01494,
+        norm_bound_published: float = 5.2552,
+        cusp: CuspData = CuspData(-0.4204 + 1.1124j, 3.3636),
+    ):
+        self.__dict__.update(
+            universal_rho_per_tet=universal_rho_per_tet,
+            lower_bound_denom=lower_bound_denom,
+            upper_slope_coeff=upper_slope_coeff,
+            upper_crossing_coeff=upper_crossing_coeff,
+            link_volume=link_volume,
+            ideal_tet_volume=ideal_tet_volume,
+            norm_bound_published=norm_bound_published,
+            cusp=cusp,
+        )
 
     @property
     def provenance(self) -> dict[str, str]:
@@ -78,19 +100,44 @@ PUBLISHED = PublishedConstants()
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """Every applicable complexity bound for one (knot, slope) instance."""
 
-    slope: int
-    lower_signature: Fraction
-    lower_crossing: Optional[Fraction]
-    lower_slice_genus: Optional[Fraction]
-    upper: Optional[int]
-    best_lower: Fraction
-    avg_signature: Fraction
-    crossing: Optional[int]
-    g4: Optional[int]
+    _fields = (
+        "slope",
+        "lower_signature",
+        "lower_crossing",
+        "lower_slice_genus",
+        "upper",
+        "best_lower",
+        "avg_signature",
+        "crossing",
+        "g4",
+    )
+
+    def __init__(
+        self,
+        slope: int,
+        lower_signature: Fraction,
+        lower_crossing: Optional[Fraction],
+        lower_slice_genus: Optional[Fraction],
+        upper: Optional[int],
+        best_lower: Fraction,
+        avg_signature: Fraction,
+        crossing: Optional[int],
+        g4: Optional[int],
+    ):
+        self.__dict__.update(
+            slope=slope,
+            lower_signature=lower_signature,
+            lower_crossing=lower_crossing,
+            lower_slice_genus=lower_slice_genus,
+            upper=upper,
+            best_lower=best_lower,
+            avg_signature=avg_signature,
+            crossing=crossing,
+            g4=g4,
+        )
 
     @property
     def vacuous(self) -> bool:
@@ -154,10 +201,13 @@ def two_pi_check(cusp: CuspData, slopes: list[tuple[int, int]]) -> list[bool]:
     return [slope_length(cusp, p, q) > TWO_PI for p, q in slopes]
 
 
-@dataclass(frozen=True)
-class GromovNormBound:
-    computed: float
-    published: float
+class GromovNormBound(Record):
+    """The Gromov norm bound as computed here and as published."""
+
+    _fields = ("computed", "published")
+
+    def __init__(self, computed: float, published: float):
+        self.__dict__.update(computed=computed, published=published)
 
     @property
     def discrepancy(self) -> float:

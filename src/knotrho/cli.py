@@ -12,7 +12,6 @@ computation mode; the --mode flag overrides it.
 
 from __future__ import annotations
 
-import csv
 import functools
 import io
 import json
@@ -21,6 +20,7 @@ from fractions import Fraction
 
 import click
 
+from . import SUITE_NAMES, __version__
 from .bounds import (
     PUBLISHED,
     CuspData,
@@ -39,7 +39,6 @@ from .signature import (
     avg_signature_details,
     signature_details,
 )
-from .verify import SUITE_NAMES, run_suites
 
 EXIT_VERIFY_FAILED = 1
 EXIT_INVALID_INPUT = 2
@@ -91,6 +90,8 @@ def emit_records(records: list[dict], fmt: str) -> None:
             click.echo(json.dumps(rec, sort_keys=False))
         return
     if fmt == "csv":
+        import csv
+
         fields: list[str] = []
         for rec in records:
             for key in rec:
@@ -136,7 +137,7 @@ mode_option = click.option(
 
 
 @click.group()
-@click.version_option(version="0.1.0", prog_name="knotrho")
+@click.version_option(version=__version__, prog_name="knotrho")
 def cli():
     """Exact knot signatures, rho invariants, and surgery complexity bounds.
 
@@ -302,6 +303,8 @@ def slope_length_cmd(p: int, q: int, meridian_re: float, meridian_im: float, lon
 @handle_domain_errors
 def verify(suite: str, n_max, d_max, count, seed: int):
     """Run a verification suite; exit 0 iff every check passes."""
+    from .verify import run_suites
+
     results = run_suites(suite, n_max=n_max, d_max=d_max, count=count, seed=seed)
     for res in results:
         click.echo(res.line())

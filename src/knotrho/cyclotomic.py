@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -23,6 +22,7 @@ from .exceptions import (
     InternalInconsistencyError,
     InvalidParameterError,
 )
+from .records import Record
 
 # Largest phi(d) for which an exact context may be built; float-mode
 # evaluation never builds a context and has no such limit.
@@ -136,8 +136,7 @@ def exact_degree(d: int) -> int:
     return degree
 
 
-@dataclass(frozen=True)
-class UnitRoot:
+class UnitRoot(Record):
     """The point omega = e^{2*pi*i*k/d} on the unit circle.
 
     The original (k, d) pair is kept (normalized to 0 <= k < d) so grid
@@ -146,19 +145,14 @@ class UnitRoot:
     generates.  omega = 1 iff num == 0.
     """
 
-    k: int
-    d: int
-    num: int = dc_field(init=False, compare=False, repr=False)
-    den: int = dc_field(init=False, compare=False, repr=False)
+    _fields = ("k", "d")
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise InvalidParameterError(f"root denominator must be positive, got {self.d}")
-        k = self.k % self.d
-        object.__setattr__(self, "k", k)
-        g = math.gcd(k, self.d)
-        object.__setattr__(self, "num", k // g)
-        object.__setattr__(self, "den", self.d // g)
+    def __init__(self, k: int, d: int):
+        if d < 1:
+            raise InvalidParameterError(f"root denominator must be positive, got {d}")
+        k %= d
+        g = math.gcd(k, d)
+        self.__dict__.update(k=k, d=d, num=k // g, den=d // g)
 
     @classmethod
     def parse(cls, text: str) -> "UnitRoot":

@@ -22,7 +22,6 @@ independent routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exceptions import (
@@ -31,6 +30,7 @@ from .exceptions import (
     InvalidSlopeError,
     MissingCableDataError,
 )
+from .records import Record
 from .seifert import SeifertMatrix, SurgeryPresentation, knot_surgery_presentation, mirror
 from .signature import (
     HermitianForm,
@@ -42,8 +42,7 @@ from .signature import (
 from .cyclotomic import UnitRoot
 
 
-@dataclass(frozen=True)
-class CableData:
+class CableData(Record):
     """Seifert data for the companion link L'.
 
     With every residue r_i = 1 the cable is the link itself, so matrix is
@@ -53,13 +52,12 @@ class CableData:
     counts the components of L' (cables must be nonempty).
     """
 
-    matrix: SeifertMatrix
-    components: int = 1
-    trivial: bool = True
+    _fields = ("matrix", "components", "trivial")
 
-    def __post_init__(self):
-        if self.components < 1:
+    def __init__(self, matrix: SeifertMatrix, components: int = 1, trivial: bool = True):
+        if components < 1:
             raise MissingCableDataError("a cable link must be nonempty")
+        self.__dict__.update(matrix=matrix, components=components, trivial=trivial)
 
     @classmethod
     def trivial_cable(cls, matrix: SeifertMatrix) -> "CableData":
@@ -73,17 +71,19 @@ class CableData:
         return CableData(mirror(self.matrix), self.components, self.trivial)
 
 
-@dataclass(frozen=True)
-class RhoResult:
+class RhoResult(Record):
     """Rho invariant with its per-level decomposition.
 
     value == (1/d) * sum(per_level) holds exactly (enforced at build time);
     per_level[0] == 0 always.
     """
 
-    value: Fraction
-    per_level: tuple[Fraction, ...]
-    presentation: SurgeryPresentation
+    _fields = ("value", "per_level", "presentation")
+
+    def __init__(
+        self, value: Fraction, per_level: tuple[Fraction, ...], presentation: SurgeryPresentation
+    ):
+        self.__dict__.update(value=value, per_level=per_level, presentation=presentation)
 
 
 def sign_linking_matrix(pres: SurgeryPresentation) -> int:

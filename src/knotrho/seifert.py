@@ -13,10 +13,8 @@ arguments.  Its hit and miss counts are kept under a lock.
 from __future__ import annotations
 
 import functools
-import json
 import threading
 import weakref
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -27,6 +25,7 @@ from .exceptions import (
     InvalidSlopeError,
     SeifertJSONError,
 )
+from .records import Record
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -83,8 +82,7 @@ def _is_integer_type(t: type) -> bool:
     return issubclass(t, int) and not issubclass(t, bool)
 
 
-@dataclass(frozen=True)
-class SeifertMatrix:
+class SeifertMatrix(Record):
     """Integer Seifert pairing of a spanning surface.
 
     kind='knot' demands det(A - A^T) = ±1 (and hence even size); kind='link'
@@ -92,18 +90,12 @@ class SeifertMatrix:
     unimodular.
     """
 
-    entries: IntMatrix
-    kind: str = "knot"
-    # Hashed once: every cache lookup keyed by the matrix would otherwise
-    # re-hash all m^2 entries.
-    _hash: int = field(init=False, repr=False, compare=False)
-    # Scanned once, for validation and for the signature engine's layout.
-    _tridiagonal: bool = field(init=False, repr=False, compare=False)
+    _fields = ("entries", "kind")
 
-    def __post_init__(self):
-        if self.kind not in ("knot", "link"):
-            raise InvalidSeifertMatrixError(f"kind must be 'knot' or 'link', got {self.kind!r}")
-        rows = tuple(tuple(r) for r in self.entries)
+    def __init__(self, entries: IntMatrix, kind: str = "knot"):
+        if kind not in ("knot", "link"):
+            raise InvalidSeifertMatrixError(f"kind must be 'knot' or 'link', got {kind!r}")
+        rows = tuple(tuple(r) for r in entries)
         m = len(rows)
         for r in rows:
             if len(r) != m:
@@ -111,13 +103,15 @@ class SeifertMatrix:
             if not all(map(_is_integer_type, set(map(type, r)))):
                 bad = next(x for x in r if not _is_integer_type(type(x)))
                 raise InvalidSeifertMatrixError(f"entries must be integers, got {bad!r}")
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "_hash", hash((rows, self.kind)))
-        object.__setattr__(self, "_tridiagonal", _is_tridiagonal(rows))
-        if self.kind == "knot":
+        # _hash is hashed once: every cache lookup keyed by the matrix would
+        # otherwise re-hash all m^2 entries.  _tridiagonal is scanned once,
+        # for validation and for the signature engine's layout.
+        tridiagonal = _is_tridiagonal(rows)
+        self.__dict__.update(entries=rows, kind=kind, _hash=hash((rows, kind)), _tridiagonal=tridiagonal)
+        if kind == "knot":
             if m % 2 != 0:
                 raise InvalidSeifertMatrixError(f"knot Seifert matrix must have even size, got {m}")
-            if self._tridiagonal:
+            if tridiagonal:
                 d = _skew_det(rows)
             else:
                 d = det_int(
@@ -130,6 +124,11 @@ class SeifertMatrix:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        # Rebuilt from its fields: the cached hash covers a str, whose hash
+        # differs between processes.
+        return SeifertMatrix, (self.entries, self.kind)
 
     @property
     def size(self) -> int:
@@ -146,6 +145,8 @@ class SeifertMatrix:
         )
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {"kind": self.kind, "size": self.size, "entries": [list(r) for r in self.entries]}
         )
@@ -248,6 +249,8 @@ def seifert_from_json(text: str) -> SeifertMatrix:
     Malformed JSON or schema raises SeifertJSONError; a well-formed matrix
     that fails the knot/link invariants raises InvalidSeifertMatrixError.
     """
+    import json
+
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -324,8 +327,7 @@ def mirror(a: SeifertMatrix) -> SeifertMatrix:
 # -- surgery presentations -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurgeryPresentation:
+class SurgeryPresentation(Record):
     """Integer-framed surgery data with a map to Z_d.
 
     linking holds framings on the diagonal and pairwise linking numbers off
@@ -334,17 +336,15 @@ class SurgeryPresentation:
     homological consistency condition linking @ residues == 0 (mod d).
     """
 
-    linking: IntMatrix
-    residues: tuple[int, ...]
-    modulus: int
+    _fields = ("linking", "residues", "modulus")
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.linking)
+    def __init__(self, linking: IntMatrix, residues: tuple[int, ...], modulus: int):
+        rows = tuple(tuple(r) for r in linking)
         r = len(rows)
         if r < 1:
             raise InvalidParameterError("a presentation needs at least one component")
-        if self.modulus < 1:
-            raise InvalidParameterError(f"modulus must be positive, got {self.modulus}")
+        if modulus < 1:
+            raise InvalidParameterError(f"modulus must be positive, got {modulus}")
         for row in rows:
             if len(row) != r:
                 raise InvalidParameterError("linking matrix must be square")
@@ -355,20 +355,19 @@ class SurgeryPresentation:
             for j in range(r):
                 if rows[i][j] != rows[j][i]:
                     raise InvalidParameterError("linking matrix must be symmetric")
-        if len(self.residues) != r:
+        if len(residues) != r:
             raise InvalidParameterError(
-                f"need {r} meridian residues, got {len(self.residues)}"
+                f"need {r} meridian residues, got {len(residues)}"
             )
-        res = tuple(x % self.modulus for x in self.residues)
-        object.__setattr__(self, "linking", rows)
-        object.__setattr__(self, "residues", res)
+        res = tuple(x % modulus for x in residues)
         for i in range(r):
             s = sum(rows[i][j] * res[j] for j in range(r))
-            if s % self.modulus != 0:
+            if s % modulus != 0:
                 raise InconsistentModulusError(
-                    f"no homomorphism to Z_{self.modulus}: row {i} gives "
-                    f"{s} != 0 (mod {self.modulus})"
+                    f"no homomorphism to Z_{modulus}: row {i} gives "
+                    f"{s} != 0 (mod {modulus})"
                 )
+        self.__dict__.update(linking=rows, residues=res, modulus=modulus)
 
     @property
     def components(self) -> int:
@@ -400,14 +399,14 @@ def knot_surgery_presentation(n: int, d: int) -> SurgeryPresentation:
     return SurgeryPresentation(((n,),), (1,), d)
 
 
-@dataclass(frozen=True)
-class TwistReduction:
+class TwistReduction(Record):
     """Equivalent two-component surgery description on the seed link:
     (d-framed surgery on the n-th twist knot) = (slope_a, slope_b)-surgery."""
 
-    slope_a: int
-    slope_b: Optional[Fraction]
-    degenerate: bool = False
+    _fields = ("slope_a", "slope_b", "degenerate")
+
+    def __init__(self, slope_a: int, slope_b: Optional[Fraction], degenerate: bool = False):
+        self.__dict__.update(slope_a=slope_a, slope_b=slope_b, degenerate=degenerate)
 
 
 def twist_reduction(d: int, n: int) -> TwistReduction:
@@ -425,8 +424,7 @@ def twist_reduction(d: int, n: int) -> TwistReduction:
 KNOT_FAMILIES = {"torus2": torus_knot_seifert, "jn": jn_seifert}
 
 
-@dataclass(frozen=True)
-class KnotFamilyId:
+class KnotFamilyId(Record):
     """Identifier for the built-in knot families.
 
     family 'torus2' with parameter n denotes the (2, 2n+1) torus knot;
@@ -434,16 +432,16 @@ class KnotFamilyId:
     semantics here (resolution happens at the CLI from a file).
     """
 
-    family: str
-    parameter: int = 0
+    _fields = ("family", "parameter")
 
-    def __post_init__(self):
-        if self.family not in ("unknot", "custom", *KNOT_FAMILIES):
-            raise InvalidParameterError(f"unknown family {self.family!r}")
-        if self.family in KNOT_FAMILIES and self.parameter < 1:
+    def __init__(self, family: str, parameter: int = 0):
+        if family not in ("unknot", "custom", *KNOT_FAMILIES):
+            raise InvalidParameterError(f"unknown family {family!r}")
+        if family in KNOT_FAMILIES and parameter < 1:
             raise InvalidParameterError(
-                f"family {self.family!r} needs parameter >= 1, got {self.parameter}"
+                f"family {family!r} needs parameter >= 1, got {parameter}"
             )
+        self.__dict__.update(family=family, parameter=parameter)
 
     def seifert(self) -> SeifertMatrix:
         if self.family == "unknot":

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -69,6 +68,7 @@ from .floatpass import (
     _tridiag_layout,
     _two_shift_counts,
 )
+from .records import Record
 from .seifert import SeifertMatrix, per_matrix_cache
 
 if TYPE_CHECKING:
@@ -79,14 +79,13 @@ FLOAT_ZERO_FACTOR = 1.0e3  # eigenvalues below this band are classified zero
 FLOAT_CHUNK = 128  # roots per stacked eigensolve in float-mode averages
 
 
-@dataclass(frozen=True)
-class InertiaTriple:
+class InertiaTriple(Record):
     """Counts (positive, zero, negative) of eigenvalues of a Hermitian form."""
 
-    positive: int
-    zero: int
-    negative: int
-    certified: bool = True
+    _fields = ("positive", "zero", "negative", "certified")
+
+    def __init__(self, positive: int, zero: int, negative: int, certified: bool = True):
+        self.__dict__.update(positive=positive, zero=zero, negative=negative, certified=certified)
 
     @property
     def signature(self) -> int:
@@ -455,12 +454,15 @@ def _numeric_hermitians(arr: np.ndarray, omegas) -> np.ndarray:
     return (1 - w) * arr + (1 - w.conj()) * arr.T
 
 
-@dataclass(frozen=True)
-class SignatureResult:
-    value: int
-    inertia: InertiaTriple
-    singular: bool
-    certified: bool
+class SignatureResult(Record):
+    """A signature with the inertia it was read from: singular iff the form
+    has a zero eigenvalue, certified unless float mode could not vouch for
+    the counts."""
+
+    _fields = ("value", "inertia", "singular", "certified")
+
+    def __init__(self, value: int, inertia: InertiaTriple, singular: bool, certified: bool):
+        self.__dict__.update(value=value, inertia=inertia, singular=singular, certified=certified)
 
 
 def _generic_seifert_inertia(a: SeifertMatrix, omc, s, num: int, den: int) -> InertiaTriple:
@@ -735,10 +737,14 @@ def _sum_by_arcs(a: SeifertMatrix, d: int) -> bool:
     return a.kind == "knot" and d > 4 * a.size + 16
 
 
-@dataclass(frozen=True)
-class AvgSignatureResult:
-    value: Fraction
-    certified: bool
+class AvgSignatureResult(Record):
+    """An averaged signature, certified unless float mode could not vouch
+    for every point of the grid."""
+
+    _fields = ("value", "certified")
+
+    def __init__(self, value: Fraction, certified: bool):
+        self.__dict__.update(value=value, certified=certified)
 
 
 def avg_signature_details(a: SeifertMatrix, d: int, mode: str = "exact") -> AvgSignatureResult:

@@ -10,9 +10,9 @@ tests run them at full size.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import SUITE_NAMES
 from .bounds import (
     LOWER_BOUND_DENOM,
     PUBLISHED,
@@ -28,6 +28,7 @@ from .bounds import (
 )
 from .cyclotomic import UnitRoot
 from .exceptions import InternalInconsistencyError
+from .records import Record
 from .rho import CableData, rho_finite_cyclic, rho_knot_surgery
 from .seifert import (
     SeifertMatrix,
@@ -47,15 +48,14 @@ from .signature import (
     signature_details,
 )
 
-SUITE_NAMES = ("litherland", "gilmer", "bounds", "gap", "all")
 
+class CheckResult(Record):
+    """The outcome of one check of a verification suite."""
 
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    name: str
-    passed: bool
-    detail: str = ""
+    _fields = ("suite", "name", "passed", "detail")
+
+    def __init__(self, suite: str, name: str, passed: bool, detail: str = ""):
+        self.__dict__.update(suite=suite, name=name, passed=passed, detail=detail)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
+import knotrho
 from knotrho.cli import cli, parse_knot_spec
 from knotrho.exceptions import InvalidParameterError, KnotSpecError
 from knotrho.seifert import KNOT_FAMILIES, KnotFamilyId, jn_seifert
@@ -238,6 +239,12 @@ def test_verify_small_pass(runner):
 def test_verify_unknown_suite_exits_2(runner):
     res = runner.invoke(cli, ["verify", "everything"])
     assert res.exit_code == 2
+
+
+def test_version_is_the_package_version(runner):
+    res = runner.invoke(cli, ["--version"])
+    assert res.exit_code == 0
+    assert res.output == f"knotrho, version {knotrho.__version__}\n"
 
 
 # -- rational round-trips ----------------------------------------------------------
