@@ -30,14 +30,14 @@ Every input is built from fixed seeds; a run takes about a minute and a
 half on a two-core x86_64 machine.
 """
 
+import itertools
 import json
+import os
 import random
 import sys
-
-from click.testing import CliRunner
+import tempfile
 
 from knotrho import alexander, signature
-from knotrho.cli import cli
 from knotrho.cyclotomic import UnitRoot
 from knotrho.seifert import (
     SeifertMatrix,
@@ -49,6 +49,9 @@ from knotrho.seifert import (
 from knotrho.signature import alexander_polynomial, avg_signature_details, signature_details
 from knotrho.verify import random_knot_seifert
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+from clirun import run_cli  # noqa: E402
+
 PRIME_RANGE = (190, 20011)
 COMPOSITE_GRIDS = (192, 210, 360, 714, 1001, 2310, 5005, 10010)
 # Generic matrices get the whole-grid sum only up to this grid.  Next to
@@ -57,6 +60,7 @@ COMPOSITE_GRIDS = (192, 210, 360, 714, 1001, 2310, 5005, 10010)
 # took minutes of exact elimination over a ring of degree phi(d) in the
 # thousands.  The cap stays only so that their output can still be compared.
 GENERIC_GRID_MAX = 5005
+CLI_SLOPES = ("1", "-1", "2", "-3", "7", "12", "-30", "211", "-1009", "0")
 
 
 def emit(record: dict) -> None:
@@ -185,30 +189,29 @@ def signature_records(named) -> None:
 
 
 def cli_records(named) -> None:
-    runner = CliRunner()
     specs = ["unknot"] + [f"torus2:{n}" for n in (1, 2, 5, 12)]
     specs += [f"jn:{n}" for n in (1, 2, 3, 7, 20)]
-    with runner.isolated_filesystem():
-        for i, (name, a) in enumerate(named):
-            if name.startswith(("scrambled", "random", "link")):
-                path = f"m{i}.json"
-                with open(path, "w") as fh:
-                    fh.write(a.to_json())
-                specs.append(f"file:{path}")
-        for spec in specs:
-            for slope in ("1", "-1", "2", "-3", "7", "12", "-30", "211", "-1009", "0"):
-                for mode in ("exact", "float", "fast"):
-                    common = [spec, "--slope", slope, "--format", "json", "--mode", mode]
-                    for args in (
-                        ["bounds", *common, "--crossing", "8"],
-                        ["rho", *common, "--levels"],
-                    ):
-                        res = runner.invoke(cli, args)
-                        crash = None if isinstance(res.exception, SystemExit) else res.exception
-                        emit({
-                            "kind": "cli", "args": args, "exit": res.exit_code, "output": res.output,
-                            "error": type(crash).__name__ if crash is not None else None,
-                        })
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # the matrix files are named relative to it
+        try:
+            for i, (name, a) in enumerate(named):
+                if name.startswith(("scrambled", "random", "link")):
+                    path = f"m{i}.json"
+                    with open(path, "w") as fh:
+                        fh.write(a.to_json())
+                    specs.append(f"file:{path}")
+            for spec, slope, mode in itertools.product(specs, CLI_SLOPES, ("exact", "float", "fast")):
+                common = [spec, "--slope", slope, "--format", "json", "--mode", mode]
+                for args in (["bounds", *common, "--crossing", "8"], ["rho", *common, "--levels"]):
+                    try:
+                        code, output = run_cli(args)
+                        error = None
+                    except Exception as exc:  # recorded, so that a crash shows in the diff
+                        code, output, error = 1, "", type(exc).__name__
+                    emit({"kind": "cli", "args": args, "exit": code, "output": output, "error": error})
+        finally:
+            os.chdir(home)
 
 
 def main() -> int:

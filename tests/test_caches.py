@@ -1,12 +1,13 @@
 """Per-matrix caches: entries live exactly as long as their matrix."""
 
+import contextlib
 import gc
+import io
 import random
 import sys
 import threading
 import tracemalloc
-
-from click.testing import CliRunner
+import weakref
 
 from knotrho import floatpass, seifert
 from knotrho.alexander import _alexander_root_enclosures, alexander_polynomial
@@ -22,6 +23,8 @@ from knotrho.signature import (
     avg_signature_details,
     hermitian_form,
 )
+
+from clirun import run_cli
 
 MATRIX_CACHES = (
     alexander_polynomial,
@@ -69,11 +72,22 @@ def test_equal_matrices_share_entries_while_the_first_lives():
 
 def test_cli_query_leaves_no_live_entry():
     _clear()
-    res = CliRunner().invoke(cli, ["rho", "jn:150", "--slope", "-7", "--levels"])
-    assert res.exit_code == 0
-    del res
+    code, output = run_cli(["rho", "jn:150", "--slope", "-7", "--levels"])
+    assert code == 0
+    del output
     gc.collect()
     assert [cache.cache_info().currsize for cache in MATRIX_CACHES] == [0] * len(MATRIX_CACHES)
+
+
+def test_cli_call_keeps_no_redirected_stdout():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli.main(args=["slope-length", "6", "1"], prog_name="knotrho", standalone_mode=False)
+    assert "exceeds_two_pi" in buf.getvalue()
+    ref = weakref.ref(buf)
+    del buf
+    gc.collect()
+    assert ref() is None
 
 
 def test_twist_family_averages_stay_small():

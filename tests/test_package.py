@@ -70,6 +70,7 @@ def test_cli_import_leaves_verify_for_its_command():
     added = _added_modules("import knotrho.cli")
     assert {"knotrho.bounds", "knotrho.rho"} <= added
     assert not added & {"knotrho.verify", "dataclasses", "numpy", "mpmath"}
+    assert not added & {"click", "inspect", "uuid", "platform", "datetime", "knotrho.clihelp"}
 
 
 def test_lazy_names_import_their_module_on_first_access():
