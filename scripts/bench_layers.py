@@ -11,6 +11,14 @@ on one machine.  Standard library only.  The layers:
 - "isolation": root isolation (_alexander_root_enclosures) of jn:60,
   jn:150 and jn:300 with cold caches, best of three, with the number of
   exact bracket signs (_dyadic_sign calls) it made;
+- "isolation_random": root isolation of RANDOM_KNOTS random knots of size
+  up to 24 (random_knot_seifert with random.Random(1), each entry spread
+  drawn from 1, 3, 10 and 1000 before its knot), with Alexander
+  polynomials cached and root enclosures cold, best of three passes over
+  all of them; and, in a fourth pass, how many knots were certified by
+  the Descartes count of Q (the first _certified_brackets call), by the
+  root count of the fallback (the second) and by its refined cells
+  (neither);
 - "averages": exact averages of the twelve prime-avg knots (torus2:n and
   jn:n, n = 1 .. 6) at one prime each, summed over the twelve, cold (every
   cache cleared, root isolation included) and warm (root enclosures
@@ -38,6 +46,7 @@ import json
 import math
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -45,8 +54,10 @@ import time
 
 from knotrho import alexander, cyclotomic, signature
 from knotrho.seifert import jn_seifert, torus_knot_seifert
+from knotrho.verify import random_knot_seifert
 
 REPEATS = 21
+RANDOM_KNOTS = 400
 # Torus parameter n -> a prime near the middle centre of prime-avg's
 # EXACT_CENTERS, and a second prime that warms the root enclosures.
 AVERAGE_GRIDS = {1: (701, 541), 2: (419, 337), 3: (337, 277), 4: (293, 241), 5: (263, 211), 6: (241, 199)}
@@ -96,6 +107,44 @@ def isolation() -> dict:
     finally:
         alexander._dyadic_sign = exact_sign
     return out
+
+
+def isolation_random() -> dict:
+    rng = random.Random(1)
+    knots = [random_knot_seifert(rng, size_max=24, spread=rng.choice((1, 3, 10, 1000))) for _ in range(RANDOM_KNOTS)]
+    for a in knots:
+        alexander.alexander_polynomial(a)
+    times = []
+    for _ in range(3):
+        alexander._alexander_root_enclosures.cache_clear()
+        t0 = time.perf_counter()
+        for a in knots:
+            alexander._alexander_root_enclosures(a)
+        times.append(time.perf_counter() - t0)
+    certified = []
+    certify = alexander._certified_brackets
+
+    def recording(*args):
+        out = certify(*args)
+        certified[-1].append(out is not None)
+        return out
+
+    alexander._alexander_root_enclosures.cache_clear()
+    alexander._certified_brackets = recording
+    try:
+        for a in knots:
+            certified.append([])
+            alexander._alexander_root_enclosures(a)
+    finally:
+        alexander._certified_brackets = certify
+    routes = [calls.index(True) if True in calls else 2 for calls in certified]
+    return {
+        "best_s": min(times),
+        "knots": len(knots),
+        "descartes_count": routes.count(0),
+        "fallback_count": routes.count(1),
+        "refined": routes.count(2),
+    }
 
 
 def averages() -> dict:
@@ -172,6 +221,7 @@ def main(argv=None) -> int:
     results = {
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
         "isolation": isolation(),
+        "isolation_random": isolation_random(),
         "averages": averages(),
         "arc_point": arc_point(),
         "cold_import": cold_import(),

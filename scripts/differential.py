@@ -22,7 +22,10 @@ The records cover:
 - the exact endpoints (float.hex) of the root enclosures of Delta for
   torus2, jn and mirrored torus2 with n in {1, ..., 8, 15, 30, 60}, for
   jn:150, jn:300 and torus2:300, whose bracket signs are decided at high
-  degree, three K # K with double roots and the random knots above;
+  degree, three K # K with double roots, the random knots above and
+  RANDOM_ENCLOSURES more random knots of size up to 12, of which 32 fail
+  the float route's Descartes count and fall back to Descartes bisection
+  (to Sturm bisection before it);
 - `bounds` and `rho --levels` through the CLI, in-process, with their
   output and exit codes, including invalid slopes and modes.
 
@@ -60,6 +63,10 @@ COMPOSITE_GRIDS = (192, 210, 360, 714, 1001, 2310, 5005, 10010)
 # took minutes of exact elimination over a ring of degree phi(d) in the
 # thousands.  The cap stays only so that their output can still be compared.
 GENERIC_GRID_MAX = 5005
+# Random knots of size <= 12 (seed 12, entry spreads 1 to 1000) whose
+# root enclosures are recorded: 20 are certified by the count of the
+# fallback's isolated roots and 12 take its refined cells.
+RANDOM_ENCLOSURES = 60
 CLI_SLOPES = ("1", "-1", "2", "-3", "7", "12", "-30", "211", "-1009", "0")
 
 
@@ -140,7 +147,7 @@ def average_records(named) -> None:
 
 def high_degree_records() -> None:
     """Exact averages by both routes where root isolation works at degree
-    15 to 30, including the Sturm bisection fallback (torus2:8 # jn:8)."""
+    15 to 30, including the bisection fallback (torus2:8 # jn:8)."""
     named = [
         (f"{family}:{n}", build(n))
         for n in (15, 30)
@@ -167,6 +174,10 @@ def enclosure_records(named) -> None:
     for name, k in (("torus2:2", torus_knot_seifert(2)), ("jn:2", jn_seifert(2)), ("torus2:5", torus_knot_seifert(5))):
         picked.append((f"{name}#{name}", connected_sum(k, k)))
     picked += [(n, a) for n, a in named if n.startswith("random")]
+    rng = random.Random(12)
+    for i in range(RANDOM_ENCLOSURES):
+        spread = rng.choice((1, 3, 10, 1000))
+        picked.append((f"random-{spread}-{i}", random_knot_seifert(rng, size_max=12, spread=spread)))
     for name, a in picked:
         emit({
             "kind": "enclosures", "knot": name,

@@ -16,13 +16,16 @@ from (-2, 2) onto (0, inf), hold one simple root each, and there is no
 other root.  The signs come from Clenshaw's recurrence on the same
 scaled coefficients with a rigorous running error bound; integer Horner
 at the dyadic point decides only where the float value does not clear
-it, and at a dyadic candidate root.  Any other case (more variations than brackets, from complex
-roots near the interval or from the repeated roots of K # K; roots closer
-together than the sampling step; clustered roots that the floats cannot
-place within 2^-41) falls back to the Sturm chain of the squarefree part
-q of Q: its count certifies float brackets of q, or else Sturm bisection
-over Z gives the enclosures.  The signature engine's exact averages sum
-by the arcs between the enclosures.
+it, and at a dyadic candidate root.  Any other case (more variations
+than brackets, from complex roots near the interval or from the repeated
+roots of K # K; roots closer together than the sampling step; clustered
+roots that the floats cannot place within 2^-41) falls back to Descartes
+bisection of Q over the dyadic tree of [-2, 2], on the squarefree part q
+of Q where a repeated root keeps a cell of unit width from isolating a
+root: the number of roots it isolates certifies the float brackets of q
+the same way, or else its cells, refined by sign bisection to width
+2^-48, are the enclosures.  The signature engine's exact averages sum by
+the arcs between the enclosures.
 """
 from __future__ import annotations
 
@@ -193,23 +196,31 @@ def _at_minus_2x(p: list[int]) -> list[int]:
     return [(-c if i & 1 else c) << i for i, c in enumerate(p)]
 
 
-def _descartes_bound(q: list[int]) -> int:
-    """V, the sign variations of T(y) = (1 + y)^n q(4/(1 + y) - 2), n = deg q.
-
-    x = 4/(1 + y) - 2 maps y in (0, inf) one to one onto x in (-2, 2), so
-    by Descartes' rule of signs V is at least the number of roots of q in
-    (-2, 2), counted with multiplicity, and of the same parity; it equals
-    that number when q is real-rooted (Collins and Akritas, 1976).  Two
-    Taylor shifts give T: q(-2v - 2) from q(-2v), then with z = -v/2
-    q(4z - 2), whose reversal shifted by one is T.
-    """
+def _on_unit_interval(q: list[int]) -> list[int]:
+    """Ascending coefficients of q(4z - 2), by two Taylor shifts: q(-2v - 2)
+    from q(-2v), then z = -v/2."""
     r = _shift_by_one(_at_minus_2x(q)[::-1])
-    r = _shift_by_one(_at_minus_2x(r[::-1]))
-    signs = [c > 0 for c in r if c]
+    return _at_minus_2x(r[::-1])
+
+
+def _variations(p: list[int]) -> int:
+    """V(p), the sign variations of T(y) = (1 + y)^n p(1/(1 + y)) for the
+    ascending coefficients p of degree n: z = 1/(1 + y) maps y in (0, inf)
+    onto z in (0, 1), so by Descartes' rule of signs V is at least the
+    number of roots of p in (0, 1), counted with multiplicity, and of the
+    same parity; V = 0 means none and V = 1 one simple root (Collins and
+    Akritas, 1976).  Roots at 0 and 1 are zero coefficients of T, skipped."""
+    signs = [c > 0 for c in _shift_by_one(p) if c]
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-# -- the squarefree polynomial of the unit-circle roots and its Sturm chain -----
+def _descartes_bound(q: list[int]) -> int:
+    """V of q over (-2, 2), through q(4z - 2); it equals the number of
+    roots there when q is real-rooted."""
+    return _variations(_on_unit_interval(q))
+
+
+# -- Descartes bisection --------------------------------------------------------
 
 
 def _poly_deriv(p: list[int]) -> list[int]:
@@ -237,20 +248,16 @@ def _prem(u: list[int], v: list[int]) -> list[int]:
     return _poly_trim(u[:dv] or [0])
 
 
-def _sturm_chain(p: list[int]) -> list[list[int]]:
-    """Sturm sequence p, p', -rem, ... over Z: each remainder is a
-    pseudo-remainder times -sign(lc^(delta+1)), made primitive, so it is a
-    positive multiple of the rational Sturm remainder.  It ends at a
-    multiple of gcd(p, p')."""
-    chain = [p, _poly_deriv(p)]
-    while len(chain[-1]) > 1:
-        u, v = chain[-2], chain[-1]
+def _squarefree(q: list[int]) -> list[int]:
+    """q divided by gcd(q, q'), the last of the primitive pseudo-remainder
+    sequence of q and q'; q itself, the same list, when that is constant."""
+    u, v = q, _poly_deriv(q)
+    while len(v) > 1:
         r = _prem(u, v)
         if r == [0]:
-            break
-        flip = v[-1] < 0 and (len(u) - len(v)) % 2 == 0
-        chain.append(_primitive(r if flip else [-c for c in r]))
-    return chain
+            return _poly_divexact(_primitive(q), _primitive(v))
+        u, v = v, _primitive(r)
+    return q
 
 
 def _dyadic_sign(p: list[int], num: int) -> int:
@@ -268,37 +275,50 @@ def _dyadic_sign(p: list[int], num: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sign_variations(chain, num: int) -> int:
-    """Sign changes along the chain at num / 2^_ROOT_BITS, zeros dropped."""
-    out = 0
-    prev = 0
-    for p in chain:
-        s = _dyadic_sign(p, num)
-        if s:
-            out += prev * s < 0
-            prev = s
-    return out
+def _descartes_bisection(q: list[int], squarefree: bool = False):
+    """(q, cells, several): cells (lo, hi), in units of 2^-_ROOT_BITS, that
+    enclose the distinct roots of q in [-2, 2], one each, by the
+    Vincent-Collins-Akritas method (Rouillier and Zimmermann, J. Comput.
+    Appl. Math. 162, 2004), of which several have unit width and may hold
+    several roots or none.  If a unit cell keeps V >= 2 and q is not known
+    to be squarefree, it runs again on the squarefree part, returned as q.
 
-
-def _sturm_count(chain) -> int:
-    """Distinct roots in (-2, 2] of the first polynomial of the chain."""
-    unit = 1 << _ROOT_BITS
-    return _sign_variations(chain, -2 * unit) - _sign_variations(chain, 2 * unit)
-
-
-def _root_polynomial(q: list[int]) -> tuple[list[int], list[list[int]]]:
-    """(q, Sturm chain of q) for the squarefree part of the given q, which
-    is q itself, the same list, when q is squarefree.
-
-    The chain of the squarefree part counts the distinct roots of q in
-    (lo, hi] for any lo < hi, a count that repeated roots of Delta, as in
-    K # K, would break for the chain of Q itself.
+    A node (lo, hi) of the dyadic tree of [-2, 2], split at (lo + hi) // 2,
+    keeps p(z) = c q(lo + (hi - lo) z), c > 0: 2^n p(z/2) for the left half
+    and that shifted by one for the right, whose constant term then tells
+    q(mid) = 0.  Ends of [-2, 2] and midpoints where q vanishes are points.
+    A node with V(p) = 0 holds no other root, and one with V(p) = 1 and
+    q(lo) != 0 is a cell for _refine_root.  Others split down to unit
+    width, where V(p) >= 1 makes a cell: one root beside the root lo, or,
+    for V(p) >= 2 in the squarefree q, two roots within 2^-_ROOT_BITS or a
+    complex pair within about that distance of the axis, when it may be
+    empty.  Every sigma stays correct even then: the arcs decide each
+    grid point in such a cell on its own.
     """
-    chain = _sturm_chain(q)
-    if len(chain[-1]) > 1:
-        q = _poly_divexact(_primitive(q), _primitive(chain[-1]))
-        chain = _sturm_chain(q)
-    return q, chain
+    unit = 1 << _ROOT_BITS
+    cells = [(x, x) for x in (-2 * unit, 2 * unit) if not _dyadic_sign(q, x)]
+    several, n = 0, len(q) - 1
+    todo = [(-2 * unit, 2 * unit, _on_unit_interval(q))]
+    while todo:
+        lo, hi, p = todo.pop()
+        v = _variations(p)
+        if v == 0:
+            continue
+        if v == 1 and p[0]:
+            cells.append((lo, hi))
+        elif hi - lo == 1:
+            if v > 1 and not squarefree:
+                return _descartes_bisection(_squarefree(q), True)
+            cells.append((lo, hi))
+            several += v > 1
+        else:
+            mid = (lo + hi) // 2
+            left = [c << (n - i) for i, c in enumerate(p)]
+            right = _shift_by_one(left[::-1])[::-1]
+            if not right[0]:
+                cells.append((mid, mid))
+            todo += [(lo, mid, left), (mid, hi, right)]
+    return q, cells, several
 
 
 # -- float roots in the cosine basis ---------------------------------------------
@@ -436,11 +456,11 @@ def _certified_brackets(
     _float_sign on cosine = _cosine_floats(q), and from _dyadic_sign where
     it declines and at the dyadic candidate.  count bounds the roots of q
     in (-2, 2) that the brackets can hold: the Descartes count of Q, which
-    counts them with multiplicity, or the Sturm count of the squarefree q,
-    which counts distinct roots in (-2, 2].  As many brackets as count
-    then hold one root each, simple for the Descartes count, and there
-    are no others, given q(-2) != 0, which the caller checks, and for the
-    Descartes count q(2) != 0, which holds for a knot: Q(2) = Delta(1) = +-1.
+    counts them with multiplicity, or the number of distinct roots that
+    Descartes bisection isolated in [-2, 2], one per cell.  As many
+    brackets as count then hold one root each, simple for the Descartes
+    count, and there are no others, given q(-2) != 0, which the caller
+    checks, and q(2) != 0, which holds for a knot: Q(2) = Delta(1) = +-1.
     """
     if len(roots) != count:
         return None
@@ -473,12 +493,10 @@ def _certified_brackets(
 
 
 def _refine_root(q: list[int], lo: int, hi: int) -> tuple[int, int]:
-    """Shrink (lo, hi], holding one simple root of the squarefree q with
-    q(lo) != 0, to width one unit by sign bisection; (c, c) for an exact
-    dyadic root c.  Endpoints are in units of 2^-_ROOT_BITS."""
+    """Shrink (lo, hi), holding one simple root of q with q(lo) != 0, to
+    width one unit of 2^-_ROOT_BITS by sign bisection; (c, c) for an exact
+    dyadic root c.  A unit cell or a point is returned as it is."""
     s_lo = _dyadic_sign(q, lo)
-    if _dyadic_sign(q, hi) == 0:
-        return hi, hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         s = _dyadic_sign(q, mid)
@@ -489,33 +507,6 @@ def _refine_root(q: list[int], lo: int, hi: int) -> tuple[int, int]:
         else:
             hi = mid
     return lo, hi
-
-
-def _sturm_bisection(q: list[int], chain) -> list[tuple[int, int]]:
-    """Enclosures (lo, hi) of the distinct roots of q in [-2, 2], in units of
-    2^-_ROOT_BITS, by the Sturm chain: bisection splits every interval until
-    each holds one root, which sign bisection of q then shrinks to unit
-    width, or to a point at an exact dyadic root.  An interval of unit
-    width that still holds several roots is kept as one enclosure."""
-    unit = 1 << _ROOT_BITS
-    found = []
-    if _dyadic_sign(q, -2 * unit) == 0:  # the count below covers (-2, 2]
-        found.append((-2 * unit, -2 * unit))
-    lo, hi = -2 * unit, 2 * unit
-    todo = [(lo, hi, _sign_variations(chain, lo), _sign_variations(chain, hi))]
-    while todo:
-        lo, hi, v_lo, v_hi = todo.pop()
-        if v_lo == v_hi:
-            continue
-        if v_lo - v_hi == 1 and _dyadic_sign(q, lo) != 0:
-            found.append(_refine_root(q, lo, hi))
-        elif hi - lo == 1:
-            found.append((lo, hi))
-        else:
-            mid = (lo + hi) // 2
-            v_mid = _sign_variations(chain, mid)
-            todo += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
-    return found
 
 
 @per_matrix_cache
@@ -529,9 +520,13 @@ def _alexander_root_enclosures(a: SeifertMatrix) -> tuple[tuple[float, float], .
     Q(2 cos theta) = 0.  Float brackets of the roots of Q (_float_roots)
     are certified by the Descartes count of Q (_certified_brackets with
     _descartes_bound); a count of 0 needs no float stage.  Where that fails
-    (a count past the brackets, a repeated root, Q(-2) = 0), the Sturm
-    chain of the squarefree part q of Q certifies float brackets of q, or
-    failing that gives the enclosures by Sturm bisection (_sturm_bisection).
+    (complex roots near the interval, a repeated root, roots the floats
+    cannot separate or place), Descartes bisection isolates the distinct
+    roots of Q, or of its squarefree part q where a repeated root needs
+    it.  Their number certifies float brackets of q as the Descartes
+    count does, unless a unit cell may hold several; failing that, the
+    cells, refined by _refine_root, are the enclosures: the aligned cells
+    of width 2^-48 that hold the roots, or the dyadic roots themselves.
     """
     big_q = _knot_q(a)
     if len(big_q) == 1:
@@ -543,13 +538,13 @@ def _alexander_root_enclosures(a: SeifertMatrix) -> tuple[tuple[float, float], .
         roots = _float_roots(cosine) if count else []
         found = _certified_brackets(big_q, cosine, count, roots)
     if found is None:
-        q, chain = _root_polynomial(big_q)
-        if roots is not None:  # q(-2) != 0
-            if q is not big_q:  # Q has a repeated factor
+        q, cells, several = _descartes_bisection(big_q)
+        if roots is not None and not several:  # q(-2) != 0, and one root per cell
+            if q is not big_q:
                 cosine = _cosine_floats(q)
                 roots = _float_roots(cosine)
-            found = _certified_brackets(q, cosine, _sturm_count(chain), roots)
+            found = _certified_brackets(q, cosine, len(cells), roots)
         if found is None:
-            found = _sturm_bisection(q, chain)
+            found = [_refine_root(q, lo, hi) for lo, hi in cells]
     unit = 1 << _ROOT_BITS
     return tuple(sorted(((lo / unit, hi / unit) for lo, hi in found), reverse=True))

@@ -177,13 +177,16 @@ def per_matrix_cache(fn):
     matrix is collected, after which the others start afresh.  Each front
     row holds a weak reference whose callback drops the row when its
     matrix is collected, before its id can be reused; the row also checks
-    its matrix by identity.  No cached value may refer to its matrix, or
-    the matrix would never be freed.  cache_clear() and cache_info()
-    behave as for functools.lru_cache(maxsize=None), currsize counting
-    live entries.
+    its matrix by identity.  The callbacks are dict methods, which run no
+    Python code: Python reports and drops an exception raised in a weak
+    reference callback, so a KeyboardInterrupt due while a Python callback
+    ran, even on its first line, would be lost and the computation would
+    go on.  No cached value may refer to its matrix, or the matrix would
+    never be freed.  cache_clear() and cache_info() behave as for
+    functools.lru_cache(maxsize=None), currsize counting live entries.
     """
-    table: dict = {}  # weak reference -> [entries], a box that reads [None] once its matrix dies
-    front: dict = {}  # id(matrix) -> ([entries] box, weak reference to the matrix)
+    table: dict = {}  # weak reference -> {0: entries}, a box emptied when its matrix dies
+    front: dict = {}  # id(matrix) -> (box, weak references to the matrix)
     counts = [0, 0]  # hits, misses
     lock = threading.Lock()  # guards counts
 
@@ -193,26 +196,21 @@ def per_matrix_cache(fn):
         key = weakref.ref(a)
         box = table.get(key)
         # Read the box once: its owner may die, and empty it, at any moment.
-        entries = None if box is None else box[0]
-        owner = entries is None
-        if owner:
-            entries = {}
-            box = table[key] = [entries]
+        entries = None if box is None else box.get(0)
         ident = id(a)
-
-        def drop(_):
-            front.pop(ident, None)
-            if owner:
-                table.pop(key, None)
-                box[0] = None
-
-        front[ident] = (box, weakref.ref(a, drop))
+        forget = [functools.partial(front.pop, ident)]
+        if entries is None:
+            entries = {}
+            box = table[key] = {0: entries}
+            forget += [functools.partial(box.pop, 0), functools.partial(table.pop, key)]
+        # Each callback pops its key with the dead reference as the default.
+        front[ident] = (box, *(weakref.ref(a, f) for f in forget))
         return entries
 
     @functools.wraps(fn)
     def cached(a: SeifertMatrix, *args):
         row = front.get(id(a))
-        entries = row[0][0] if row is not None and row[1]() is a else None
+        entries = row[0].get(0) if row is not None and row[1]() is a else None
         if entries is None:
             entries = enter(a)
         value = entries.get(args, _MISSING)
@@ -226,7 +224,7 @@ def per_matrix_cache(fn):
         return value
 
     def cache_info() -> _CacheInfo:
-        size = sum(len(box[0] or ()) for box in list(table.values()))
+        size = sum(len(box.get(0, ())) for box in list(table.values()))
         with lock:
             return _CacheInfo(counts[0], counts[1], None, size)
 

@@ -9,6 +9,8 @@ import threading
 import tracemalloc
 import weakref
 
+import pytest
+
 from knotrho import floatpass, seifert
 from knotrho.alexander import _alexander_root_enclosures, alexander_polynomial
 from knotrho.cli import cli
@@ -68,6 +70,39 @@ def test_equal_matrices_share_entries_while_the_first_lives():
     assert tuple(alexander_polynomial.cache_info()) == (1, 2, None, 1)
     alexander_polynomial.cache_clear()
     assert tuple(alexander_polynomial.cache_info()) == (0, 0, None, 0)
+
+
+def test_interrupt_while_a_matrix_dies_reaches_the_caller():
+    # Python reports and drops an exception raised in a weak-reference
+    # callback, so a KeyboardInterrupt due while one runs Python code is
+    # lost and the computation goes on.  The trace function raises it at
+    # the first Python call after it is set, as a signal handler would
+    # at the next check: where a callback that forgets the dying matrix is
+    # Python code, that is its first line; where none is, it is the call
+    # below, and the interrupt reaches this frame.
+    _clear()
+    a = jn_seifert(3)
+    alexander_polynomial(a)
+    raised = []
+
+    def interrupt(frame, event, arg):
+        if not raised:
+            raised.append(frame.f_code.co_name)
+            raise KeyboardInterrupt
+
+    def after_collection():
+        pass
+
+    previous = sys.gettrace()
+    with pytest.raises(KeyboardInterrupt):
+        sys.settrace(interrupt)
+        try:
+            del a
+            after_collection()
+        finally:
+            sys.settrace(previous)
+    assert raised == ["after_collection"]
+    assert alexander_polynomial.cache_info().currsize == 0
 
 
 def test_cli_query_leaves_no_live_entry():

@@ -51,6 +51,8 @@ from knotrho.signature import (
 )
 from knotrho.verify import random_knot_seifert, random_root
 
+import sturm
+
 TREFOIL = trefoil_seifert()
 
 
@@ -1099,23 +1101,14 @@ def test_exact_average_by_arcs_skips_the_arc_through_one(monkeypatch):
     assert calls == []
 
 
-def _bisection_enclosures(a):
-    """The Sturm bisection route alone, as _alexander_root_enclosures reports it."""
-    q, chain = alexander._root_polynomial(alexander._knot_q(a))
-    if len(q) == 1:
-        return ()
-    unit = 2.0**alexander._ROOT_BITS
-    found = alexander._sturm_bisection(q, chain)
-    return tuple(sorted(((lo / unit, hi / unit) for lo, hi in found), reverse=True))
-
-
 def _assert_enclosures(a):
     """Disjoint, descending, at most 2^-40 wide, and each holding the one
-    root that Sturm bisection alone encloses; exact dyadic roots are points."""
+    root that Sturm bisection (the oracle in tests/sturm.py) encloses;
+    exact dyadic roots are points."""
     enclosures = alexander._alexander_root_enclosures(a)
     assert all(lo <= hi and hi - lo <= 2.0**-40 for lo, hi in enclosures)
     assert all(lo1 > hi2 for (lo1, _), (_, hi2) in zip(enclosures, enclosures[1:]))
-    reference = _bisection_enclosures(a)
+    reference = sturm.enclosures(a)
     assert len(enclosures) == len(reference), a.entries
     for (lo, hi), (rlo, rhi) in zip(enclosures, reference):
         assert lo <= rlo <= rhi <= hi
@@ -1148,46 +1141,51 @@ def test_root_enclosures_are_disjoint_and_hold_every_unit_circle_root():
 def test_root_isolation_falls_back_to_bisection_for_close_roots():
     # Delta(torus2:8 # jn:8) = Delta_torus2:8 Delta_jn:8: two of its 15
     # unit-circle roots lie closer than the float sampling step, so the
-    # float stage finds 13 sign changes against a Sturm count of 15.
+    # float stage finds 13 sign changes against 15 roots, and Descartes
+    # bisection gives the enclosures that Sturm bisection gives.
     a = _connected_sum(torus_knot_seifert(8), jn_seifert(8))
-    q, chain = alexander._root_polynomial(alexander._knot_q(a))
+    q = alexander._knot_q(a)
+    oracle_q, chain = sturm.squarefree(q)
+    assert oracle_q == q
     cosine = alexander._cosine_floats(q)
     assert len(alexander._float_roots(cosine)) == 13
-    assert alexander._sturm_count(chain) == alexander._descartes_bound(q) == 15
+    assert sturm.count(chain, -2 * sturm.UNIT, 2 * sturm.UNIT) == alexander._descartes_bound(q) == 15
     assert alexander._certified_brackets(q, cosine, 15, alexander._float_roots(cosine)) is None
+    same_q, cells, several = alexander._descartes_bisection(q)
+    assert same_q is q and len(cells) == 15 and several == 0
     enclosures = alexander._alexander_root_enclosures(a)
     assert len(enclosures) == 15
-    assert enclosures == _bisection_enclosures(a)
+    assert enclosures == sturm.enclosures(a)
     _assert_arcs_match(a, (1009,))
 
 
 def test_certified_roots_cost_two_exact_signs_each(monkeypatch):
     # The Descartes count of Q certifies the float brackets of the families,
-    # so no Sturm chain is built, and the float signs decide every bracket
-    # end: the one exact sign is the test of the dyadic candidate x = 1,
-    # an exact root, whatever the degree.
-    calls = {"chain": 0, "sign": 0}
-    sign, chain = alexander._dyadic_sign, alexander._sturm_chain
+    # so they never reach Descartes bisection, and the float signs decide
+    # every bracket end: the one exact sign is the test of the dyadic
+    # candidate x = 1, an exact root, whatever the degree.
+    calls = {"bisection": 0, "sign": 0}
+    sign, bisection = alexander._dyadic_sign, alexander._descartes_bisection
 
     def counting_sign(p, num):
         calls["sign"] += 1
         return sign(p, num)
 
-    def counting_chain(p):
-        calls["chain"] += 1
-        return chain(p)
+    def counting_bisection(*args):
+        calls["bisection"] += 1
+        return bisection(*args)
 
     monkeypatch.setattr(alexander, "_dyadic_sign", counting_sign)
-    monkeypatch.setattr(alexander, "_sturm_chain", counting_chain)
+    monkeypatch.setattr(alexander, "_descartes_bisection", counting_bisection)
     # torus2:1 and torus2:25 have the exact root x = 1, a point enclosure
     knots = [torus_knot_seifert(1), torus_knot_seifert(25)]
     knots += [build(n) for n in (2, 3, 6, 15, 30, 60, 150) for build in (jn_seifert, torus_knot_seifert)]
     for a in knots:
         alexander._alexander_root_enclosures.cache_clear()
-        calls.update(chain=0, sign=0)
+        calls.update(bisection=0, sign=0)
         enclosures = alexander._alexander_root_enclosures(a)
         assert enclosures
-        assert calls["chain"] == 0
+        assert calls["bisection"] == 0
         assert calls["sign"] == ((1.0, 1.0) in enclosures)
     assert (1.0, 1.0) in alexander._alexander_root_enclosures(torus_knot_seifert(25))
 
@@ -1196,9 +1194,10 @@ def test_certificate_rejects_a_float_root_found_twice():
     # Two float estimates of one root of q = x^2 - x - 1 give as many
     # brackets as the root count, each with a sign change, but they overlap
     # and miss the other root.
-    q, chain = alexander._root_polynomial(alexander._knot_q(torus_knot_seifert(2)))
+    q = alexander._knot_q(torus_knot_seifert(2))
     assert q == [-1, -1, 1]
-    assert alexander._sturm_count(chain) == alexander._descartes_bound(q) == 2
+    chain = sturm.sturm_chain(q)
+    assert sturm.count(chain, -2 * sturm.UNIT, 2 * sturm.UNIT) == alexander._descartes_bound(q) == 2
     cosine = alexander._cosine_floats(q)
     good = [(1 + math.sqrt(5)) / 2, (1 - math.sqrt(5)) / 2]
     assert alexander._certified_brackets(q, cosine, 2, good) is not None
@@ -1329,13 +1328,50 @@ def test_descartes_bound_on_known_polynomials():
     assert alexander._descartes_bound([-2, 1]) == 0  # the root x = 2 is not in (-2, 2)
 
 
-def test_repeated_unit_circle_roots_take_the_chain_route(monkeypatch):
-    # Delta(K # K) = Delta_K^2: the Descartes count doubles every root, so
-    # the Sturm chain of the squarefree part decides, and the enclosures are
-    # those the chain route gave before the Descartes count existed.
+@given(
+    st.lists(st.tuples(st.integers(0, 12), st.integers(-2**14, 2**14), st.integers(1, 2)), max_size=3),
+    st.lists(st.tuples(st.integers(3, 9), st.integers(-30, 30), st.integers(1, 2)), max_size=2),
+    st.lists(st.tuples(st.integers(2**30, 2**33), st.integers(-2**11, 2**11), st.integers(-9, 9)), max_size=2),
+    st.sampled_from(((), (-2,), (2,), (-2, 2))),
+)
+def test_descartes_bisection_isolates_every_distinct_root(dyadic, rational, near_pairs, ends):
+    # q from factors: dyadic roots a / 2^k, which fall on bisection
+    # midpoints; other rational roots a / b; roots at the ends +-2; any of
+    # them repeated; and complex pairs (b x - c)^2 + 1, whose imaginary
+    # parts +-1/b lie within 2^-30 of the axis.  Every refined cell holds
+    # exactly one distinct root, by the Sturm oracle, they count all the
+    # roots in [-2, 2], and they are Sturm bisection's enclosures.
+    factors = [[-a, 2**k] for k, a, m in dyadic for _ in range(m)]
+    factors += [[-a, b] for b, a, m in rational for _ in range(m)]
+    for b, s, e in near_pairs:
+        c = (b * s >> 10) + e  # real part c / b, about s / 2^10
+        factors.append([c * c + 1, -2 * b * c, b * b])
+    factors += [[-x, 1] for x in ends]
+    q = _poly_from_factors(factors)
+    if len(q) == 1:
+        return
+    oracle_q, chain = sturm.squarefree(q)
+    unit = sturm.UNIT
+    q, cells, several = alexander._descartes_bisection(q)
+    assert several == 0
+    found = sorted(alexander._refine_root(q, lo, hi) for lo, hi in cells)
+    assert all(0 <= hi - lo <= 1 for lo, hi in found)
+    assert all(sturm.roots_in(oracle_q, chain, lo, hi) == 1 for lo, hi in found)
+    assert all(hi1 < lo2 for (_, hi1), (lo2, _) in zip(found, found[1:]))
+    assert len(found) == sturm.roots_in(oracle_q, chain, -2 * unit, 2 * unit)
+    assert found == sorted(sturm.bisection(oracle_q, chain))
+
+
+def test_repeated_unit_circle_roots_take_the_squarefree_route(monkeypatch):
+    # Delta(K # K) = Delta_K^2: the Descartes count doubles every root.  A
+    # double root off the dyadic grid keeps a unit cell of Descartes
+    # bisection at V = 2, so the bisection runs again on the squarefree
+    # part, whose root count certifies its float brackets; the double root
+    # x = 1 of the trefoil's is found exactly, at a midpoint, and needs no
+    # squarefree part.  The enclosures are those the Sturm chain gave.
     built = []
-    chain = alexander._sturm_chain
-    monkeypatch.setattr(alexander, "_sturm_chain", lambda p: built.append(p) or chain(p))
+    squarefree = alexander._squarefree
+    monkeypatch.setattr(alexander, "_squarefree", lambda p: built.append(p) or squarefree(p))
     expected = {
         torus_knot_seifert(2): (
             ("0x1.9e3779b97eca0p+0", "0x1.9e3779b97fca0p+0"),
@@ -1351,14 +1387,16 @@ def test_repeated_unit_circle_roots_take_the_chain_route(monkeypatch):
         built.clear()
         alexander._alexander_root_enclosures.cache_clear()
         got = alexander._alexander_root_enclosures(double)
-        assert built
+        assert built == ([] if k is TREFOIL else [q])
         assert got == tuple((float.fromhex(lo), float.fromhex(hi)) for lo, hi in want)
+        assert len(got) == sturm.count(sturm.squarefree(q)[1], -2 * sturm.UNIT, 2 * sturm.UNIT)
 
 
-def test_descartes_excess_is_certified_by_the_sturm_count(monkeypatch):
+def test_descartes_excess_is_certified_by_the_isolated_count(monkeypatch):
     # Q has one root in (-2, 2) and a complex pair that adds two sign
     # variations after the map: the Descartes count 3 rejects the one
-    # float bracket, and the Sturm count certifies it without bisection.
+    # float bracket, and the one root that Descartes bisection isolates
+    # certifies it, so no cell is refined.
     a = SeifertMatrix(
         (
             (3, -1, -2, -3, 2, -1),
@@ -1373,13 +1411,18 @@ def test_descartes_excess_is_certified_by_the_sturm_count(monkeypatch):
     q = alexander._knot_q(a)
     assert q == [-12169, 19011, -9897, 1717]
     assert alexander._descartes_bound(q) == 3
+    assert sturm.count(sturm.sturm_chain(q), -2 * sturm.UNIT, 2 * sturm.UNIT) == 1
+    isolated = []
+    bisection = alexander._descartes_bisection
 
-    def no_bisection(*args):
-        raise AssertionError("Sturm bisection reached")
+    def no_refinement(*args):
+        raise AssertionError("a cell was refined")
 
-    monkeypatch.setattr(alexander, "_sturm_bisection", no_bisection)
+    monkeypatch.setattr(alexander, "_descartes_bisection", lambda q: isolated.append(bisection(q)) or isolated[-1])
+    monkeypatch.setattr(alexander, "_refine_root", no_refinement)
     alexander._alexander_root_enclosures.cache_clear()
     enclosures = alexander._alexander_root_enclosures(a)
+    assert [(len(cells), several) for _, cells, several in isolated] == [(1, 0)]
     assert len(enclosures) == 1
     monkeypatch.undo()
     assert _assert_enclosures(a) == enclosures
