@@ -34,7 +34,14 @@ on one machine.  Standard library only.  The layers:
   interpreters started with this one's environment: the median time and
   the number of modules the import adds, with the PYTHONDONTWRITEBYTECODE
   setting (unset, bytecode caches are written by the first run and read
-  by the rest).
+  by the rest);
+- "exact_fallback": the exact inertia of a singular generic form
+  (_generic_inertia_exact on the full residue table), for the scrambled
+  knots of EXACT_FALLBACK (differential.scrambled with random.Random(5))
+  at one root each, the table built before the clock starts: each run in
+  a fresh interpreter, killed after FALLBACK_TIMEOUT_S, best of
+  FALLBACK_RUNS, with the inertia it returned; a run that is killed is
+  recorded as a timeout, and the input gets no further runs.
 
 Times are in seconds (µs per point for "arc_point").
 """
@@ -62,6 +69,16 @@ RANDOM_KNOTS = 400
 # EXACT_CENTERS, and a second prime that warms the root enclosures.
 AVERAGE_GRIDS = {1: (701, 541), 2: (419, 337), 3: (337, 277), 4: (293, 241), 5: (263, 211), 6: (241, 199)}
 COLD_RUNS = 15
+# Name -> (torus2 parameters of the summands, k, d): sizes 12, 14, 16, 24, 30.
+EXACT_FALLBACK = {
+    "torus2:6": ((6,), 1, 26),
+    "torus2:7": ((7,), 1, 30),
+    "torus2:4#torus2:4": ((4, 4), 1, 18),
+    "torus2:6#torus2:6": ((6, 6), 1, 26),
+    "torus2:5#torus2:5#torus2:5": ((5, 5, 5), 1, 22),
+}
+FALLBACK_RUNS = 3
+FALLBACK_TIMEOUT_S = 60
 COLD_IMPORTS = {
     "prime-avg": "import knotrho, knotrho.seifert, knotrho.signature, knotrho.cyclotomic",
     "cli": "import knotrho.cli",
@@ -213,6 +230,48 @@ def cold_import() -> dict:
     return out
 
 
+def fallback_once(name: str) -> str:
+    """'seconds p z n' of one exact inertia of EXACT_FALLBACK[name]."""
+    from differential import connected_sum, scrambled
+
+    summands, k, d = EXACT_FALLBACK[name]
+    a = torus_knot_seifert(summands[0])
+    for n in summands[1:]:
+        a = connected_sum(a, torus_knot_seifert(n))
+    a = scrambled(a, random.Random(5))
+    table = signature._herm_residues(a, d)
+    root = cyclotomic.UnitRoot(k, d)
+    t0 = time.perf_counter()
+    triple = signature._generic_inertia_exact(table, root)
+    return f"{time.perf_counter() - t0} {triple.positive} {triple.zero} {triple.negative}"
+
+
+def exact_fallback() -> dict:
+    probe = (
+        f"import sys\nsys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})\n"
+        "import bench_layers\nprint(bench_layers.fallback_once({name!r}))\n"
+    )
+    out = {}
+    for name, (summands, k, d) in EXACT_FALLBACK.items():
+        record = {"size": 2 * sum(summands), "root": f"{k}/{d}"}
+        times = []
+        for _ in range(FALLBACK_RUNS):
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-c", probe.format(name=name)],
+                    capture_output=True, text=True, check=True, timeout=FALLBACK_TIMEOUT_S,
+                )
+            except subprocess.TimeoutExpired:
+                record["timeout_s"] = FALLBACK_TIMEOUT_S
+                break
+            seconds, *triple = proc.stdout.split()
+            times.append(float(seconds))
+            record["inertia"] = [int(x) for x in triple]
+        record["best_s"] = min(times, default=None)
+        out[name] = record
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="key of this run in the output object")
@@ -225,6 +284,7 @@ def main(argv=None) -> int:
         "averages": averages(),
         "arc_point": arc_point(),
         "cold_import": cold_import(),
+        "exact_fallback": exact_fallback(),
     }
     merged = {}
     if os.path.exists(args.out):

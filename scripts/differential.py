@@ -15,6 +15,9 @@ The records cover:
   matrix running through every grid in turn (generic matrices take the
   whole grid up to GENERIC_GRID_MAX);
 - exact and float signatures at every k/d with d <= 30;
+- inertias that the float passes leave to exact arithmetic: links with
+  zero rows and scrambled K # K at every k/d with d <= 18, and integer and
+  cyclotomic Hermitian forms of size up to 10 and low rank;
 - Alexander polynomials;
 - exact averages by both routes for torus2 and jn with n in {15, 30}, a
   K # K of size 60 and a connected sum whose unit-circle roots lie closer
@@ -49,7 +52,14 @@ from knotrho.seifert import (
     mirror,
     torus_knot_seifert,
 )
-from knotrho.signature import alexander_polynomial, avg_signature_details, signature_details
+from knotrho.signature import (
+    HermitianForm,
+    alexander_polynomial,
+    avg_signature_details,
+    hermitian_form,
+    inertia,
+    signature_details,
+)
 from knotrho.verify import random_knot_seifert
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
@@ -199,6 +209,48 @@ def signature_records(named) -> None:
                     })
 
 
+def exact_inertia_records() -> None:
+    """Inertias the float passes leave to the exact fallback.  Zero rows and
+    columns make Delta = 0 and leave a zero complement of size >= 2 at every
+    root; a scrambled K # K stalls at the double roots of Delta_K^2; sums of
+    few rank-one terms give integer forms of low rank, and the residue
+    tables of the links give cyclotomic ones."""
+    rng = random.Random(1917)
+    named = []
+    for i in range(6):
+        m = rng.randint(4, 8)
+        blank = set(rng.sample(range(m), rng.randint(2, 3)))
+        rows = [[0 if {r, c} & blank else rng.randint(-3, 3) for c in range(m)] for r in range(m)]
+        named.append((f"zero-rows-{i}", SeifertMatrix(tuple(map(tuple, rows)), kind="link")))
+    links = list(named)
+    for n in (1, 2, 3):
+        k = torus_knot_seifert(n)
+        named.append((f"scrambled-torus2:{n}#torus2:{n}", scrambled(connected_sum(k, k), rng)))
+    for name, a in named:
+        for d in range(2, 19):
+            for k in range(1, d):
+                triple = signature_details(a, UnitRoot(k, d)).inertia.as_tuple()
+                emit({"kind": "stall", "knot": name, "k": k, "d": d, "inertia": triple})
+    for _ in range(40):
+        m = rng.randint(3, 10)
+        rows = [[0] * m for _ in range(m)]
+        for _ in range(rng.randint(1, m - 2)):
+            v = [rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(m)]
+            s = rng.choice((1, -1))
+            for r in range(m):
+                for c in range(m):
+                    rows[r][c] += s * v[r] * v[c]
+        form = HermitianForm.from_integer_symmetric(rows)
+        emit({
+            "kind": "form", "rows": rows,
+            "inertia": [inertia(form, mode).as_tuple() for mode in ("exact", "float")],
+        })
+    for name, a in links:
+        for k, d in ((1, 5), (2, 7), (3, 8), (1, 9), (5, 12)):
+            triple = inertia(hermitian_form(a, UnitRoot(k, d))).as_tuple()
+            emit({"kind": "form", "knot": name, "k": k, "d": d, "inertia": triple})
+
+
 def cli_records(named) -> None:
     specs = ["unknot"] + [f"torus2:{n}" for n in (1, 2, 5, 12)]
     specs += [f"jn:{n}" for n in (1, 2, 3, 7, 20)]
@@ -231,6 +283,7 @@ def main() -> int:
     high_degree_records()
     enclosure_records(named)
     signature_records([(n, a) for n, a in named if a.size <= 8])
+    exact_inertia_records()
     cli_records(named)
     return 0
 

@@ -280,20 +280,21 @@ def _descartes_bisection(q: list[int], squarefree: bool = False):
     enclose the distinct roots of q in [-2, 2], one each, by the
     Vincent-Collins-Akritas method (Rouillier and Zimmermann, J. Comput.
     Appl. Math. 162, 2004), of which several have unit width and may hold
-    several roots or none.  If a unit cell keeps V >= 2 and q is not known
-    to be squarefree, it runs again on the squarefree part, returned as q.
+    several roots or none.  If a unit cell keeps V >= 2, or a midpoint is a
+    repeated root, and q is not known to be squarefree, it runs again on
+    the squarefree part, returned as q.
 
     A node (lo, hi) of the dyadic tree of [-2, 2], split at (lo + hi) // 2,
     keeps p(z) = c q(lo + (hi - lo) z), c > 0: 2^n p(z/2) for the left half
-    and that shifted by one for the right, whose constant term then tells
-    q(mid) = 0.  Ends of [-2, 2] and midpoints where q vanishes are points.
-    A node with V(p) = 0 holds no other root, and one with V(p) = 1 and
-    q(lo) != 0 is a cell for _refine_root.  Others split down to unit
-    width, where V(p) >= 1 makes a cell: one root beside the root lo, or,
-    for V(p) >= 2 in the squarefree q, two roots within 2^-_ROOT_BITS or a
-    complex pair within about that distance of the axis, when it may be
-    empty.  Every sigma stays correct even then: the arcs decide each
-    grid point in such a cell on its own.
+    and that shifted by one for the right, whose two lowest terms then tell
+    q(mid) = 0 and q'(mid) = 0.  Ends of [-2, 2] and midpoints where q
+    vanishes are points.  A node with V(p) = 0 holds no other root, and one
+    with V(p) = 1 and q(lo) != 0 is a cell for _refine_root.  Others split
+    down to unit width, where V(p) >= 1 makes a cell: one root beside the
+    root lo, or, for V(p) >= 2 in the squarefree q, two roots within
+    2^-_ROOT_BITS or a complex pair within about that distance of the axis,
+    when it may be empty.  Every sigma stays correct even then: the arcs
+    decide each grid point in such a cell on its own.
     """
     unit = 1 << _ROOT_BITS
     cells = [(x, x) for x in (-2 * unit, 2 * unit) if not _dyadic_sign(q, x)]
@@ -316,6 +317,8 @@ def _descartes_bisection(q: list[int], squarefree: bool = False):
             left = [c << (n - i) for i, c in enumerate(p)]
             right = _shift_by_one(left[::-1])[::-1]
             if not right[0]:
+                if not (right[1] or squarefree):
+                    return _descartes_bisection(_squarefree(q), True)
                 cells.append((mid, mid))
             todo += [(lo, mid, left), (mid, hi, right)]
     return q, cells, several

@@ -281,13 +281,15 @@ def _generic_float_pass(mat) -> tuple[int, int, int]:
     of the Schur complement it stalled at (0 when it completed).
 
     mat holds the entries as (complex value, radius).  Works on
-    pivot-scaled Schur complements so the recurrence mirrors the exact
-    path.  The pivot is the largest diagonal entry whose enclosure excludes
-    zero; when there is none, a 2x2 block whose determinant is certified
-    negative, which contributes (1, 0, 1) and scales the complement by
-    minus that determinant, a positive number.  Every pivot taken is thus
-    certified nonsingular, so with J the pivot indices, H_J is nonsingular
-    with inertia (p, 0, n), and by Haynsworth In(H) = (p, 0, n) + In(H/H_J).
+    pivot-scaled Schur complements, which need no division: sigma, the
+    sign of the accumulated scale, turns each pivot sign into its count,
+    and a power of two keeps the scale in range.  The pivot is the largest
+    diagonal entry whose enclosure excludes zero; when there is none, a
+    2x2 block whose determinant is certified negative, which contributes
+    (1, 0, 1) and scales the complement by minus that determinant, a
+    positive number.  Every pivot taken is thus certified nonsingular, so
+    with J the pivot indices, H_J is nonsingular with inertia (p, 0, n),
+    and by Haynsworth In(H) = (p, 0, n) + In(H/H_J).
     A completed pass (r = 0) therefore certifies a nonsingular form.  It
     stalls, with r > 0, when neither kind of pivot is certified or when the
     next complement overflows.  A stall at r = 1 leaves the 1x1 complement

@@ -13,9 +13,9 @@ is decided by the exact Alexander value: det H = (1 - conj w)^m Delta(w),
 so Delta(w) = 0 certifies that the complement is zero.  A knot is
 nonsingular with signature 0 on the arc of the unit circle through w = 1,
 up to the first root of Delta, so any other stall on that arc, such as
-next to w = 1, is decided from the root enclosures.  Any other stall takes exact
-pivoted elimination on the full entry table.  Either way the result is
-certified.
+next to w = 1, is decided from the root enclosures.  Any other stall takes
+Descartes' rule on the exact characteristic polynomial of the full entry
+table.  Either way the result is certified.
 
 An average walks the grid points k = 1 .. d // 2, one per conjugate pair
 of d-th roots: a route picks the points (k, weight) and one loop sums
@@ -69,7 +69,7 @@ from .floatpass import (
     _two_shift_counts,
 )
 from .records import Record
-from .seifert import SeifertMatrix, per_matrix_cache
+from .seifert import SeifertMatrix, _is_integer_type, per_matrix_cache
 
 if TYPE_CHECKING:
     import numpy as np
@@ -103,7 +103,8 @@ class HermitianForm:
     """Hermitian matrix over a cyclotomic field, tagged with the evaluation root.
 
     The root fixes the embedding used for all sign decisions; its reduced
-    denominator is the conductor of the entry field.
+    denominator is the conductor of the entry field.  The table must be
+    square and Hermitian; its shape is checked, the symmetry is not.
     """
 
     __slots__ = ("root", "field", "entries")
@@ -111,7 +112,10 @@ class HermitianForm:
     def __init__(self, root: UnitRoot, entries: tuple[tuple[CyclotomicElement, ...], ...]):
         self.root = root
         self.field = cyc_field(root.den)
+        m = len(entries)
         for row in entries:
+            if len(row) != m:
+                raise InvalidParameterError(f"form is not square: {m} rows, row of length {len(row)}")
             for e in row:
                 if e.field.d != self.field.d:
                     raise InvalidParameterError("entry conductor does not match the root")
@@ -126,16 +130,14 @@ class HermitianForm:
 
     @classmethod
     def from_integer_symmetric(cls, rows) -> "HermitianForm":
-        """Wrap a symmetric integer matrix (evaluation at omega = 1, d = 1)."""
-        root = UnitRoot(0, 1)
-        fld = cyc_field(1)
-        m = len(rows)
-        for i in range(m):
-            for j in range(m):
-                if rows[i][j] != rows[j][i]:
-                    raise InvalidParameterError("matrix must be symmetric")
-        entries = tuple(tuple(fld.scalar(x) for x in row) for row in rows)
-        return cls(root, entries)
+        """Wrap a square symmetric integer matrix (evaluation at omega = 1, d = 1)."""
+        bad = [x for row in rows for x in row if not _is_integer_type(type(x))]
+        if bad:
+            raise InvalidParameterError(f"entries must be integers, got {bad[0]!r}")
+        form = cls(UnitRoot(0, 1), tuple(tuple(map(cyc_field(1).scalar, row)) for row in rows))
+        if any(form[i, j] != form[j, i] for i in range(form.size) for j in range(i)):
+            raise InvalidParameterError("matrix must be symmetric")
+        return form
 
     def to_numeric(self) -> np.ndarray:
         import numpy as np
@@ -164,7 +166,7 @@ def _herm_residues(a: SeifertMatrix, den: int):
 
     The residues depend only on the conductor, not on which primitive root
     evaluates them, so one table serves every k/den grid point.  Only
-    generic elimination and hermitian_form read it.
+    the exact characteristic polynomial and hermitian_form read it.
     """
     fld = cyc_field(den)
     m = a.size
@@ -283,76 +285,48 @@ def _block_counts(
     return settled.negative, settled.zero
 
 
-# -- exact generic elimination ------------------------------------------------
+# -- exact generic inertia ----------------------------------------------------
 
 
 def _generic_inertia_exact(entries, root) -> InertiaTriple:
-    """Exact pivoted elimination over the cyclotomic ring.
-
-    Pivot: greatest-magnitude (by certified midpoint) nonzero diagonal
-    entry; if the whole diagonal is zero, a 2x2 off-diagonal block step
-    contributes (1, 0, 1).  Schur complements are scaled by the pivot to
-    stay division-free; the sigma flag un-flips the inertia contributions
-    when an accumulated scale is negative.
+    """Exact inertia of a Hermitian residue table by Descartes' rule of signs
+    on det(xI - H), exact as every eigenvalue is real: x^z is the lowest
+    term for z zero eigenvalues, and the nonzero coefficients have as many
+    sign changes as there are positive ones.  Berkowitz's division-free
+    algorithm (Inf. Process. Lett. 18, 1984) builds the polynomial in
+    O(m^4) ring products, with coefficients that grow only linearly in m:
+    that of each leading block is a lower-triangular Toeplitz matrix, with
+    first column 1, -h, -R S, -R M S, ..., times that of the previous block
+    M, where R, S and h are the new row, column and corner.
     """
-    p = n = z = 0
-    sigma = 1
-    active = [list(row) for row in entries]
-    while active:
-        size = len(active)
-        best = None
-        for i in range(size):
-            e = active[i][i]
-            if not e.is_zero:
-                s, approx = certified_sign(e, root)
-                if s == 0:
-                    raise InternalInconsistencyError("nonzero residue evaluated to zero")
-                if best is None or approx > best[0]:
-                    best = (approx, i, s)
-        if best is not None:
-            _, j, s = best
-            contribution = sigma * s
-            if contribution > 0:
-                p += 1
-            else:
-                n += 1
-            sigma = contribution
-            piv = active[j][j]
-            rest = [k for k in range(size) if k != j]
-            active = [
-                [piv * active[a][b] - active[a][j] * active[j][b] for b in rest]
-                for a in rest
-            ]
-            continue
-        # Whole diagonal is exactly zero.
-        pos = None
-        for i in range(size):
-            for j in range(i + 1, size):
-                if not active[i][j].is_zero:
-                    pos = (i, j)
-                    break
-            if pos:
-                break
-        if pos is None:
-            z += size
-            break
-        i, j = pos
-        p += 1
-        n += 1
-        h = active[i][j]
-        hbar = active[j][i]
-        nrm = h * hbar
-        rest = [k for k in range(size) if k not in (i, j)]
-        active = [
-            [
-                nrm * active[a][b]
-                - h * active[a][i] * active[j][b]
-                - hbar * active[a][j] * active[i][b]
-                for b in rest
-            ]
-            for a in rest
-        ]
-    return InertiaTriple(p, z, n, certified=True)
+    m = len(entries)
+    fld = cyc_field(root.den)
+    poly = [fld.one()]  # det(xI - H_r), highest degree first
+    for r in range(m):
+        vec = [entries[i][r] for i in range(r)]  # M^k S, from k = 0
+        toeplitz = [fld.one(), -entries[r][r]]  # first column of the Toeplitz factor
+        for k in range(r):
+            toeplitz.append(-_dot(fld, entries[r], vec))
+            if k + 1 < r:
+                vec = [_dot(fld, entries[i], vec) for i in range(r)]
+        poly = [_dot(fld, toeplitz[i::-1], poly) for i in range(r + 2)]
+    signs = [certified_sign(c, root)[0] for c in poly]
+    zero = m - max(i for i, s in enumerate(signs) if s)
+    signs = [s for s in signs if s]
+    positive = sum(a != b for a, b in zip(signs, signs[1:]))
+    return InertiaTriple(positive, zero, m - positive - zero)
+
+
+def _dot(fld, u, v) -> CyclotomicElement:
+    """sum u_i v_i over the pairs zip makes, reduced mod Phi_d once, not per product."""
+    n = fld.degree
+    out = [0] * (2 * n - 1)
+    for a, b in zip(u, v):
+        b = b.coeffs
+        for i, c in enumerate(a.coeffs):
+            if c:
+                out[i:i + n] = [o + c * x for o, x in zip(out[i:i + n], b)]
+    return fld.element(out)
 
 
 def _inertia_exact(form: HermitianForm) -> InertiaTriple:
@@ -479,7 +453,7 @@ def _generic_seifert_inertia(a: SeifertMatrix, omc, s, num: int, den: int) -> In
     signature 0 (see _arc_points).  Stalls next to w = 1, where the real
     part of H is O(|1 - w|^2) against O(|1 - w|) for its imaginary part,
     are decided so.  Links, whose A - A^T may be singular, and every other
-    stall take exact pivoted elimination on the full residue table.
+    stall take the exact characteristic polynomial of the full residue table.
     """
     mat = _mr_seifert_table(a, omc, s)
     p, n, rest = _generic_float_pass(mat) if mat is not None else (0, 0, a.size)

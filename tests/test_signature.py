@@ -51,6 +51,7 @@ from knotrho.signature import (
 )
 from knotrho.verify import random_knot_seifert, random_root
 
+import pivot_oracle
 import sturm
 
 TREFOIL = trefoil_seifert()
@@ -140,6 +141,29 @@ def test_integer_symmetric_signatures():
     assert inertia(HermitianForm.from_integer_symmetric([[-2]])).signature == -1
     assert inertia(HermitianForm.from_integer_symmetric([[0, 1], [1, 0]])).as_tuple() == (1, 0, 1)
     assert inertia(HermitianForm.from_integer_symmetric([[0, 0], [0, 0]])).as_tuple() == (0, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    (
+        ([[1, 2]], "form is not square: 1 rows, row of length 2"),
+        ([[1], [2, 3]], "form is not square: 2 rows, row of length 1"),
+        ([[1.5]], "entries must be integers, got 1.5"),
+        ([[1, 2], [3, 1]], "matrix must be symmetric"),
+    ),
+)
+def test_integer_symmetric_input_is_validated(rows, message):
+    with pytest.raises(InvalidParameterError) as excinfo:
+        HermitianForm.from_integer_symmetric(rows)
+    assert str(excinfo.value) == message
+
+
+def test_hermitian_form_must_be_square():
+    fld = cyclotomic.cyc_field(5)
+    with pytest.raises(InvalidParameterError, match="form is not square: 1 rows, row of length 2"):
+        HermitianForm(UnitRoot(1, 5), ((fld.one(), fld.zero()),))
+    with pytest.raises(InvalidParameterError, match="entry conductor does not match the root"):
+        HermitianForm(UnitRoot(1, 5), ((cyclotomic.cyc_field(7).one(),),))
 
 
 # -- Levine-Tristram ------------------------------------------------------
@@ -336,7 +360,7 @@ def test_singular_iff_alexander_zero(seed):
     assert (t.zero > 0) == alexander_at(a, root).is_zero
 
 
-# -- dual-path guard: tridiagonal kernel vs generic elimination -----------------
+# -- dual-path guard: tridiagonal kernel vs the pivot oracle --------------------
 
 
 @given(st.integers(0, 10**9))
@@ -357,9 +381,9 @@ def test_tridiagonal_kernel_matches_generic_elimination(seed):
     root = random_root(rng, d_max=30)
     assert _is_tridiagonal(a.entries)
     entries = _herm_residues(a, root.den)
-    fast = inertia(hermitian_form(a, root))
-    slow = _generic_inertia_exact(entries, root)
-    assert fast.as_tuple() == slow.as_tuple()
+    want = pivot_oracle.inertia(entries, root)
+    assert inertia(hermitian_form(a, root)).as_tuple() == want
+    assert _generic_inertia_exact(entries, root).as_tuple() == want
 
 
 def test_kernel_matches_generic_at_singular_points():
@@ -369,20 +393,22 @@ def test_kernel_matches_generic_at_singular_points():
         for k in range(1, d):
             root = UnitRoot(k, d)
             entries = _herm_residues(a, root.den)
-            fast = inertia(hermitian_form(a, root))
-            slow = _generic_inertia_exact(entries, root)
-            assert fast.as_tuple() == slow.as_tuple()
+            want = pivot_oracle.inertia(entries, root)
+            assert inertia(hermitian_form(a, root)).as_tuple() == want
+            assert _generic_inertia_exact(entries, root).as_tuple() == want
 
 
 def test_generic_block_step_with_rest_entries():
-    # all-zero diagonal forces the 2x2 off-diagonal block step; the leftover
-    # indices exercise its Schur update
+    # An all-zero diagonal forces a 2x2 block step on the float pass and on
+    # the pivot oracle; the leftover indices exercise its Schur update.
     rows = ((0, 1, 2, 0), (1, 0, 0, 3), (2, 0, 0, 1), (0, 3, 1, 0))
     form = HermitianForm.from_integer_symmetric(rows)
     t = inertia(form, "exact")
     fl = inertia(form, "float")
     assert fl.certified
     assert t.as_tuple() == fl.as_tuple() == (2, 0, 2)
+    assert _generic_inertia_exact(form.entries, form.root).as_tuple() == (2, 0, 2)
+    assert pivot_oracle.inertia(form.entries, form.root) == (2, 0, 2)
 
 
 def test_generic_block_step_complex_entries():
@@ -390,10 +416,12 @@ def test_generic_block_step_complex_entries():
     a = SeifertMatrix(((0, 2, 1), (0, 0, 3), (0, 0, 0)), kind="link")
     for k, d in ((1, 5), (2, 7), (1, 2)):
         root = UnitRoot(k, d)
-        ex = inertia(hermitian_form(a, root), "exact")
-        fl = inertia(hermitian_form(a, root), "float")
+        form = hermitian_form(a, root)
+        ex = inertia(form, "exact")
+        fl = inertia(form, "float")
         assert fl.certified
-        assert ex.as_tuple() == fl.as_tuple()
+        assert ex.as_tuple() == fl.as_tuple() == pivot_oracle.inertia(form.entries, root)
+        assert _generic_inertia_exact(form.entries, root).as_tuple() == ex.as_tuple()
 
 
 def test_float_pass_counts_are_part_of_the_inertia():
@@ -411,7 +439,7 @@ def test_float_pass_counts_are_part_of_the_inertia():
             for j in range(i + 1, m):
                 rows[i][j] = rows[j][i] = rng.choice((0, rng.randint(-3, 3)))
         form = HermitianForm.from_integer_symmetric(rows)
-        want = _generic_inertia_exact(form.entries, form.root).as_tuple()
+        want = pivot_oracle.inertia(form.entries, form.root)
         p, n, rest = _generic_float_pass([[(complex(x), 0.0) for x in row] for row in rows])
         assert p <= want[0] and n <= want[2] and p + n + rest == m
         if rest == 0:
@@ -470,8 +498,8 @@ def test_avg_signature_float_mode_details():
 
 
 def _residue_oracle(a, root):
-    """Exact pivoted elimination on the full residue table."""
-    return _generic_inertia_exact(_herm_residues(a, root.den), root).as_tuple()
+    """The pivot oracle's inertia of the full residue table."""
+    return pivot_oracle.inertia(_herm_residues(a, root.den), root)
 
 
 def _root_with_small_conductors(rng):
@@ -522,7 +550,7 @@ def _check_pivot_counts(a, root):
         for end, neg in ((stop, full), (stop - 1, lead)):
             if neg is not None:
                 sub = tuple(row[start:end] for row in table[start:end])
-                want = _generic_inertia_exact(sub, root).as_tuple()
+                want = pivot_oracle.inertia(sub, root)
                 assert want == (end - start - neg, 0, neg)
         counts.append((full, lead))
     return counts
@@ -779,7 +807,7 @@ def test_singular_generic_profile_needs_no_exact_elimination(monkeypatch):
 def test_link_with_vanishing_alexander_polynomial(monkeypatch):
     # Zero rows and columns make Delta = 0 and H singular at every root.  One
     # leaves the float pass a 1x1 complement, decided by Delta; two leave a
-    # 2x2 one, which only exact elimination decides.
+    # 2x2 one, which only the exact fallback decides.
     calls = _count_exact_eliminations(monkeypatch)
     one = SeifertMatrix(((2, 0, 0, 1), (0, 0, 0, 0), (1, 0, -1, 1), (0, 0, 2, 1)), kind="link")
     two = SeifertMatrix(tuple(row + (0,) for row in one.entries) + ((0,) * 5,), kind="link")
@@ -873,7 +901,7 @@ _ZERO_DIAGONAL_STALLS = (
 
 def test_float_pass_takes_2x2_pivots_on_a_zero_diagonal(monkeypatch):
     # The pass completes at the nonsingular points and leaves the 1x1 zero
-    # complement at the jump point, so no exact elimination runs.
+    # complement at the jump point, so the exact fallback never runs.
     calls = _count_exact_eliminations(monkeypatch)
     for rows, root, want in _ZERO_DIAGONAL_STALLS:
         a = SeifertMatrix(rows, kind="knot")
@@ -901,6 +929,92 @@ def test_large_singular_generic_profile_is_fast(monkeypatch):
         assert res.singular == (k % 2 == 1 and k != 15)
     assert time.perf_counter() - start < 5.0
     assert calls == []
+
+
+def test_scrambled_sixteen_square_stall_is_fast(monkeypatch):
+    # The scrambled torus2:4 # torus2:4 at 1/18 stalls at a 2x2 complement of
+    # a double zero, which only the exact characteristic polynomial decides:
+    # pivoted elimination took about 8 s there.
+    calls = _count_exact_eliminations(monkeypatch)
+    a = _scrambled(_connected_sum(torus_knot_seifert(4), torus_knot_seifert(4)), random.Random(5))
+    root = UnitRoot(1, 18)
+    start = time.perf_counter()
+    res = signature_details(a, root)
+    assert time.perf_counter() - start < 1.0
+    assert calls == [root]
+    assert res.inertia.as_tuple() == (8, 2, 6)
+
+
+def test_exact_inertia_matches_pivot_oracle_at_twelve_square():
+    # The scrambled torus2:6 at its jump point 1/26, whose residue table the
+    # pivot oracle still eliminates in well under a second.
+    a = _scrambled(torus_knot_seifert(6), random.Random(5))
+    root = UnitRoot(1, 26)
+    table = _herm_residues(a, root.den)
+    want = pivot_oracle.inertia(table, root)
+    assert want == (6, 1, 5)
+    assert _generic_inertia_exact(table, root).as_tuple() == want
+
+
+def _random_hermitian_residues(rng, m, d):
+    """A random m x m Hermitian table over the conductor-d ring: conjugate
+    pairs off the diagonal and c + conj c on it, of up to two small terms
+    each, sometimes with a zero diagonal or with zero rows and columns."""
+    fld = cyclotomic.cyc_field(d)
+
+    def element():
+        coeffs = [0] * fld.degree
+        for _ in range(rng.randint(0, 2)):
+            coeffs[rng.randrange(fld.degree)] = rng.randint(-3, 3)
+        return fld.element(coeffs)
+
+    zero_diagonal = rng.random() < 0.3
+    blank = set(rng.sample(range(m), rng.randint(1, m))) if rng.random() < 0.3 else set()
+    rows = [[fld.zero()] * m for _ in range(m)]
+    for i in set(range(m)) - blank:
+        if not zero_diagonal:
+            c = element()
+            rows[i][i] = c + c.conjugate()
+        for j in set(range(i + 1, m)) - blank:
+            rows[i][j] = element()
+            rows[j][i] = rows[i][j].conjugate()
+    return tuple(map(tuple, rows))
+
+
+@given(st.integers(0, 10**9))
+def test_characteristic_polynomial_inertia_matches_pivot_oracle(seed):
+    # Random Hermitian residue forms of size <= 8 and conductor <= 40, links
+    # whose zero rows make Delta = 0, and K # K at the double roots of
+    # Delta_K^2: Descartes' rule on det(xI - H) against the pivot oracle.
+    rng = random.Random(seed)
+    case = rng.randrange(3)
+    if case == 0:
+        d = rng.randint(1, 40)
+        root = UnitRoot(rng.choice([k for k in range(d) if math.gcd(k, d) == 1]), d)
+        entries = _random_hermitian_residues(rng, rng.randint(1, 8), d)
+    else:
+        if case == 1:
+            m = rng.randint(2, 8)
+            blank = set(rng.sample(range(m), rng.randint(1, m - 1)))
+            rows = [[0 if {i, j} & blank else rng.randint(-3, 3) for j in range(m)]
+                    for i in range(m)]
+            a = SeifertMatrix(tuple(map(tuple, rows)), kind="link")
+            root = _root_with_small_conductors(rng)
+        else:
+            k = rng.choice((TREFOIL, torus_knot_seifert(2)))
+            a = _scrambled(_connected_sum(k, k), rng)
+            jumps = [
+                UnitRoot(j, d)
+                for d in range(2, 41)
+                for j in range(1, d)
+                if math.gcd(j, d) == 1 and alexander_at(k, UnitRoot(j, d)).is_zero
+            ]
+            root = rng.choice(jumps)
+        entries = _herm_residues(a, root.den)
+    want = pivot_oracle.inertia(entries, root)
+    assert _generic_inertia_exact(entries, root).as_tuple() == want
+    if case == 2:
+        assert want[1] == 2
 
 
 def test_exact_conductor_checked_once_per_grid(monkeypatch):
@@ -1365,29 +1479,36 @@ def test_descartes_bisection_isolates_every_distinct_root(dyadic, rational, near
 def test_repeated_unit_circle_roots_take_the_squarefree_route(monkeypatch):
     # Delta(K # K) = Delta_K^2: the Descartes count doubles every root.  A
     # double root off the dyadic grid keeps a unit cell of Descartes
-    # bisection at V = 2, so the bisection runs again on the squarefree
-    # part, whose root count certifies its float brackets; the double root
-    # x = 1 of the trefoil's is found exactly, at a midpoint, and needs no
-    # squarefree part.  The enclosures are those the Sturm chain gave.
+    # bisection at V = 2, and a double root on it, as x = 1 of the
+    # trefoil's, is found at a midpoint where q and q' vanish; either way
+    # the bisection runs again on the squarefree part, whose root count
+    # certifies its float brackets.  Beside other roots, as in
+    # trefoil # trefoil # torus2:2 with Q = (x - 1)^2 (x^2 - x - 1), the
+    # golden-ratio roots keep those brackets too instead of refined cells.
+    # The enclosures are those the Sturm chain gave.
     built = []
     squarefree = alexander._squarefree
     monkeypatch.setattr(alexander, "_squarefree", lambda p: built.append(p) or squarefree(p))
-    expected = {
-        torus_knot_seifert(2): (
-            ("0x1.9e3779b97eca0p+0", "0x1.9e3779b97fca0p+0"),
-            ("-0x1.3c6ef372ff940p-1", "-0x1.3c6ef372fd940p-1"),
-        ),
-        jn_seifert(2): (("0x1.8722191a00d80p-2", "0x1.8722191a04d80p-2"),),
-        TREFOIL: (("0x1.0000000000000p+0", "0x1.0000000000000p+0"),),
-    }
-    for k, want in expected.items():
-        double = _connected_sum(k, k)
-        q = alexander._knot_q(double)
-        assert alexander._descartes_bound(q) == 2 * len(want)
+    golden = (
+        ("0x1.9e3779b97eca0p+0", "0x1.9e3779b97fca0p+0"),
+        ("-0x1.3c6ef372ff940p-1", "-0x1.3c6ef372fd940p-1"),
+    )
+    one = (("0x1.0000000000000p+0", "0x1.0000000000000p+0"),)
+    t2 = torus_knot_seifert(2)
+    cases = (
+        (_connected_sum(t2, t2), 4, golden),
+        (_connected_sum(jn_seifert(2), jn_seifert(2)), 2,
+         (("0x1.8722191a00d80p-2", "0x1.8722191a04d80p-2"),)),
+        (_connected_sum(TREFOIL, TREFOIL), 2, one),
+        (_connected_sum(_connected_sum(TREFOIL, TREFOIL), t2), 4, golden[:1] + one + golden[1:]),
+    )
+    for knot, bound, want in cases:
+        q = alexander._knot_q(knot)
+        assert alexander._descartes_bound(q) == bound
         built.clear()
         alexander._alexander_root_enclosures.cache_clear()
-        got = alexander._alexander_root_enclosures(double)
-        assert built == ([] if k is TREFOIL else [q])
+        got = alexander._alexander_root_enclosures(knot)
+        assert built == [q]
         assert got == tuple((float.fromhex(lo), float.fromhex(hi)) for lo, hi in want)
         assert len(got) == sturm.count(sturm.squarefree(q)[1], -2 * sturm.UNIT, 2 * sturm.UNIT)
 
