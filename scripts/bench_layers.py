@@ -41,7 +41,16 @@ on one machine.  Standard library only.  The layers:
   at one root each, the table built before the clock starts: each run in
   a fresh interpreter, killed after FALLBACK_TIMEOUT_S, best of
   FALLBACK_RUNS, with the inertia it returned; a run that is killed is
-  recorded as a timeout, and the input gets no further runs.
+  recorded as a timeout, and the input gets no further runs;
+- "jump": the work of a tridiagonal knot at its singular points and its
+  band, each input of JUMP once in a fresh interpreter, killed after
+  JUMP_TIMEOUT_S, the matrix built before the clock starts: sigma of
+  torus2:100 at 1/402 and of torus2:200 at 1/802 (the exact minor chain),
+  the exact average of torus2:100 at d = 402 (the whole grid, jump points
+  included), and for jn:300 and jn:600 Q from the band (_knot_q), Delta
+  and root isolation (_alexander_root_enclosures), each with a digest of
+  its answer.  --layers jump, run in turn on two trees under labels of
+  their own, gives alternating runs.
 
 Times are in seconds (µs per point for "arc_point").
 """
@@ -79,6 +88,18 @@ EXACT_FALLBACK = {
 }
 FALLBACK_RUNS = 3
 FALLBACK_TIMEOUT_S = 60
+# Name -> (family, n, what, argument).
+JUMP = {
+    "sigma torus2:100 1/402": ("torus2", 100, "sigma", (1, 402)),
+    "sigma torus2:200 1/802": ("torus2", 200, "sigma", (1, 802)),
+    "average torus2:100 402": ("torus2", 100, "average", 402),
+    **{
+        f"{what} jn:{n}": ("jn", n, what, None)
+        for n in (300, 600)
+        for what in ("band_q", "delta", "isolation")
+    },
+}
+JUMP_TIMEOUT_S = 60
 COLD_IMPORTS = {
     "prime-avg": "import knotrho, knotrho.seifert, knotrho.signature, knotrho.cyclotomic",
     "cli": "import knotrho.cli",
@@ -272,20 +293,68 @@ def exact_fallback() -> dict:
     return out
 
 
+def jump_once(name: str) -> str:
+    """'seconds digest' of one run of JUMP[name]."""
+    family, n, what, arg = JUMP[name]
+    a = (torus_knot_seifert if family == "torus2" else jn_seifert)(n)
+    t0 = time.perf_counter()
+    if what == "sigma":
+        answer = signature.signature_details(a, cyclotomic.UnitRoot(*arg)).inertia.as_tuple()
+    elif what == "average":
+        answer = signature.avg_signature_details(a, arg).value
+    elif what == "band_q":
+        answer = hash(tuple(alexander._knot_q(a)))
+    elif what == "delta":
+        answer = hash(alexander.alexander_polynomial(a))
+    else:
+        answer = len(alexander._alexander_root_enclosures(a))
+    seconds = time.perf_counter() - t0
+    return f"{seconds} {str(answer).replace(' ', '')}"
+
+
+def jump() -> dict:
+    probe = (
+        f"import sys\nsys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})\n"
+        "import bench_layers\nprint(bench_layers.jump_once({name!r}))\n"
+    )
+    out = {}
+    for name in JUMP:
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", probe.format(name=name)],
+                capture_output=True, text=True, check=True, timeout=JUMP_TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            out[name] = {"timeout_s": JUMP_TIMEOUT_S}
+            continue
+        seconds, answer = proc.stdout.split()
+        out[name] = {"s": float(seconds), "answer": answer}
+    return out
+
+
+LAYERS = {
+    "isolation": isolation,
+    "isolation_random": isolation_random,
+    "averages": averages,
+    "arc_point": arc_point,
+    "cold_import": cold_import,
+    "exact_fallback": exact_fallback,
+    "jump": jump,
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="key of this run in the output object")
     parser.add_argument("--out", required=True, help="JSON file to add the results to")
+    parser.add_argument(
+        "--layers", default=",".join(LAYERS), help="comma-separated layers to run (default: all)"
+    )
     args = parser.parse_args(argv)
-    results = {
-        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
-        "isolation": isolation(),
-        "isolation_random": isolation_random(),
-        "averages": averages(),
-        "arc_point": arc_point(),
-        "cold_import": cold_import(),
-        "exact_fallback": exact_fallback(),
-    }
+    machine = f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}"
+    results = {"machine": machine}
+    for layer in args.layers.split(","):
+        results[layer] = LAYERS[layer]()
     merged = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:

@@ -18,6 +18,8 @@ The records cover:
 - inertias that the float passes leave to exact arithmetic: links with
   zero rows and scrambled K # K at every k/d with d <= 18, and integer and
   cyclotomic Hermitian forms of size up to 10 and low rank;
+- inertias at singular tridiagonal blocks: every k/(4n + 2) of torus2:n
+  for n in {20, 40}, and every k/d with d <= 30 of two-block sums;
 - Alexander polynomials;
 - exact averages by both routes for torus2 and jn with n in {15, 30}, a
   K # K of size 60 and a connected sum whose unit-circle roots lie closer
@@ -251,6 +253,32 @@ def exact_inertia_records() -> None:
             emit({"kind": "form", "knot": name, "k": k, "d": d, "inertia": triple})
 
 
+def jump_records() -> None:
+    """Exact inertias where a tridiagonal block is singular: at every
+    k/(4n + 2) of torus2:n for n in {20, 40}, and at every k/d with
+    d <= 30 of two-block sums whose second block starts at an even or an
+    odd index, one of them with both blocks singular at once."""
+    for n in (20, 40):
+        a, d = torus_knot_seifert(n), 4 * n + 2
+        for k in range(1, d):
+            triple = signature_details(a, UnitRoot(k, d)).inertia.as_tuple()
+            emit({"kind": "jump", "knot": f"torus2:{n}", "k": k, "d": d, "inertia": triple})
+    t3, t5 = torus_knot_seifert(3), torus_knot_seifert(5)
+    odd = ((1, 1, 0), (0, 1, 1), (0, 0, -1))
+    named = [
+        ("torus2:4#jn:3", connected_sum(torus_knot_seifert(4), jn_seifert(3))),
+        ("torus2:5#torus2:5", connected_sum(t5, t5)),
+        ("odd-3+torus2:3", SeifertMatrix(tuple(
+            [row + (0,) * 6 for row in odd] + [(0,) * 3 + row for row in t3.entries]
+        ), kind="link")),
+    ]
+    for name, a in named:
+        for d in range(2, 31):
+            for k in range(1, d):
+                triple = signature_details(a, UnitRoot(k, d)).inertia.as_tuple()
+                emit({"kind": "jump", "knot": name, "k": k, "d": d, "inertia": triple})
+
+
 def cli_records(named) -> None:
     specs = ["unknot"] + [f"torus2:{n}" for n in (1, 2, 5, 12)]
     specs += [f"jn:{n}" for n in (1, 2, 3, 7, 20)]
@@ -284,6 +312,7 @@ def main() -> int:
     enclosure_records(named)
     signature_records([(n, a) for n, a in named if a.size <= 8])
     exact_inertia_records()
+    jump_records()
     cli_records(named)
     return 0
 

@@ -1,11 +1,14 @@
 """The Alexander polynomial of a Seifert matrix and its unit-circle roots.
 
-Delta(t) = det(A^T - t A) in Z[t], by the band continuant for tridiagonal
-matrices and fraction-free Bareiss elimination otherwise.  For a knot,
-Delta is palindromic, Delta(t) = t^g Q(t + 1/t) with Q in Z[x], and its
-roots e^(i theta) on the unit circle are the roots x = 2 cos theta of Q in
-[-2, 2].  Those are isolated once per matrix.  A tridiagonal knot reads Q
-off its band, with no Delta built; other knots convert Delta.  A float
+Delta(t) = det(A^T - t A) in Z[t], by fraction-free Bareiss elimination,
+except for tridiagonal matrices.  Their band has one recurrence in
+x = t + 1/t (_band_q), which gives Delta, Q below and, run over the
+residues of x = zeta + 1/zeta, the signs of the leading minors of the
+Hermitian form that the signature engine tests at a singular point.  For
+a knot, Delta is palindromic, Delta(t) = t^g Q(t + 1/t) with Q in Z[x],
+and its roots e^(i theta) on the unit circle are the roots
+x = 2 cos theta of Q in [-2, 2].  Those are isolated once per matrix.  A
+tridiagonal knot reads Q off its band; other knots convert Delta.  A float
 stage samples Q(2 cos theta) in the cosine basis, where it is well
 conditioned at high degree, and refines every sign change by Newton steps
 on Clenshaw's recurrence.  Each float root is then rounded outward to a
@@ -30,7 +33,8 @@ the arcs between the enclosures.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from collections import deque
+from itertools import accumulate, zip_longest
 
 from .cyclotomic import CyclotomicElement, UnitRoot, _poly_divexact, _poly_trim, cyc_field
 from .exceptions import InternalInconsistencyError, InvalidParameterError
@@ -63,31 +67,19 @@ def _poly_sub(a: list[int], b: list[int]) -> list[int]:
 
 @per_matrix_cache
 def alexander_polynomial(a: SeifertMatrix) -> tuple[int, ...]:
-    """det(A^T - t A) in Z[t] (ascending coefficients; 1 for the empty matrix)."""
+    """det(A^T - t A) in Z[t] (ascending coefficients; 1 for the empty matrix):
+    t^(m // 2) (t - 1)^(m mod 2) R_m(t + 1/t) for a tridiagonal matrix of
+    size m (_band_q), with the cosine coefficient b_j of R_m at both
+    t^(m // 2 - j) and t^(m // 2 + j); by Bareiss elimination otherwise."""
     m = a.size
-    if m == 0:
-        return (1,)
-    e = a.entries
     if a._tridiagonal:
-        # Continuant of the band of A^T - tA: diagonal a_ii - a_ii t, and
-        # beside it p - q t and q - p t, p = a_(i-1,i), q = a_(i,i-1), whose
-        # product is pq - (p^2 + q^2) t + pq t^2.
-        prev2, prev1 = [1], [e[0][0], -e[0][0]]
-        for i in range(1, m):
-            d, p, q = e[i][i], e[i - 1][i], e[i][i - 1]
-            nxt = [0] * (i + 2)
-            if d:
-                for j, c in enumerate(prev1):
-                    nxt[j] += d * c
-                    nxt[j + 1] -= d * c
-            if p or q:
-                pq, s = p * q, p * p + q * q
-                for j, c in enumerate(prev2):
-                    nxt[j] -= pq * c
-                    nxt[j + 1] += s * c
-                    nxt[j + 2] -= pq * c
-            prev2, prev1 = prev1, nxt
-        return tuple(_poly_trim(prev1))
+        b = _cosine_coefficients(_knot_q(a))
+        b += [0] * (m // 2 + 1 - len(b))
+        delta = b[:0:-1] + b
+        if m % 2:
+            delta = _poly_sub([0] + delta, delta)
+        return tuple(_poly_trim(delta))
+    e = a.entries
     mat = [[[e[j][i], -e[i][j]] for j in range(m)] for i in range(m)]
     # Fraction-free Bareiss over Z[t].
     sign = 1
@@ -120,42 +112,36 @@ def alexander_at(a: SeifertMatrix, root: UnitRoot) -> CyclotomicElement:
     return cyc_field(root.den).element(alexander_polynomial(a))
 
 
-# -- Q(x), with Delta(t) = t^g Q(t + 1/t), and the Descartes count -------------
+# -- the band recurrence, Q(x) with Delta(t) = t^g Q(t + 1/t), the Descartes count
 
 
-def _band_q(a: SeifertMatrix) -> list[int]:
-    """Q of the tridiagonal knot matrix a, from its band.
+def _band_q(a: SeifertMatrix, start: int, stop: int, times_x=lambda r: [0] + r):
+    """Yield R_1, ..., R_(stop - start) of the nonempty block [start, stop)
+    of the tridiagonal matrix a, as lists that times_x multiplies by x: in
+    Z[x] by default, or residues of x = zeta + 1/zeta mod Phi_d.
 
-    Divide the continuant D_i of A^T - tA by t^(i/2) and put
+    Divide the continuant D_i of the block of A^T - tA by t^(i/2) and put
     u = t^(1/2) - t^(-1/2), so u^2 = x - 2 for x = t + 1/t.  The diagonal
     a_ii (1 - t) becomes -a_ii u and the off-diagonal product
-    pq - (p^2 + q^2) t + pq t^2 becomes pq x - p^2 - q^2, so D_i / t^(i/2)
-    is u^(i mod 2) R_i with R_0 = 1, R_1 = -a_11 and, for 1-based i,
+    pq - (p^2 + q^2) t + pq t^2 becomes pq x - p^2 - q^2, so D_i / t^(i/2) is
+    u^(i mod 2) R_i with R_0 = 1, R_1 = -a_11 and, i counting from 1 at start,
     R_i = -a_ii (x - 2 if i is even, else 1) R_(i-1) - (pq x - p^2 - q^2) R_(i-2),
-    p = a_(i-1,i), q = a_(i,i-1).  Q = R_m.
+    p = a_(i-1,i), q = a_(i,i-1).  Q = R_m for a knot of size m.  At
+    w = e^(i theta) != 1, H = (1 - conj w)(A^T - wA) and (1 - conj w) w^(1/2) = u,
+    so the i-th leading minor of the block of H is
+    u^(i + i mod 2) R_i = (x - 2)^ceil(i/2) R_i(x), x = 2 cos theta < 2.
     """
-    m = a.size
-    if m == 0:
-        return [1]
     e = a.entries
-    prev2, prev1 = [1], [-e[0][0]]
-    for i in range(1, m):
-        d, p, q = e[i][i], e[i - 1][i], e[i][i - 1]
-        nxt = [0] * ((i + 1) // 2 + 1)
-        if d and i % 2:  # 1-based i + 1 even: -d (x - 2) R_(i-1)
-            for j, c in enumerate(prev1):
-                nxt[j] += 2 * d * c
-                nxt[j + 1] -= d * c
-        elif d:
-            for j, c in enumerate(prev1):
-                nxt[j] -= d * c
-        if p or q:
-            pq, s = p * q, p * p + q * q
-            for j, c in enumerate(prev2):
-                nxt[j] += s * c
-                nxt[j + 1] -= pq * c
-        prev2, prev1 = prev1, nxt
-    return _poly_trim(prev1)
+    prev2, prev1 = [1], [-e[start][start]]
+    yield prev1
+    for i in range(start + 1, stop):
+        d, p, q, even = e[i][i], e[i - 1][i], e[i][i - 1], (i - start) % 2
+        x1 = times_x(prev1) if d and even else ()
+        x2 = times_x(prev2) if p and q else ()
+        c1, s, pq = 2 * d if even else -d, p * p + q * q, p * q
+        terms = zip_longest(prev1, x1, prev2, x2, fillvalue=0)
+        prev2, prev1 = prev1, [c1 * r1 - d * y1 + s * r2 - pq * y2 for r1, y1, r2, y2 in terms]
+        yield prev1
 
 
 def _delta_q(delta: tuple[int, ...], m: int) -> list[int]:
@@ -178,8 +164,11 @@ def _delta_q(delta: tuple[int, ...], m: int) -> list[int]:
 
 def _knot_q(a: SeifertMatrix) -> list[int]:
     """Q with Delta(t) = t^g Q(t + 1/t), for the knot matrix a of size 2g:
-    from the band for a tridiagonal matrix, else from Delta."""
-    return _band_q(a) if a._tridiagonal else _delta_q(alexander_polynomial(a), a.size)
+    from the band for a tridiagonal matrix (R_m of _band_q, for any size
+    m), else from Delta."""
+    if not a._tridiagonal:
+        return _delta_q(alexander_polynomial(a), a.size)
+    return _poly_trim(deque(_band_q(a, 0, a.size), maxlen=1).pop() if a.size else [1])
 
 
 def _shift_by_one(r: list[int]) -> list[int]:

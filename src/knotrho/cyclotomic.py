@@ -251,6 +251,13 @@ class CycField:
             out = [o + low * r for o, r in zip(out, self._xinv_row)]
         return out
 
+    def mul_x_plus_xinv_list(self, a: list) -> list:
+        """a (x + x^{-1}) for a list a of at most phi(d) coefficients, in
+        O(phi(d)): the top term a_(n-1) x^n of x a is reduced by a_(n-1) Phi_d."""
+        a = a + [0] * (self.degree - len(a))
+        top = a[-1]
+        return [u + w - top * c for u, w, c in zip([0] + a, self.mul_xinv_list(a), self.phi)]
+
     def conj_list(self, a: list) -> list:
         # Horner for sum a_j * (x^{-1})^j; complex conjugation sends x to x^{-1}.
         acc = self.zero_list()

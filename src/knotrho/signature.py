@@ -4,11 +4,12 @@ For an integer Seifert matrix A the form is H = (1-w)A + (1-conj(w))A^T.
 The sound float kernels of floatpass decide most signs: the two-shift
 LDL^T pivot count for each unreduced tridiagonal block, and the
 midpoint-radius elimination for generic forms.  Where a tridiagonal count
-does not certify, the exact last minor of the block is tested over the
-cyclotomic residue ring: a zero gives one zero eigenvalue and, by strict
-interlacing, the certified count of the leading block; anything else reads
-every minor sign off the exact chain (interval refinement for tiny nonzero
-values).  A generic pass that stalls at a 1x1 complement at a jump point
+does not certify, the exact last minor of the block, up to a positive
+factor, is tested over the cyclotomic residue ring: a zero gives one zero
+eigenvalue and, by strict interlacing, the certified count of the leading
+block; anything else reads every minor sign off the exact chain, the band
+recurrence of alexander (interval refinement for tiny nonzero values).  A
+generic pass that stalls at a 1x1 complement at a jump point
 is decided by the exact Alexander value: det H = (1 - conj w)^m Delta(w),
 so Delta(w) = 0 certifies that the complement is zero.  A knot is
 nonsingular with signature 0 on the arc of the unit circle through w = 1,
@@ -50,7 +51,7 @@ from .cyclotomic import (
     exact_degree,
     _divisors,
 )
-from .alexander import _alexander_root_enclosures, alexander_at, alexander_polynomial
+from .alexander import _alexander_root_enclosures, _band_q, alexander_at, alexander_polynomial
 from .exceptions import (
     ConductorLimitError,
     InternalInconsistencyError,
@@ -153,13 +154,6 @@ class HermitianForm:
 # -- exact entries ---------------------------------------------------------
 
 
-def _herm_entry(fld, p: int, q: int) -> CyclotomicElement:
-    """(1-x)p + (1-x^{-1})q over the conductor-d ring."""
-    if p == 0 and q == 0:
-        return fld.zero()
-    return (fld.one() - fld.gen()) * p + (fld.one() - fld.gen_inv()) * q
-
-
 @per_matrix_cache
 def _herm_residues(a: SeifertMatrix, den: int):
     """Full entry table of (1-x)A + (1-x^{-1})A^T over the conductor-den ring.
@@ -169,9 +163,9 @@ def _herm_residues(a: SeifertMatrix, den: int):
     the exact characteristic polynomial and hermitian_form read it.
     """
     fld = cyc_field(den)
-    m = a.size
+    u, v = fld.one() - fld.gen(), fld.one() - fld.gen_inv()
     e = a.entries
-    return tuple(tuple(_herm_entry(fld, e[i][j], e[j][i]) for j in range(m)) for i in range(m))
+    return tuple(tuple(u * p + v * q for p, q in zip(row, col)) for row, col in zip(e, zip(*e)))
 
 
 def hermitian_form(a: SeifertMatrix, root: UnitRoot) -> HermitianForm:
@@ -243,17 +237,18 @@ def _chain(diag, off) -> tuple:
 
 @per_matrix_cache
 def _minor_chain(a: SeifertMatrix, den: int, start: int, stop: int) -> tuple:
-    """Exact leading minors of the block [start, stop) of H, built from
-    that band alone over the conductor-den ring.
+    """(-1)^ceil(i/2) R_i(x) at x = zeta + 1/zeta over the conductor-den
+    ring, from the band recurrence (_band_q), one O(phi(den)) product by x
+    per step: the i-th leading minor of the block [start, stop) of H is
+    (x - 2)^ceil(i/2) R_i(x) with x - 2 < 0, so each value has its sign at
+    every primitive root and is zero exactly when it is.
 
     Like the entries themselves, the chain depends only on the conductor,
     so it is shared by every evaluation point k/den.
     """
     fld = cyc_field(den)
-    e = a.entries
-    diag = [_herm_entry(fld, e[i][i], e[i][i]) for i in range(start, stop)]
-    off = [_herm_entry(fld, e[i][i + 1], e[i + 1][i]) for i in range(start, stop - 1)]
-    return _chain(diag, off)
+    rs = enumerate(_band_q(a, start, stop, fld.mul_x_plus_xinv_list), 1)
+    return tuple(fld.element([-c for c in r] if (i + 1) // 2 % 2 else r) for i, r in rs)
 
 
 def _settle_signs(chain, root: UnitRoot) -> InertiaTriple:
@@ -297,9 +292,14 @@ def _generic_inertia_exact(entries, root) -> InertiaTriple:
     O(m^4) ring products, with coefficients that grow only linearly in m:
     that of each leading block is a lower-triangular Toeplitz matrix, with
     first column 1, -h, -R S, -R M S, ..., times that of the previous block
-    M, where R, S and h are the new row, column and corner.
+    M, where R, S and h are the new row, column and corner.  A zero row of
+    the Hermitian table, whose column is zero too, is a factor x and one
+    zero eigenvalue, so such rows and columns are dropped first.
     """
-    m = len(entries)
+    size = len(entries)
+    keep = [i for i, row in enumerate(entries) if not all(e.is_zero for e in row)]
+    entries = [[entries[i][j] for j in keep] for i in keep]
+    m = len(keep)
     fld = cyc_field(root.den)
     poly = [fld.one()]  # det(xI - H_r), highest degree first
     for r in range(m):
@@ -311,10 +311,10 @@ def _generic_inertia_exact(entries, root) -> InertiaTriple:
                 vec = [_dot(fld, entries[i], vec) for i in range(r)]
         poly = [_dot(fld, toeplitz[i::-1], poly) for i in range(r + 2)]
     signs = [certified_sign(c, root)[0] for c in poly]
-    zero = m - max(i for i, s in enumerate(signs) if s)
+    zero = size - max(i for i, s in enumerate(signs) if s)
     signs = [s for s in signs if s]
     positive = sum(a != b for a, b in zip(signs, signs[1:]))
-    return InertiaTriple(positive, zero, m - positive - zero)
+    return InertiaTriple(positive, zero, size - positive - zero)
 
 
 def _dot(fld, u, v) -> CyclotomicElement:

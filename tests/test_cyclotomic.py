@@ -90,6 +90,19 @@ def test_generator_inverse():
         assert fld.gen() * fld.gen_inv() == fld.one()
 
 
+@given(
+    st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 30, 105]),
+    st.lists(st.integers(-9, 9), max_size=50),
+)
+def test_multiplication_by_x_plus_its_inverse(d, coeffs):
+    # full residues and shorter lists, against the dense product; Phi_105
+    # has a coefficient -2
+    fld = cyc_field(d)
+    x_plus_xinv = fld.gen() + fld.gen_inv()
+    for c in (list(fld.element(coeffs).coeffs), coeffs[:fld.degree]):
+        assert fld.mul_x_plus_xinv_list(c) == list((fld.element(c) * x_plus_xinv).coeffs)
+
+
 small_coeffs = st.lists(st.integers(-9, 9), min_size=1, max_size=6)
 conductors = st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 24])
 

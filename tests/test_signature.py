@@ -20,6 +20,7 @@ from knotrho.rho import rho_knot_surgery, rho_knot_surgery_result
 from knotrho.seifert import (
     SeifertMatrix,
     _is_tridiagonal,
+    det_int,
     jn_seifert,
     mirror,
     torus_knot_seifert,
@@ -596,6 +597,77 @@ def test_integer_passes_at_torus_jump_points():
             assert signature_details(scrambled, root).inertia.as_tuple() == want
 
 
+def _chain_oracle_inputs(rng):
+    """Tridiagonal matrices for the minor chain: the families with n <= 8
+    and their mirrors, two-block sums whose second block starts at an even
+    and at an odd index, and random links of odd size with a zero
+    off-diagonal pair."""
+    out = []
+    for n in range(1, 9):
+        for build in (torus_knot_seifert, jn_seifert):
+            out += [build(n), mirror(build(n))]
+    out += [
+        _connected_sum(torus_knot_seifert(2), jn_seifert(3)),
+        _connected_sum(mirror(jn_seifert(2)), torus_knot_seifert(1)),
+    ]
+    odd, t2 = ((1, 1, 0), (0, 1, 1), (0, 0, -1)), torus_knot_seifert(2).entries
+    rows = [row + (0,) * 4 for row in odd] + [(0,) * 3 + row for row in t2]
+    out.append(SeifertMatrix(tuple(rows), kind="link"))
+    for m in (3, 5, 7, 9):
+        rows = [list(row) for row in _random_tridiagonal_link(rng, m).entries]
+        i = rng.randrange(m - 1)
+        rows[i][i + 1] = rows[i + 1][i] = 0
+        out.append(SeifertMatrix(tuple(map(tuple, rows)), kind="link"))
+    return out
+
+
+def test_minor_chain_signs_match_the_residue_chain():
+    # The band recurrence's chain against _chain on each block of the
+    # residue table, on the blocks of non-real w and those of w = -1, for
+    # d <= 60.  Exactly: the i-th minor is (2 - x)^ceil(i/2) times the i-th
+    # value of the chain, x = zeta + 1/zeta, and 2 - x = |1 - w|^2 > 0 at
+    # every primitive root w, so the two have the same sign at every k/d
+    # and vanish together; certified signs confirm it at every k/d, d <= 30.
+    rng = random.Random(20)
+    for a in _chain_oracle_inputs(rng):
+        _, blocks, blocks_den2 = _tridiag_layout(a)
+        for d in range(2, 61):
+            fld = cyclotomic.cyc_field(d)
+            two_minus_x = fld.scalar(2) - fld.gen() - fld.gen_inv()
+            table = _herm_residues(a, d)
+            roots = [UnitRoot(k, d) for k in range(1, d // 2 + 1) if math.gcd(k, d) == 1]
+            for start, stop in blocks_den2 if d == 2 else blocks:
+                mine = _minor_chain(a, d, start, stop)
+                diag = [table[i][i] for i in range(start, stop)]
+                ref = signature._chain(diag, [table[i][i + 1] for i in range(start, stop - 1)])
+                assert len(mine) == len(ref) == stop - start
+                factor = fld.one()
+                for i, (x, y) in enumerate(zip(mine, ref), 1):
+                    factor = factor * two_minus_x if i % 2 else factor
+                    assert factor * x == y, (a, d, start, i)
+                for root in roots if d <= 30 else ():
+                    want = [cyclotomic.certified_sign(x, root)[0] for x in ref]
+                    assert [cyclotomic.certified_sign(x, root)[0] for x in mine] == want, (a, root)
+
+
+def test_jump_point_chain_takes_no_dense_product(monkeypatch):
+    # The chain at a jump point multiplies by x = zeta + 1/zeta in O(phi(d))
+    # per step: no product of two residues, as the entry-by-entry chain took.
+    products = []
+    original = CycField.mul_lists
+
+    def counting(self, a, b):
+        products.append(self.d)
+        return original(self, a, b)
+
+    monkeypatch.setattr(CycField, "mul_lists", counting)
+    _clear_engine_caches()
+    a = torus_knot_seifert(100)
+    assert signature_details(a, UnitRoot(1, 402)).inertia.as_tuple() == (100, 1, 99)
+    assert _minor_chain.cache_info().misses == 1
+    assert products == []
+
+
 def test_pivot_count_stops_when_either_sequence_stops():
     # No imaginary part and 1 - Re w = 1 with the radius chosen so that
     # delta = 2 exactly: alpha = 2 a_ii and beta = 0, so a pivot of T - 2I is
@@ -984,14 +1056,24 @@ def _random_hermitian_residues(rng, m, d):
 @given(st.integers(0, 10**9))
 def test_characteristic_polynomial_inertia_matches_pivot_oracle(seed):
     # Random Hermitian residue forms of size <= 8 and conductor <= 40, links
-    # whose zero rows make Delta = 0, and K # K at the double roots of
+    # whose zero rows make Delta = 0, integer forms of low rank whose zero
+    # rows come from the rank-one terms, and K # K at the double roots of
     # Delta_K^2: Descartes' rule on det(xI - H) against the pivot oracle.
     rng = random.Random(seed)
-    case = rng.randrange(3)
+    case = rng.randrange(4)
     if case == 0:
         d = rng.randint(1, 40)
         root = UnitRoot(rng.choice([k for k in range(d) if math.gcd(k, d) == 1]), d)
         entries = _random_hermitian_residues(rng, rng.randint(1, 8), d)
+    elif case == 3:
+        m = rng.randint(3, 10)
+        rows = [[0] * m for _ in range(m)]
+        for _ in range(rng.randint(1, m - 2)):
+            v = [rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(m)]
+            s = rng.choice((1, -1))
+            rows = [[x + s * v[i] * v[j] for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        form = HermitianForm.from_integer_symmetric(rows)
+        entries, root = form.entries, form.root
     else:
         if case == 1:
             m = rng.randint(2, 8)
@@ -1390,21 +1472,58 @@ def _random_tridiagonal_knot(rng, g):
     return SeifertMatrix(tuple(tuple(r) for r in rows), kind="knot")
 
 
+def _checked_delta(a, rng):
+    """Delta of the tridiagonal matrix a by routes that share nothing with
+    the band recurrence: Bareiss elimination over Z[t] on a scrambled copy
+    P^T A P, whose Delta is the same, checked against det_int(A^T - tA) at
+    size + 3 integer points, which determine a polynomial of degree <= size.
+    Every matrix of size <= 2 is tridiagonal, so there the points decide."""
+    delta = alexander_polynomial(_scrambled(a, rng) if a.size > 2 else a)
+    e, m = a.entries, a.size
+    for t in range(-2, m + 1):
+        rows = tuple(tuple(e[j][i] - t * e[i][j] for j in range(m)) for i in range(m))
+        assert sum(c * t**j for j, c in enumerate(delta)) == det_int(rows), (a, t)
+    return delta
+
+
+@given(st.integers(0, 10**9))
+def test_delta_of_tridiagonal_matrices_matches_bareiss_and_det_int(seed):
+    # links of odd and even size, with zero and antisymmetric off-diagonal
+    # pairs, knots, and their mirrors
+    rng = random.Random(seed)
+    link = _random_tridiagonal_link(rng, rng.randint(1, 9))
+    for a in (link, _random_tridiagonal_knot(rng, rng.randint(0, 4))):
+        for b in (a, mirror(a)):
+            assert b._tridiagonal
+            assert alexander_polynomial(b) == _checked_delta(b, rng)
+
+
 @given(st.integers(0, 10**9))
 def test_q_from_the_band_matches_the_conversion_from_delta(seed):
     rng = random.Random(seed)
     a = _random_tridiagonal_knot(rng, rng.randint(0, 6))
     for k in (a, mirror(a)):
         assert k._tridiagonal
-        assert alexander._band_q(k) == alexander._delta_q(alexander_polynomial(k), k.size)
+        assert alexander._knot_q(k) == alexander._delta_q(_checked_delta(k, rng), k.size)
 
 
 def test_q_from_the_band_on_the_families():
-    assert alexander._band_q(unknot_seifert()) == [1]
+    # Delta of torus2:n is 1 - t + t^2 - ... + t^(2n), and that of jn:n is
+    # -1 + 3t - 3t^2 + ... + 3t^(2n-1) - t^(2n), pinned for n <= 6 by the
+    # independent routes
+    assert alexander._knot_q(unknot_seifert()) == [1]
+    rng = random.Random(4)
     for n in range(1, 61):
-        for build in (torus_knot_seifert, jn_seifert):
+        closed = {
+            torus_knot_seifert: tuple((-1) ** j for j in range(2 * n + 1)),
+            jn_seifert: tuple(3 * (-1) ** (j + 1) if 0 < j < 2 * n else -1 for j in range(2 * n + 1)),
+        }
+        for build, delta in closed.items():
             a = build(n)
-            assert alexander._band_q(a) == alexander._delta_q(alexander_polynomial(a), a.size)
+            if n <= 6:
+                assert _checked_delta(a, rng) == delta
+            assert alexander_polynomial(a) == alexander_polynomial(mirror(a)) == delta
+            assert alexander._knot_q(a) == alexander._delta_q(delta, a.size)
 
 
 def _poly_from_factors(factors):
