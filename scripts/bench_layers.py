@@ -25,10 +25,11 @@ on one machine.  Standard library only.  The layers:
   already cached by an average at another prime, as for the equal
   matrices of a prime-avg round); median of REPEATS;
 - "arc_point": the cost of one sigma at the arc points of torus2:6 and
-  jn:6 at d = 1009, through the per-matrix memo (_signature_exact_cached,
-  cleared before each pass, so every call misses) and, where the tree
-  has one, through the core (_exact_counts) with the layout fetched once;
-  median of REPEATS passes, divided by the number of points;
+  jn:6 at d = 1009, through the core (_exact_counts) with the layout
+  fetched once and, for trees that have one, through the per-matrix memo
+  of older trees (_signature_exact_cached, cleared before each pass, so
+  every call misses; null where the tree has none); median of REPEATS
+  passes, divided by the number of points;
 - "cold_import": the import of prime-avg's modules (knotrho, seifert,
   signature, cyclotomic) and of knotrho.cli, each timed in COLD_RUNS fresh
   interpreters started with this one's environment: the median time and
@@ -211,17 +212,19 @@ def averages() -> dict:
 
 def arc_point() -> dict:
     core = getattr(signature, "_exact_counts", None)
+    cached = getattr(signature, "_signature_exact_cached", None)
     out = {}
     d = 1009
     for name, a in (("torus2:6", torus_knot_seifert(6)), ("jn:6", jn_seifert(6))):
         points = [(k // math.gcd(k, d), d // math.gcd(k, d)) for k, _ in signature._arc_points(a, d)]
         memo, direct = [], []
         for _ in range(REPEATS):
-            signature._signature_exact_cached.cache_clear()
-            t0 = time.perf_counter()
-            for num, den in points:
-                signature._signature_exact_cached(a, num, den)
-            memo.append(time.perf_counter() - t0)
+            if cached is not None:
+                cached.cache_clear()
+                t0 = time.perf_counter()
+                for num, den in points:
+                    cached(a, num, den)
+                memo.append(time.perf_counter() - t0)
             if core is not None:
                 t0 = time.perf_counter()
                 layout = signature._tridiag_layout(a)
@@ -230,7 +233,7 @@ def arc_point() -> dict:
                 direct.append(time.perf_counter() - t0)
         out[name] = {
             "points": len(points),
-            "memo_us": 1e6 * statistics.median(memo) / len(points),
+            "memo_us": 1e6 * statistics.median(memo) / len(points) if memo else None,
             "core_us": 1e6 * statistics.median(direct) / len(points) if direct else None,
         }
     return out

@@ -138,6 +138,11 @@ def links() -> list[tuple[str, SeifertMatrix]]:
     return [("link-trefoil", trefoil), ("link-zero", zero)]
 
 
+def whole_grid(a: SeifertMatrix, d: int) -> int:
+    """The exact sum of sigma over every grid point k = 1 .. d // 2."""
+    return signature._exact_sum(a, d, signature._grid_points(d, 1, d // 2 + 1))
+
+
 def average_records(named) -> None:
     rng = random.Random(190)
     primes = [p for p in range(PRIME_RANGE[0], PRIME_RANGE[1] + 1) if is_prime(p)]
@@ -150,7 +155,7 @@ def average_records(named) -> None:
             if a.kind == "knot":
                 record["arcs"] = signature._exact_sum(a, d, signature._arc_points(a, d))
             if d <= GENERIC_GRID_MAX or _is_tridiagonal(a.entries):
-                record["divisors"] = signature._exact_grid_sum(a, d)
+                record["divisors"] = whole_grid(a, d)
             for mode in ("exact", "float"):
                 res = avg_signature_details(a, d, mode)
                 record[mode] = [str(res.value), res.certified]
@@ -172,7 +177,7 @@ def high_degree_records() -> None:
             emit({
                 "kind": "avg", "knot": name, "d": d,
                 "arcs": signature._exact_sum(a, d, signature._arc_points(a, d)),
-                "divisors": signature._exact_grid_sum(a, d),
+                "divisors": whole_grid(a, d),
             })
 
 

@@ -25,7 +25,6 @@ from .bounds import (
     CuspData,
     bound_report,
     gap_lower_bound,
-    lower_bound_signature,
     slope_length,
     two_pi_check,
 )
@@ -533,13 +532,13 @@ def gap_table(d: int, n_max: int, fmt: str):
         raise KnotRhoError(f"need n-max >= 3, got {n_max}")
     records = []
     for n in range(3, n_max + 1):
-        a = jn_seifert(n)
+        rep = bound_report(jn_seifert(n), d)
         records.append(
             {
                 "n": n,
                 "d": d,
-                "avg_sig": rational_str(avg_signature_details(a, d).value),
-                "thmB_lower": rational_str(lower_bound_signature(a, d)),
+                "avg_sig": rational_str(rep.avg_signature),
+                "thmB_lower": rational_str(rep.lower_signature),
                 "gap_lower": rational_str(gap_lower_bound(n, d)),
             }
         )

@@ -16,6 +16,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .exceptions import (
     ConductorLimitError,
@@ -43,15 +44,15 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _radical(n: int) -> int:
-    r, p, m = 1, 2, n
-    while p * p <= m:
-        if m % p == 0:
-            r *= p
-            while m % p == 0:
-                m //= p
+def _prime_factors(n: int) -> list[int]:
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
         p += 1 if p == 2 else 2
-    return r * (m if m > 1 else 1)
+    return out + [n] if n > 1 else out
 
 
 def _poly_trim(a: list[int]) -> list[int]:
@@ -84,44 +85,50 @@ def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+# Conductors kept per ring cache: a ring of degree phi(d) holds O(phi(d))
+# integers, about 21 MB at phi(d) = 2 * 10^5, so 16 rings take at most about
+# 340 MB, and cyclotomic_polynomial rebuilds one in O(2^omega(d) phi(d)), far
+# below the exact work that needs it.  16 holds the 14 small rings that a
+# round of the scrambled-scan benchmark cycles through.
+RING_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=RING_CACHE_SIZE)
 def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
-    """Ascending integer coefficients of the d-th cyclotomic polynomial."""
+    """Ascending integer coefficients of the d-th cyclotomic polynomial:
+    Phi_d(x) = Phi_r(x^(d/r)) for r the product of the primes of d, and
+    Phi_r, r > 1, is the power series prod (1 - x^e)^mu(r/e) over e | r cut
+    after degree phi(r), one O(phi(r)) pass per divisor, no recursion."""
     if d < 1:
         raise InvalidParameterError(f"conductor must be positive, got {d}")
     if d == 1:
         return (-1, 1)
-    rad = _radical(d)
-    if rad != d:
-        # Phi_d(x) = Phi_rad(x^(d/rad)) keeps the construction cheap and sparse.
-        base = cyclotomic_polynomial(rad)
-        q = d // rad
-        out = [0] * ((len(base) - 1) * q + 1)
-        for i, c in enumerate(base):
-            out[i * q] = c
-        return tuple(out)
-    num: list[int] = [-1] + [0] * (d - 1) + [1]
-    for e in _divisors(d)[:-1]:
-        num = _poly_divexact(num, cyclotomic_polynomial(e))
-    return tuple(num)
+    primes = _prime_factors(d)
+    q = d // math.prod(primes)
+    n = math.prod(p - 1 for p in primes)  # phi(r)
+    signed = [(1, (-1) ** len(primes))]  # (e, mu(r/e)) over the divisors e of r
+    for p in primes:
+        signed += [(e * p, -mu) for e, mu in signed]
+    series = [1] + [0] * n
+    for e, mu in signed:
+        if e > n:
+            continue
+        if mu > 0:
+            series[e:] = [u - v for u, v in zip(series[e:], series)]
+        else:
+            for j in range(e):
+                series[j::e] = accumulate(series[j::e])
+    out = [0] * (n * q + 1)
+    out[::q] = series
+    return tuple(out)
 
 
 def euler_phi(d: int) -> int:
     """Euler phi by trial-division factorization (no polynomial built)."""
     if d < 1:
         raise InvalidParameterError(f"conductor must be positive, got {d}")
-    result, p, m = 1, 2, d
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            result *= p - 1
-            while m % p == 0:
-                m //= p
-                result *= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result *= m - 1
-    return result
+    primes = _prime_factors(d)
+    return d // math.prod(primes) * math.prod(p - 1 for p in primes)
 
 
 def exact_degree(d: int) -> int:
@@ -296,7 +303,7 @@ class CycField:
         return f"CycField(d={self.d})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=RING_CACHE_SIZE)
 def cyc_field(d: int) -> CycField:
     return CycField(d)
 
@@ -448,6 +455,17 @@ def _iv_number(c, iv):
     return iv.mpf(c)
 
 
+def _interval_real_part(coeffs, num: int, den: int, iv):
+    """Re P(e^{2 pi i num/den}) = sum c_j cos(2 pi (j num mod den)/den) as
+    an outward-rounded interval at iv's current precision."""
+    two_pi = 2 * iv.pi
+    total = iv.mpf(0)
+    for j, c in enumerate(coeffs):
+        if c:
+            total += _iv_number(c, iv) * iv.cos(two_pi * ((j * num) % den) / den)
+    return total
+
+
 def _interval_real_sign(coeffs, num: int, den: int) -> tuple[int, float]:
     """Sign of Re(P(omega)) via outward-rounded interval arithmetic.
 
@@ -472,12 +490,7 @@ def _interval_real_sign(coeffs, num: int, den: int) -> tuple[int, float]:
     try:
         while True:
             iv.prec = prec
-            two_pi = 2 * iv.pi
-            total = iv.mpf(0)
-            for j, c in enumerate(coeffs):
-                if c:
-                    m = (j * num) % den
-                    total += _iv_number(c, iv) * iv.cos(two_pi * m / den)
+            total = _interval_real_part(coeffs, num, den, iv)
             if total.a > 0:
                 return 1, float(total.mid)
             if total.b < 0:
@@ -501,13 +514,7 @@ def _interval_eval_midpoint(coeffs, num: int, den: int):
     saved = iv.prec
     try:
         iv.prec = max(128, max_bits + 64)
-        two_pi = 2 * iv.pi
-        total = iv.mpf(0)
-        for j, c in enumerate(coeffs):
-            if c:
-                m = (j * num) % den
-                total += _iv_number(c, iv) * iv.cos(two_pi * m / den)
-        return float(total.mid)
+        return float(_interval_real_part(coeffs, num, den, iv).mid)
     finally:
         iv.prec = saved
 

@@ -16,8 +16,9 @@ The closed form is the source of truth; the per-level average is recomputed
 as a mandatory cross-check and a mismatch raises (it would mean an engine
 bug, not bad input).  For a knot at large d the closed form's average is
 summed by arcs between the roots of the Alexander polynomial, while the
-levels take one signature per root, so the check compares two
-independent routes.
+levels take one signature per conjugate pair of roots, so the check
+compares two independent routes.  Level k and level d - k read the same
+signature: sigma_{L'} at the conjugate root is the same.
 """
 
 from __future__ import annotations
@@ -162,12 +163,10 @@ def rho_finite_cyclic(
         - Fraction(d - 1, d) * sgn
         + Fraction(d * d - 1, 3 * d * d) * quad
     )
-    levels = [Fraction(0)]
-    for k in range(1, d):
-        sig_link = levine_tristram(cable_n.matrix, UnitRoot(k, d), mode)
-        levels.append(
-            sig_link - sgn + Fraction(2 * (d - k) * k, d * d) * quad
-        )
+    sigmas = [levine_tristram(cable_n.matrix, UnitRoot(k, d), mode) for k in range(1, d // 2 + 1)]
+    levels = [Fraction(0)] + [
+        sigmas[min(k, d - k) - 1] - sgn + Fraction(2 * (d - k) * k, d * d) * quad for k in range(1, d)
+    ]
     averaged = Fraction(sum(levels), d)
     if averaged != closed:
         raise InternalInconsistencyError(

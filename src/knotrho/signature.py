@@ -18,16 +18,17 @@ next to w = 1, is decided from the root enclosures.  Any other stall takes
 Descartes' rule on the exact characteristic polynomial of the full entry
 table.  Either way the result is certified.
 
-An average walks the grid points k = 1 .. d // 2, one per conjugate pair
-of d-th roots: a route picks the points (k, weight) and one loop sums
-weight * sigma.  Exact averages of knots over large grids go by arcs:
-sigma is constant on each open arc between the unit-circle roots of
-Delta, whose enclosures come from alexander.  An acos guess and a short
-walk place the grid points x_k = 2 cos(2 pi k/d) against each enclosure
-in O(1), with the rounding bound of the root, and the route picks one
-point per run of points inside an arc other than the arc through w = 1,
-where sigma = 0, weighted by the run, and every point whose enclosure
-meets a root, so its cost no longer grows with d.
+Nothing stores a signature: each is computed at the root it is asked
+for.  An average walks the grid points k = 1 .. d // 2, one per
+conjugate pair of d-th roots: a route picks the points (k, weight) and
+one loop, _exact_sum, sums weight * sigma.  Exact averages of knots over
+large grids go by arcs: sigma is constant on each open arc between the
+unit-circle roots of Delta, whose enclosures come from alexander.  An
+acos guess and a short walk place the grid points x_k = 2 cos(2 pi k/d)
+against each enclosure in O(1), with the rounding bound of the root, and
+the route picks one point per run of points inside an arc other than the
+arc through w = 1, where sigma = 0, weighted by the run, and every point
+whose enclosure meets a root, so its cost no longer grows with d.
 Links and small grids take the whole grid.
 Float mode is plain eigenvalue computation with a certification
 threshold; float averages evaluate the whole grid in fixed chunks, one
@@ -472,8 +473,10 @@ def _generic_seifert_inertia(a: SeifertMatrix, omc, s, num: int, den: int) -> In
 def _exact_counts(a: SeifertMatrix, layout, num: int, den: int) -> tuple[int, int]:
     """(negative, zero) eigenvalue counts of H at w = e^{2 pi i num/den},
     certified, for the layout _tridiag_layout(a): the signature engine's
-    core, with no memo.  Callers pass the smaller of num and den - num:
-    H(conj w) = conj H(w) has the same inertia, and check the conductor
+    core, with no memo.  Every route certifies at w and at conj w alike:
+    the two-shift count reads |Im w|, _grid_x carries _X_MARGIN for any
+    num, the float pass sees conj H, which has the same inertia, and exact
+    signs are certified at the given root.  Callers check the conductor
     with _check_conductor first."""
     omc, s = _mr_root(num, den)
     band, blocks, blocks_den2 = layout
@@ -494,15 +497,6 @@ def _exact_counts(a: SeifertMatrix, layout, num: int, den: int) -> tuple[int, in
     return neg, zero
 
 
-@per_matrix_cache
-def _signature_exact_cached(a: SeifertMatrix, num: int, den: int) -> InertiaTriple:
-    """Exact inertia of H at w = e^{2 pi i num/den}: _exact_counts, kept
-    per matrix for signature_details and the whole-grid sums, whose
-    signatures rho --levels reads again."""
-    neg, zero = _exact_counts(a, _tridiag_layout(a), num, den)
-    return InertiaTriple(a.size - neg - zero, zero, neg)
-
-
 def _check_conductor(d: int) -> None:
     """ConductorLimitError, as exact_degree raises it, for a conductor d
     whose exact arithmetic would exceed MAX_EXACT_DEGREE.  No d up to
@@ -521,7 +515,8 @@ def signature_details(a: SeifertMatrix, root: UnitRoot, mode: str = "exact") -> 
         return SignatureResult(0, triple, a.size > 0, True)
     if mode == "exact":
         _check_conductor(root.den)  # refuse huge conductors even where floats would decide
-        triple = _signature_exact_cached(a, min(root.num, root.den - root.num), root.den)
+        neg, zero = _exact_counts(a, _tridiag_layout(a), root.num, root.den)
+        triple = InertiaTriple(a.size - neg - zero, zero, neg)
     else:
         h = _numeric_hermitians(_complex_entries(a), [root.to_complex()])
         triple = _inertia_from_numeric(h[0])
@@ -546,8 +541,9 @@ def _grid_points(d: int, k0: int, k1: int):
 def _exact_sum(a: SeifertMatrix, d: int, points) -> int:
     """Sum of weight * sigma over grid points (k, weight) of the d-th roots,
     one certified count per point at its reduced fraction, straight from
-    _exact_counts with the layout fetched once: the arc route, whose few
-    points no later call reads again.  The caller checks the conductors."""
+    _exact_counts with the layout fetched once: the one loop of every
+    exact average, over _arc_points or the whole grid.  The caller checks
+    the conductors."""
     layout = _tridiag_layout(a)
     m = a.size
     total = 0
@@ -555,18 +551,6 @@ def _exact_sum(a: SeifertMatrix, d: int, points) -> int:
         g = math.gcd(k, d)
         neg, zero = _exact_counts(a, layout, k // g, d // g)
         total += weight * (m - 2 * neg - zero)
-    return total
-
-
-def _exact_grid_sum(a: SeifertMatrix, d: int) -> int:
-    """Sum of sigma over the d-th roots of unity other than 1, one memoised
-    signature per conjugate pair, which rho --levels reads again: the
-    route of links and small grids, and the reference the arc route is
-    tested against."""
-    total = 0
-    for k, weight in _grid_points(d, 1, d // 2 + 1):
-        g = math.gcd(k, d)
-        total += weight * _signature_exact_cached(a, k // g, d // g).signature
     return total
 
 
@@ -733,11 +717,11 @@ def avg_signature_details(a: SeifertMatrix, d: int, mode: str = "exact") -> AvgS
     points between unit-circle roots of Delta, except the run on the arc
     through w = 1, plus one per grid point whose enclosure meets a root, each
     root placed in the grid in O(1), so the cost no longer grows with d.
-    Links, whose Delta may vanish identically, and small grids sum one
-    certified signature per grid point; that loop is also the reference
-    the arc route is tested against.  Float mode sums the whole grid in
-    chunks of stacked eigensolves.  Any other mode raises
-    InvalidParameterError before any work.
+    Links, whose Delta may vanish identically, and small grids take every
+    grid point, the reference the arc route is tested against.  Both
+    routes are summed by _exact_sum, which keeps no signature.  Float mode
+    sums the whole grid in chunks of stacked eigensolves.  Any other mode
+    raises InvalidParameterError before any work.
     """
     if mode not in ("exact", "float"):
         raise _mode_error(mode)
@@ -756,11 +740,8 @@ def avg_signature_details(a: SeifertMatrix, d: int, mode: str = "exact") -> AvgS
         for dd in _divisors(d)[1:]:
             _check_conductor(dd)
         raise
-    if _sum_by_arcs(a, d):
-        total = _exact_sum(a, d, _arc_points(a, d))
-    else:
-        total = _exact_grid_sum(a, d)
-    return AvgSignatureResult(Fraction(total, d), True)
+    points = _arc_points(a, d) if _sum_by_arcs(a, d) else _grid_points(d, 1, d // 2 + 1)
+    return AvgSignatureResult(Fraction(_exact_sum(a, d, points), d), True)
 
 
 def avg_signature(a: SeifertMatrix, d: int, mode: str = "exact") -> Fraction:

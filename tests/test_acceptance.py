@@ -28,7 +28,6 @@ from knotrho.seifert import (
 from knotrho.signature import (
     _herm_residues,
     _minor_chain,
-    _signature_exact_cached,
     _tridiag_layout,
     alexander_at,
     alexander_polynomial,
@@ -53,7 +52,6 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_1_litherland_oracle():
     for cache in (
-        _signature_exact_cached,
         _tridiag_layout,
         _herm_residues,
         _minor_chain,

@@ -16,11 +16,11 @@ from knotrho.alexander import _alexander_root_enclosures, alexander_polynomial
 from knotrho.cli import cli
 from knotrho.cyclotomic import UnitRoot
 from knotrho.floatpass import _tridiag_layout
+from knotrho.rho import rho_knot_surgery_result
 from knotrho.seifert import jn_seifert, per_matrix_cache, torus_knot_seifert
 from knotrho.signature import (
     _herm_residues,
     _minor_chain,
-    _signature_exact_cached,
     avg_signature,
     avg_signature_details,
     hermitian_form,
@@ -34,7 +34,6 @@ MATRIX_CACHES = (
     _tridiag_layout,
     _herm_residues,
     _minor_chain,
-    _signature_exact_cached,
 )
 
 
@@ -103,6 +102,19 @@ def test_interrupt_while_a_matrix_dies_reaches_the_caller():
             sys.settrace(previous)
     assert raised == ["after_collection"]
     assert alexander_polynomial.cache_info().currsize == 0
+
+
+def test_rho_levels_keep_no_entry_per_grid_point():
+    # The levels of rho read one signature per conjugate pair of roots and
+    # store none, so a live matrix keeps as many entries at every d.
+    _clear()
+    a = jn_seifert(3)
+    sizes = []
+    for d in (401, 1009, 2003):
+        rho_knot_surgery_result(a, d)
+        sizes.append(sum(cache.cache_info().currsize for cache in MATRIX_CACHES))
+    assert sizes == [sizes[0]] * 3, sizes
+    assert sizes[0] < 10
 
 
 def test_cli_query_leaves_no_live_entry():

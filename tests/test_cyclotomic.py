@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from knotrho.cyclotomic import (
+    RING_CACHE_SIZE,
     UnitRoot,
     certified_sign,
     cyc_field,
     cyclotomic_polynomial,
     _interval_real_sign,
+    _poly_divexact,
 )
 from knotrho.exceptions import (
     ConductorLimitError,
@@ -56,6 +58,35 @@ def test_product_over_divisors_is_x_d_minus_1(d):
             prod = poly_mul(prod, list(cyclotomic_polynomial(e)))
     want = [-1] + [0] * (d - 1) + [1]
     assert prod == want
+
+
+def _phi_by_division(d, known):
+    """Phi_d as x^d - 1 divided by Phi_e for each proper divisor e, the
+    divisors' polynomials kept in known."""
+    if d not in known:
+        num = [-1] + [0] * (d - 1) + [1]
+        for e in range(1, d):
+            if d % e == 0:
+                num = _poly_divexact(num, _phi_by_division(e, known))
+        known[d] = tuple(num)
+    return known[d]
+
+
+@pytest.mark.parametrize("d", [105, 210, 385, 420, 1155, 1617, 2310])
+def test_cyclotomic_polynomial_matches_division_by_the_divisors(d):
+    # Many prime factors, coefficients other than 0 and +-1, and a square.
+    assert cyclotomic_polynomial(d) == _phi_by_division(d, {})
+
+
+def test_ring_caches_stay_bounded():
+    cyc_field.cache_clear()
+    cyclotomic_polynomial.cache_clear()
+    for d in range(2, 3 * RING_CACHE_SIZE):
+        assert cyc_field(d).d == d
+        assert cyc_field.cache_info().currsize <= RING_CACHE_SIZE
+        assert cyclotomic_polynomial.cache_info().currsize <= RING_CACHE_SIZE
+    assert cyc_field.cache_info().currsize == RING_CACHE_SIZE
+    assert cyc_field.cache_info().maxsize == cyclotomic_polynomial.cache_info().maxsize == RING_CACHE_SIZE
 
 
 @pytest.mark.parametrize("d", range(1, 80))

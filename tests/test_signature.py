@@ -46,7 +46,6 @@ from knotrho.signature import (
     _minor_chain,
     _mr_root,
     _mr_seifert_table,
-    _signature_exact_cached,
     _tridiag_layout,
     _two_shift_counts,
 )
@@ -318,10 +317,14 @@ def test_litherland_oracle_small_grid():
 
 @given(st.integers(0, 10**9))
 def test_conjugation_symmetry(seed):
+    # Two evaluations, at num and at den - num: nothing folds them into one.
     rng = random.Random(seed)
     a = random_knot_seifert(rng, size_max=10)
     root = random_root(rng, d_max=60)
-    assert levine_tristram(a, root) == levine_tristram(a, root.conjugate())
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _spy_on_the_core(patch)
+        assert levine_tristram(a, root) == levine_tristram(a, root.conjugate())
+    assert calls == [(root.num, root.den), (root.den - root.num, root.den)]
 
 
 @given(st.integers(0, 10**9))
@@ -808,10 +811,9 @@ def _spy_on_the_core(monkeypatch) -> list:
 
 
 def test_rho_closed_form_by_arcs_matches_the_levels_per_root(monkeypatch):
-    # The closed form sums by arcs, through the core with no memo entry:
-    # one signature per arc and per grid point meeting a root enclosure.
-    # The level loop then evaluates every conjugate pair once through the
-    # memo, and the two independent routes agree.
+    # The closed form sums by arcs: one signature per arc and per grid
+    # point meeting a root enclosure.  The level loop then evaluates every
+    # conjugate pair once, and the two independent routes agree.
     _clear_engine_caches()
     a = jn_seifert(3)
     d = 401
@@ -823,11 +825,11 @@ def test_rho_closed_form_by_arcs_matches_the_levels_per_root(monkeypatch):
     )
     calls = _spy_on_the_core(monkeypatch)
     avg = avg_signature(a, d)
-    assert 0 < len(calls) <= len(enclosures) + 1 + boundary
-    assert _signature_exact_cached.cache_info().currsize == 0
+    arcs = calls[:]
+    assert 0 < len(arcs) <= len(enclosures) + 1 + boundary
+    calls.clear()
     res = rho_knot_surgery_result(a, d)
-    info = _signature_exact_cached.cache_info()
-    assert info.misses == info.currsize == d // 2
+    assert calls == arcs + [(k, d) for k in range(1, d // 2 + 1)]
     assert res.value == Fraction(d, 3) + Fraction(2, 3 * d) - 1 + avg
     assert res.value == Fraction(sum(res.per_level), d)
 
@@ -1154,10 +1156,14 @@ def _connected_sum(a, b):
     return SeifertMatrix(tuple(rows), kind="knot")
 
 
+def _whole_grid(a, d):
+    return signature._exact_sum(a, d, signature._grid_points(d, 1, d // 2 + 1))
+
+
 def _assert_arcs_match(a, grids):
     for d in grids:
         arcs = signature._exact_sum(a, d, signature._arc_points(a, d))
-        assert arcs == signature._exact_grid_sum(a, d), (a.entries, d)
+        assert arcs == _whole_grid(a, d), (a.entries, d)
 
 
 @pytest.mark.parametrize("family", [torus_knot_seifert, jn_seifert])
@@ -1237,7 +1243,7 @@ def test_arc_route_through_the_core_matches_the_grid(seed):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(signature, "_exact_counts", counting)
             arcs = signature._exact_sum(torus, d, signature._arc_points(torus, d))
-        assert arcs == signature._exact_grid_sum(torus, d), (n, d)
+        assert arcs == _whole_grid(torus, d), (n, d)
         # the grid point k = d / (4n + 2) is the root e^(i pi / (2n + 1))
         assert any(zeros) == (d % (4 * n + 2) == 0)
 
@@ -1276,7 +1282,8 @@ def test_no_arc_point_and_zero_signature_above_the_largest_root():
                 # the run and its middle
                 above = above[:1] + above[len(above) // 2:][:1] + above[-1:]
             for k in above:
-                assert _signature_exact_cached(link, k, d).as_tuple() == (a.size // 2, 0, a.size // 2)
+                got = signature_details(link, UnitRoot(k, d)).inertia.as_tuple()
+                assert got == (a.size // 2, 0, a.size // 2)
     assert rootless == 116  # jn:1, its mirror and 114 random knots
 
 
@@ -1693,7 +1700,7 @@ def test_exact_average_by_arcs_at_a_huge_grid_is_fast():
     start = time.perf_counter()
     got = avg_signature(a, 100003)
     assert time.perf_counter() - start < 0.1
-    assert got == Fraction(signature._exact_grid_sum(a, 100003), 100003)
+    assert got == Fraction(_whole_grid(a, 100003), 100003)
 
 
 def _placement_holds(d, k, beyond):
