@@ -25,11 +25,18 @@ on one machine.  Standard library only.  The layers:
   already cached by an average at another prime, as for the equal
   matrices of a prime-avg round); median of REPEATS;
 - "arc_point": the cost of one sigma at the arc points of torus2:6 and
-  jn:6 at d = 1009, through the core (_exact_counts) with the layout
+  jn:6 at d = 1009, one per arc as where no arc signature is certified
+  (trees that certify them are made to decline while the points are
+  picked), through the core (_exact_counts) with the layout
   fetched once and, for trees that have one, through the per-matrix memo
   of older trees (_signature_exact_cached, cleared before each pass, so
   every call misses; null where the tree has none); median of REPEATS
   passes, divided by the number of points;
+- "arc_sweep": one live jn:100 and one live jn:300, each with every
+  cache cleared: the per-matrix crossing build (_arc_signatures, timed
+  after root isolation, null for trees that have none), then the exact
+  averages at d = 20011, the first, which isolates the roots, and at
+  d = 20021, the second; best of SWEEP_RUNS;
 - "cold_import": the import of prime-avg's modules (knotrho, seifert,
   signature, cyclotomic) and of knotrho.cli, each timed in COLD_RUNS fresh
   interpreters started with this one's environment: the median time and
@@ -79,6 +86,8 @@ RANDOM_KNOTS = 400
 # EXACT_CENTERS, and a second prime that warms the root enclosures.
 AVERAGE_GRIDS = {1: (701, 541), 2: (419, 337), 3: (337, 277), 4: (293, 241), 5: (263, 211), 6: (241, 199)}
 COLD_RUNS = 15
+SWEEP_RUNS = 5
+SWEEP_GRIDS = (20011, 20021)
 # Name -> (torus2 parameters of the summands, k, d): sizes 12, 14, 16, 24, 30.
 EXACT_FALLBACK = {
     "torus2:6": ((6,), 1, 26),
@@ -215,8 +224,17 @@ def arc_point() -> dict:
     cached = getattr(signature, "_signature_exact_cached", None)
     out = {}
     d = 1009
-    for name, a in (("torus2:6", torus_knot_seifert(6)), ("jn:6", jn_seifert(6))):
-        points = [(k // math.gcd(k, d), d // math.gcd(k, d)) for k, _ in signature._arc_points(a, d)]
+    knots = (("torus2:6", torus_knot_seifert(6)), ("jn:6", jn_seifert(6)))
+    crossings = getattr(signature, "_arc_signatures", None)
+    if crossings is not None:  # one point per arc, as where no crossing is certified
+        signature._arc_signatures = lambda a: (None,) * len(alexander._alexander_root_enclosures(a))
+    try:
+        arcs = {name: signature._arc_points(a, d) for name, a in knots}
+    finally:
+        if crossings is not None:
+            signature._arc_signatures = crossings
+    for name, a in knots:
+        points = [(k // math.gcd(k, d), d // math.gcd(k, d)) for k, _ in arcs[name]]
         memo, direct = [], []
         for _ in range(REPEATS):
             if cached is not None:
@@ -235,6 +253,32 @@ def arc_point() -> dict:
             "points": len(points),
             "memo_us": 1e6 * statistics.median(memo) / len(points) if memo else None,
             "core_us": 1e6 * statistics.median(direct) / len(points) if direct else None,
+        }
+    return out
+
+
+def arc_sweep() -> dict:
+    build = getattr(alexander, "_arc_signatures", None)
+    out = {}
+    for n in (100, 300):
+        runs = []
+        for _ in range(SWEEP_RUNS):
+            a = jn_seifert(n)
+            clear_caches()
+            record = {"crossing_build_s": None}
+            if build is not None:
+                alexander._alexander_root_enclosures(a)
+                t0 = time.perf_counter()
+                build(a)
+                record["crossing_build_s"] = time.perf_counter() - t0
+                clear_caches()
+            for label, d in zip(("first_s", "second_s"), SWEEP_GRIDS):
+                t0 = time.perf_counter()
+                signature.avg_signature_details(a, d)
+                record[label] = time.perf_counter() - t0
+            runs.append(record)
+        out[f"jn:{n}"] = {
+            key: min(r[key] for r in runs) if runs[0][key] is not None else None for key in runs[0]
         }
     return out
 
@@ -340,6 +384,7 @@ LAYERS = {
     "isolation_random": isolation_random,
     "averages": averages,
     "arc_point": arc_point,
+    "arc_sweep": arc_sweep,
     "cold_import": cold_import,
     "exact_fallback": exact_fallback,
     "jump": jump,

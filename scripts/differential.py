@@ -21,6 +21,11 @@ The records cover:
 - inertias at singular tridiagonal blocks: every k/(4n + 2) of torus2:n
   for n in {20, 40}, and every k/d with d <= 30 of two-block sums;
 - Alexander polynomials;
+- exact averages through the public avg_signature_details at grids the
+  arc route takes: torus2:n and jn:n for n = 1 .. 6 at 211, 1009 and
+  20011, jn:30 and jn:100 at 1009 and 20011, and RANDOM_TRIDIAGONAL
+  random tridiagonal knots of size up to 16 and their mirrors at 211 and
+  1009;
 - exact averages by both routes for torus2 and jn with n in {15, 30}, a
   K # K of size 60 and a connected sum whose unit-circle roots lie closer
   than root isolation's float sampling step, at primes 1009 and 5003;
@@ -79,6 +84,8 @@ GENERIC_GRID_MAX = 5005
 # root enclosures are recorded: 20 are certified by the count of the
 # fallback's isolated roots and 12 take its refined cells.
 RANDOM_ENCLOSURES = 60
+# Random tridiagonal knots (seed 22) whose public exact averages are recorded.
+RANDOM_TRIDIAGONAL = 40
 CLI_SLOPES = ("1", "-1", "2", "-3", "7", "12", "-30", "211", "-1009", "0")
 
 
@@ -110,6 +117,21 @@ def connected_sum(a: SeifertMatrix, b: SeifertMatrix) -> SeifertMatrix:
     m, n = a.size, b.size
     rows = [row + (0,) * n for row in a.entries] + [(0,) * m + row for row in b.entries]
     return SeifertMatrix(tuple(rows), kind="knot")
+
+
+def random_tridiagonal_knot(rng: random.Random, g: int) -> SeifertMatrix:
+    """A tridiagonal knot matrix of size 2g, entries in [-3, 3]: A - A^T is
+    unimodular iff a_(i,i+1) - a_(i+1,i) = +-1 at every odd 1-based i; the
+    other off-diagonal pairs are free, and sometimes zero."""
+    m = 2 * g
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m):
+        rows[i][i] = rng.randint(-3, 3)
+        if i + 1 < m:
+            p = rng.randint(-3, 3)
+            q = p - rng.choice((1, -1)) if i % 2 == 0 else rng.choice((0, p, -p, rng.randint(-3, 3)))
+            rows[i][i + 1], rows[i + 1][i] = p, q
+    return SeifertMatrix(tuple(tuple(r) for r in rows), kind="knot")
 
 
 def knots() -> list[tuple[str, SeifertMatrix]]:
@@ -160,6 +182,24 @@ def average_records(named) -> None:
                 res = avg_signature_details(a, d, mode)
                 record[mode] = [str(res.value), res.certified]
             emit(record)
+
+
+def public_average_records() -> None:
+    """Exact averages through avg_signature_details where it sums by arcs."""
+    named = [
+        (f"{family}:{n}", build(n), (211, 1009, 20011))
+        for family, build in (("torus2", torus_knot_seifert), ("jn", jn_seifert))
+        for n in range(1, 7)
+    ]
+    named += [(f"jn:{n}", jn_seifert(n), (1009, 20011)) for n in (30, 100)]
+    rng = random.Random(22)
+    for i in range(RANDOM_TRIDIAGONAL):
+        a = random_tridiagonal_knot(rng, rng.randint(1, 8))
+        named += [(f"tridiagonal-{i}", a, (211, 1009)), (f"-tridiagonal-{i}", mirror(a), (211, 1009))]
+    for name, a, grids in named:
+        for d in grids:
+            res = avg_signature_details(a, d)
+            emit({"kind": "avg", "knot": name, "d": d, "exact": [str(res.value), res.certified]})
 
 
 def high_degree_records() -> None:
@@ -313,6 +353,7 @@ def cli_records(named) -> None:
 def main() -> int:
     named = knots() + links()
     average_records([(n, a) for n, a in named if a.size <= 12])
+    public_average_records()
     high_degree_records()
     enclosure_records(named)
     signature_records([(n, a) for n, a in named if a.size <= 8])

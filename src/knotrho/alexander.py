@@ -28,12 +28,16 @@ of Q where a repeated root keeps a cell of unit width from isolating a
 root: the number of roots it isolates certifies the float brackets of q
 the same way, or else its cells, refined by sign bisection to width
 2^-48, are the enclosures.  The signature engine's exact averages sum by
-the arcs between the enclosures.
+the arcs between the enclosures.  For a tridiagonal knot, the signature
+on every arc follows from the enclosures too (_arc_signatures): the band
+recurrence run in the cosine basis gives the penultimate leading minor
+R_(m-1) next to Q, and one certified sign of R_(m-1) per enclosure, with
+one of Q per arc, tells by Haynsworth's inertia additivity how sigma
+changes across each enclosure; this is computed once per matrix.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from itertools import accumulate, zip_longest
 
 from .cyclotomic import CyclotomicElement, UnitRoot, _poly_divexact, _poly_trim, cyc_field
@@ -69,11 +73,12 @@ def _poly_sub(a: list[int], b: list[int]) -> list[int]:
 def alexander_polynomial(a: SeifertMatrix) -> tuple[int, ...]:
     """det(A^T - t A) in Z[t] (ascending coefficients; 1 for the empty matrix):
     t^(m // 2) (t - 1)^(m mod 2) R_m(t + 1/t) for a tridiagonal matrix of
-    size m (_band_q), with the cosine coefficient b_j of R_m at both
-    t^(m // 2 - j) and t^(m // 2 + j); by Bareiss elimination otherwise."""
+    size m, with the cosine coefficient b_j of R_m, which the band
+    recurrence (_band_q) gives in that basis, at both t^(m // 2 - j) and
+    t^(m // 2 + j); by Bareiss elimination otherwise."""
     m = a.size
     if a._tridiagonal:
-        b = _cosine_coefficients(_knot_q(a))
+        b = _band_q(a, 0, m, _cosine_times_x)[-1] if m else [1]
         b += [0] * (m // 2 + 1 - len(b))
         delta = b[:0:-1] + b
         if m % 2:
@@ -115,10 +120,11 @@ def alexander_at(a: SeifertMatrix, root: UnitRoot) -> CyclotomicElement:
 # -- the band recurrence, Q(x) with Delta(t) = t^g Q(t + 1/t), the Descartes count
 
 
-def _band_q(a: SeifertMatrix, start: int, stop: int, times_x=lambda r: [0] + r):
-    """Yield R_1, ..., R_(stop - start) of the nonempty block [start, stop)
-    of the tridiagonal matrix a, as lists that times_x multiplies by x: in
-    Z[x] by default, or residues of x = zeta + 1/zeta mod Phi_d.
+def _band_q(a: SeifertMatrix, start: int, stop: int, times_x=lambda r: [0] + r) -> list[list]:
+    """[R_1, ..., R_(stop - start)] of the nonempty block [start, stop) of
+    the tridiagonal matrix a, as lists that times_x multiplies by x: in
+    Z[x] by default, in the cosine basis (_cosine_times_x), or residues of
+    x = zeta + 1/zeta mod Phi_d.
 
     Divide the continuant D_i of the block of A^T - tA by t^(i/2) and put
     u = t^(1/2) - t^(-1/2), so u^2 = x - 2 for x = t + 1/t.  The diagonal
@@ -130,18 +136,34 @@ def _band_q(a: SeifertMatrix, start: int, stop: int, times_x=lambda r: [0] + r):
     w = e^(i theta) != 1, H = (1 - conj w)(A^T - wA) and (1 - conj w) w^(1/2) = u,
     so the i-th leading minor of the block of H is
     u^(i + i mod 2) R_i = (x - 2)^ceil(i/2) R_i(x), x = 2 cos theta < 2.
+    A step multiplies R_(i-1) by x only where a_ii != 0 and i is even, and
+    R_(i-2) only where pq != 0.
     """
     e = a.entries
     prev2, prev1 = [1], [-e[start][start]]
-    yield prev1
+    out = [prev1]
+    even = False
     for i in range(start + 1, stop):
-        d, p, q, even = e[i][i], e[i - 1][i], e[i][i - 1], (i - start) % 2
-        x1 = times_x(prev1) if d and even else ()
-        x2 = times_x(prev2) if p and q else ()
-        c1, s, pq = 2 * d if even else -d, p * p + q * q, p * q
-        terms = zip_longest(prev1, x1, prev2, x2, fillvalue=0)
-        prev2, prev1 = prev1, [c1 * r1 - d * y1 + s * r2 - pq * y2 for r1, y1, r2, y2 in terms]
-        yield prev1
+        even = not even
+        d, p, q = e[i][i], e[i - 1][i], e[i][i - 1]
+        s, pq = p * p + q * q, p * q
+        if d and even:  # -d (x - 2) R_(i-1) = d (2 R_(i-1) - x R_(i-1))
+            terms = zip_longest(prev1, times_x(prev1), prev2, fillvalue=0)
+            new = [d * (2 * r1 - y1) + s * r2 for r1, y1, r2 in terms]
+        else:
+            new = [s * r2 - d * r1 for r1, r2 in zip_longest(prev1, prev2, fillvalue=0)]
+        if pq:  # - pq x R_(i-2)
+            new = [n - pq * y for n, y in zip_longest(new, times_x(prev2), fillvalue=0)]
+        prev2, prev1 = prev1, new
+        out.append(new)
+    return out
+
+
+def _cosine_times_x(b: list[int]) -> list[int]:
+    """x F for F = b_0 + sum_(j >= 1) b_j V_j(x), in the same basis:
+    x V_j = V_(j+1) + V_(j-1) and x V_1 = V_2 + 2, so the new b_0 is 2 b_1
+    and the new b_j is b_(j-1) + b_(j+1)."""
+    return [2 * b[1] if len(b) > 1 else 0] + [u + w for u, w in zip(b, b[2:] + [0, 0])]
 
 
 def _delta_q(delta: tuple[int, ...], m: int) -> list[int]:
@@ -168,7 +190,7 @@ def _knot_q(a: SeifertMatrix) -> list[int]:
     m), else from Delta."""
     if not a._tridiagonal:
         return _delta_q(alexander_polynomial(a), a.size)
-    return _poly_trim(deque(_band_q(a, 0, a.size), maxlen=1).pop() if a.size else [1])
+    return _poly_trim(_band_q(a, 0, a.size)[-1] if a.size else [1])
 
 
 def _shift_by_one(r: list[int]) -> list[int]:
@@ -329,16 +351,25 @@ def _cosine_coefficients(q: list[int]) -> list[int]:
     return b
 
 
-def _cosine_floats(q: list[int]) -> tuple[list[float], float, float]:
-    """(rev, f0, weight): q(2 cos theta) / top = f_0 + sum_(j >= 1) f_j V_j,
-    with b = _cosine_coefficients(q), top = max |b_j| and each f_j = b_j / top
-    correctly rounded, whatever the size of b_j, so |f_j| <= 1 and no value
-    overflows; rev = [f_n, ..., f_1] and weight = 2 (|f_0| + 2 sum |f_j|),
-    the coefficients' share of _float_sign's bound."""
-    b = _cosine_coefficients(q)
+def _cosine_floats(q: list[int]) -> tuple[list[float], float, float, float]:
+    """_scaled_floats of the cosine coefficients of q."""
+    return _scaled_floats(_cosine_coefficients(q))
+
+
+def _scaled_floats(b: list[int]) -> tuple[list[float], float, float, float]:
+    """(rev, f0, weight, slope) for F = b_0 + sum_(j >= 1) b_j V_j, not all
+    b_j zero: F / top = f_0 + sum_(j >= 1) f_j V_j, with top = max |b_j| and
+    each f_j = b_j / top correctly rounded, whatever the size of b_j, so
+    |f_j| <= 1 and no value overflows; rev = [f_n, ..., f_1] and
+    weight = 2 (|f_0| + 2 sum |f_j|), the coefficients' share of
+    _float_sign's bound.  slope bounds |F'| / top on [-2, 2], as
+    |V_j'(2 cos theta)| = |j sin j theta / sin theta| <= j^2: it is
+    sum j^2 |f_j|, raised by 2^-50 of itself to cover the rounding of each
+    product and of the sum, and of what _float_sign makes of it."""
     top = max(map(abs, b))
     f = [c / top for c in b]
-    return f[:0:-1], f[0], 2.0 * (abs(f[0]) + 2.0 * math.fsum(map(abs, f[1:])))
+    slope = (1.0 + 2.0**-50) * math.fsum(j * j * abs(c) for j, c in enumerate(f))
+    return f[:0:-1], f[0], 2.0 * (abs(f[0]) + 2.0 * math.fsum(map(abs, f[1:]))), slope
 
 
 def _clenshaw(rev: list[float], f0: float, x: float) -> float:
@@ -354,10 +385,12 @@ _CLENSHAW_ERR = 2.0**-52  # twice the unit roundoff u = 2^-53
 _SUBNORMAL = 2.0**-1074  # twice the absolute error of an underflowing product or quotient
 
 
-def _float_sign(cosine, x: float) -> int:
-    """Sign of q(x) at a float x in [-2, 2], from Clenshaw's recurrence on
-    cosine = _cosine_floats(q), or 0 where the computed value v does not
-    clear its rounding bound, which it never does at a root.
+def _float_sign(cosine, x: float, width: float = 0.0) -> int:
+    """Sign of q on [x - width, x + width] within [-2, 2], from Clenshaw's
+    recurrence at x on cosine = _cosine_floats(q) or _scaled_floats, or 0
+    where the computed value v does not clear its rounding bound, widened
+    by width * slope, which bounds how far q / top moves from x; it never
+    does at a root.
 
     A running error bound (Higham, Accuracy and Stability of Numerical
     Algorithms, ch. 5).  Each step u^_j = fl(fl(f_j + fl(x u^_(j+1))) - u^_(j+2))
@@ -370,15 +403,17 @@ def _float_sign(cosine, x: float) -> int:
     u (|f_0| + 2 sum |f_j|) + (2n + 1) 2^-1075.  In all,
         |v - q(x) / top| <= (1 + u)^2 u (|v| + weight + 10 sum |u^_j|) + (4n + 2) 2^-1075,
     and the bound below, with 2u for u, also covers its own rounding.  A
-    value or bound that overflows compares as undecided.
+    value or bound that overflows compares as undecided.  The width term
+    is added last; the margin in slope covers its rounding.
     """
-    rev, f0, weight = cosine
+    rev, f0, weight, slope = cosine
     u = u2 = total = 0.0
     for c in rev:
         u, u2 = c + x * u - u2, u
         total += abs(u)
     v = f0 + x * u - 2.0 * u2
     bound = _CLENSHAW_ERR * (abs(v) + weight + 10.0 * total) + (4 * len(rev) + 2) * _SUBNORMAL
+    bound += width * slope
     return (v > bound) - (v < -bound)
 
 
@@ -416,7 +451,7 @@ def _float_roots(cosine) -> list[float]:
     cosine = _cosine_floats(q).  Samples at theta = pi s / S,
     S = _SAMPLES_PER_DEGREE (deg q + 1), find every root whose neighbours
     lie at least one step away."""
-    rev, f0, _ = cosine
+    rev, f0 = cosine[:2]
     steps = _SAMPLES_PER_DEGREE * (len(rev) + 1)
     roots = []
     x_prev = v_prev = zero = None
@@ -540,3 +575,62 @@ def _alexander_root_enclosures(a: SeifertMatrix) -> tuple[tuple[float, float], .
             found = [_refine_root(q, lo, hi) for lo, hi in cells]
     unit = 1 << _ROOT_BITS
     return tuple(sorted(((lo / unit, hi / unit) for lo, hi in found), reverse=True))
+
+
+@per_matrix_cache
+def _arc_signatures(a: SeifertMatrix) -> tuple[int | None, ...]:
+    """sigma on the open arc below each root enclosure of
+    _alexander_root_enclosures(a), in the same order, down to the next
+    enclosure or to w = -1; None from the first crossing whose signs are
+    not certified on, and everywhere for a knot matrix that is not
+    tridiagonal.  The arc through w = 1, above every enclosure, has
+    sigma = 0 (see _arc_points in signature).
+
+    One band pass in the cosine basis gives R_(m-1) and Q = R_m.  The
+    leading minors of H are D_i = (x - 2)^ceil(i/2) R_i(x) (_band_q), so
+    where R_(m-1) != 0, H_(m-1) is nonsingular and Haynsworth's inertia
+    additivity (Linear Algebra Appl. 1, 1968) gives
+    neg H = neg H_(m-1) + [Q R_(m-1) < 0]: the factors (x - 2)^g cancel in
+    D_m / D_(m-1).  neg H_(m-1) cannot change where R_(m-1) has no zero.
+    So if R_(m-1) has the certified sign s on an enclosure, and Q the
+    signs P- above and P+ below it, sigma changes across it by
+    -2 ([s P+ < 0] - [s P- < 0]), however many roots, of whatever
+    multiplicity, the enclosure holds.  The sign of R_(m-1) comes from
+    _float_sign at the enclosure's midpoint, widened by its half-width,
+    or, at a point enclosure, from the exact sign where that declines; P
+    on each arc is the sign of Q at the dyadic point halfway down to the
+    next enclosure, P = sign Q(2) = Delta(1) on the arc through w = 1.
+    Block sums such as K # K, where R_(m-1) vanishes at the roots,
+    decline.  One entry per matrix, of one value per enclosure.
+    """
+    enclosures = _alexander_root_enclosures(a)
+    if not (a._tridiagonal and enclosures):
+        return (None,) * len(enclosures)
+    *_, below, big_q = _band_q(a, 0, a.size, _cosine_times_x)
+    if not any(below):
+        return (None,) * len(enclosures)
+    unit = 1 << _ROOT_BITS
+    exact = []  # R_(m-1) and Q in Z[x], built only if a float sign declines at a point
+
+    def exact_sign(which: int, x: int) -> int:
+        if not exact:
+            exact.extend(_band_q(a, 0, a.size)[-2:])
+        return _dyadic_sign(exact[which], x)
+
+    below_floats, q_floats = _scaled_floats(below), _scaled_floats(big_q)
+    above = 1 if big_q[0] + 2 * sum(big_q[1:]) > 0 else -1  # Q(2), as V_j(2) = 2
+    lows = [round(hi * unit) for _, hi in enclosures[1:]] + [-2 * unit]
+    sigma, out = 0, []
+    for (lo, hi), low in zip(enclosures, lows):
+        # lo + hi and hi - lo are exact, and so are their halves
+        s = _float_sign(below_floats, 0.5 * (lo + hi), 0.5 * (hi - lo))
+        s = s or lo == hi and exact_sign(0, round(lo * unit))
+        # Q has no root in (low, lo), and low is one only at a point enclosure
+        x = (round(lo * unit) + low) // 2
+        p = _float_sign(q_floats, x / unit) or exact_sign(1, x)
+        if not (s and p):
+            break
+        sigma -= 2 * ((s * p < 0) - (s * above < 0))
+        out.append(sigma)
+        above = p
+    return tuple(out) + (None,) * (len(enclosures) - len(out))

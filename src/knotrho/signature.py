@@ -18,18 +18,21 @@ next to w = 1, is decided from the root enclosures.  Any other stall takes
 Descartes' rule on the exact characteristic polynomial of the full entry
 table.  Either way the result is certified.
 
-Nothing stores a signature: each is computed at the root it is asked
-for.  An average walks the grid points k = 1 .. d // 2, one per
+No signature at a root is stored: each is computed at the root it is
+asked for.  An average walks the grid points k = 1 .. d // 2, one per
 conjugate pair of d-th roots: a route picks the points (k, weight) and
 one loop, _exact_sum, sums weight * sigma.  Exact averages of knots over
 large grids go by arcs: sigma is constant on each open arc between the
 unit-circle roots of Delta, whose enclosures come from alexander.  An
 acos guess and a short walk place the grid points x_k = 2 cos(2 pi k/d)
 against each enclosure in O(1), with the rounding bound of the root, and
-the route picks one point per run of points inside an arc other than the
-arc through w = 1, where sigma = 0, weighted by the run, and every point
-whose enclosure meets a root, so its cost no longer grows with d.
-Links and small grids take the whole grid.
+every point that may meet an enclosure is evaluated.  A run of points
+inside an arc adds its weight times the arc's sigma: 0 on the arc
+through w = 1, and for a tridiagonal knot the sigma that alexander's
+root crossings certify once per matrix, so such an average evaluates no
+signature away from the roots.  Any other run is evaluated at its
+middle point.  Either way the cost no longer grows with d.  Links and
+small grids take the whole grid.
 Float mode is plain eigenvalue computation with a certification
 threshold; float averages evaluate the whole grid in fixed chunks, one
 stacked eigensolve per chunk, and are the only users of NumPy, which is
@@ -52,7 +55,13 @@ from .cyclotomic import (
     exact_degree,
     _divisors,
 )
-from .alexander import _alexander_root_enclosures, _band_q, alexander_at, alexander_polynomial
+from .alexander import (
+    _alexander_root_enclosures,
+    _arc_signatures,
+    _band_q,
+    alexander_at,
+    alexander_polynomial,
+)
 from .exceptions import (
     ConductorLimitError,
     InternalInconsistencyError,
@@ -541,13 +550,18 @@ def _grid_points(d: int, k0: int, k1: int):
 def _exact_sum(a: SeifertMatrix, d: int, points) -> int:
     """Sum of weight * sigma over grid points (k, weight) of the d-th roots,
     one certified count per point at its reduced fraction, straight from
-    _exact_counts with the layout fetched once: the one loop of every
-    exact average, over _arc_points or the whole grid.  The caller checks
-    the conductors."""
-    layout = _tridiag_layout(a)
+    _exact_counts with the layout fetched at most once, where a point is
+    (None, s) for a run of _arc_points whose weighted sigma s is already
+    known: the one loop of every exact average, over _arc_points or the
+    whole grid.  The caller checks the conductors."""
+    layout = None
     m = a.size
     total = 0
     for k, weight in points:
+        if k is None:  # a run whose sigma is known: weight is its weighted sigma
+            total += weight
+            continue
+        layout = layout or _tridiag_layout(a)
         g = math.gcd(k, d)
         neg, zero = _exact_counts(a, layout, k // g, d // g)
         total += weight * (m - 2 * neg - zero)
@@ -635,12 +649,14 @@ def _place_enclosure(d: int, lo: float, hi: float, pos: int) -> tuple[int, int]:
     return first, _grid_walk(d, lo, True, left, left + 1)[0]
 
 
-def _arc_points(a: SeifertMatrix, d: int) -> list[tuple[int, int]]:
+def _arc_points(a: SeifertMatrix, d: int) -> list[tuple[int | None, int]]:
     """Grid points (k, weight) whose weighted signatures sum to the sum of
     sigma over the d-th roots of unity other than 1, for a knot matrix: one
-    point per run of grid points inside an open arc between unit-circle
+    item per run of grid points inside an open arc between unit-circle
     roots of Delta other than the arc through w = 1, plus every point that
-    may meet a root.
+    may meet a root.  A run on an arc whose sigma _arc_signatures certifies
+    is (None, weight * sigma), or nothing where sigma = 0; any other run is
+    its middle point with the run's total weight.
 
     The grid points k = 1 .. d // 2 stand for their conjugate pairs
     (weight 2, or 1 at k = d/2) and sit at x_k = 2 cos(2 pi k/d), which
@@ -654,8 +670,7 @@ def _arc_points(a: SeifertMatrix, d: int) -> list[tuple[int, int]]:
     points from `first` to `below` may meet the root; each is its own
     point.  Every maximal run of the other points lies in one open arc,
     where det H = (1 - conj w)^m Delta(w) != 0, so H is nonsingular along
-    the arc and sigma is constant on it: the run is its middle point with
-    the run's total weight.
+    the arc and sigma is constant on it.
 
     The run before the largest enclosure's `first` is certified above
     every root, so it lies on the arc through w = 1, where sigma = 0 for
@@ -663,26 +678,24 @@ def _arc_points(a: SeifertMatrix, d: int) -> list[tuple[int, int]]:
     - i(A - A^T) tends to -i(A - A^T) as theta -> 0, which is nonsingular
     (A - A^T is unimodular) and has signature 0 (its complex conjugate,
     which has the same eigenvalues, is its negative).  That run gets no
-    point, and a knot whose Delta has no unit-circle roots gets none.
+    item, and a knot whose Delta has no unit-circle roots gets none.
     """
     half = d // 2
     points = []
-    pos = None
+    pos, sigma = 1, 0  # from the arc through w = 1
 
     def run(k0: int, k1: int) -> None:
-        """The run k0 .. k1 - 1, if any, as its middle point."""
-        if k1 > k0:
-            points.append(((k0 + k1 - 1) // 2, 2 * (k1 - k0) - (k1 > half and 2 * half == d)))
+        """The run k0 .. k1 - 1, if any, on an arc of signature sigma."""
+        if k1 > k0 and sigma != 0:
+            weight = 2 * (k1 - k0) - (k1 > half and 2 * half == d)
+            points.append(((k0 + k1 - 1) // 2, weight) if sigma is None else (None, weight * sigma))
 
-    for lo, hi in _alexander_root_enclosures(a):
-        first, below = _place_enclosure(d, lo, hi, 0 if pos is None else pos)
-        if pos is None:
-            pos = first  # skip the arc through w = 1
+    for (lo, hi), after in zip(_alexander_root_enclosures(a), _arc_signatures(a)):
+        first, below = _place_enclosure(d, lo, hi, pos)
         run(pos, first)
         points.extend(_grid_points(d, first, below))
-        pos = below
-    if pos is not None:
-        run(pos, half + 1)
+        pos, sigma = below, after
+    run(pos, half + 1)
     return points
 
 
@@ -713,10 +726,15 @@ def avg_signature_details(a: SeifertMatrix, d: int, mode: str = "exact") -> AvgS
     the conductor d, which clears every divisor of d; a refused d raises
     ConductorLimitError for its smallest refused divisor, so the error does
     not depend on the route.  A knot matrix of size m with d > 4m + 16 is
-    then summed over _arc_points: one certified signature per run of grid
-    points between unit-circle roots of Delta, except the run on the arc
-    through w = 1, plus one per grid point whose enclosure meets a root, each
-    root placed in the grid in O(1), so the cost no longer grows with d.
+    then summed over _arc_points: each root of Delta on the unit circle is
+    placed in the grid in O(1), and each grid point whose enclosure meets
+    a root takes a certified signature.  A run of grid points between two
+    roots adds its weight times the sigma of its arc: 0 on the arc through
+    w = 1, and for a tridiagonal knot the sigma that _arc_signatures
+    derives once per matrix from one sign per root; any other run takes
+    one certified signature at its middle point.  So the cost no longer
+    grows with d, and a second average of a live tridiagonal knot costs
+    O(#roots) placements.
     Links, whose Delta may vanish identically, and small grids take every
     grid point, the reference the arc route is tested against.  Both
     routes are summed by _exact_sum, which keeps no signature.  Float mode

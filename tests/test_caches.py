@@ -12,7 +12,7 @@ import weakref
 import pytest
 
 from knotrho import floatpass, seifert
-from knotrho.alexander import _alexander_root_enclosures, alexander_polynomial
+from knotrho.alexander import _alexander_root_enclosures, _arc_signatures, alexander_polynomial
 from knotrho.cli import cli
 from knotrho.cyclotomic import UnitRoot
 from knotrho.floatpass import _tridiag_layout
@@ -115,6 +115,24 @@ def test_rho_levels_keep_no_entry_per_grid_point():
         sizes.append(sum(cache.cache_info().currsize for cache in MATRIX_CACHES))
     assert sizes == [sizes[0]] * 3, sizes
     assert sizes[0] < 10
+
+
+def test_averages_keep_no_entry_per_grid():
+    # One live knot averaged at 16 grids up to d = 20011, all by arcs: after
+    # the first grid, no per-matrix cache gains an entry, the root
+    # crossings included, and no entry is lost while the knot lives.
+    caches = MATRIX_CACHES + (_arc_signatures,)
+    for cache in caches:
+        cache.cache_clear()
+    a = jn_seifert(6)
+    grids = (20011, 241, 1009, 3001, 5003, 210, 2310, 7919, 10007, 10010, 12011, 15013, 17011, 18000, 19997, 20010)
+    assert len(set(grids)) == 16 and all(d > 4 * a.size + 16 for d in grids)
+    sizes = []
+    for d in grids:
+        avg_signature(a, d)
+        sizes.append([cache.cache_info().currsize for cache in caches])
+    assert sizes == [sizes[0]] * len(grids), sizes
+    assert sizes[0][-1] == 1
 
 
 def test_cli_query_leaves_no_live_entry():

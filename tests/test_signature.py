@@ -810,10 +810,17 @@ def _spy_on_the_core(monkeypatch) -> list:
     return calls
 
 
+def _declined(a):
+    """_arc_signatures as it reads where no crossing is certified."""
+    return (None,) * len(alexander._alexander_root_enclosures(a))
+
+
 def test_rho_closed_form_by_arcs_matches_the_levels_per_root(monkeypatch):
-    # The closed form sums by arcs: one signature per arc and per grid
-    # point meeting a root enclosure.  The level loop then evaluates every
-    # conjugate pair once, and the two independent routes agree.
+    # The closed form sums by arcs: the root crossings give sigma on every
+    # arc, so only the grid points meeting a root enclosure reach the core;
+    # with the crossings declined, one signature per arc as well.  The level
+    # loop then evaluates every conjugate pair once, and the two independent
+    # routes agree.
     _clear_engine_caches()
     a = jn_seifert(3)
     d = 401
@@ -824,14 +831,21 @@ def test_rho_closed_form_by_arcs_matches_the_levels_per_root(monkeypatch):
         for k in range(1, d // 2 + 1)
     )
     calls = _spy_on_the_core(monkeypatch)
-    avg = avg_signature(a, d)
-    arcs = calls[:]
-    assert 0 < len(arcs) <= len(enclosures) + 1 + boundary
-    calls.clear()
-    res = rho_knot_surgery_result(a, d)
-    assert calls == arcs + [(k, d) for k in range(1, d // 2 + 1)]
-    assert res.value == Fraction(d, 3) + Fraction(2, 3 * d) - 1 + avg
-    assert res.value == Fraction(sum(res.per_level), d)
+    for declined in (False, True):
+        if declined:
+            monkeypatch.setattr(signature, "_arc_signatures", _declined)
+        calls.clear()
+        avg = avg_signature(a, d)
+        arcs = calls[:]
+        if declined:
+            assert 0 < len(arcs) <= len(enclosures) + 1 + boundary
+        else:
+            assert len(arcs) <= boundary
+        calls.clear()
+        res = rho_knot_surgery_result(a, d)
+        assert calls == arcs + [(k, d) for k in range(1, d // 2 + 1)]
+        assert res.value == Fraction(d, 3) + Fraction(2, 3 * d) - 1 + avg
+        assert res.value == Fraction(sum(res.per_level), d)
 
 
 # -- generic forms at jump points: the exact Alexander zero -----------------------
@@ -1289,19 +1303,176 @@ def test_no_arc_point_and_zero_signature_above_the_largest_root():
 
 def test_exact_average_by_arcs_skips_the_arc_through_one(monkeypatch):
     # torus2:n has n simple unit-circle roots and no grid point of a prime
-    # grid on them: one signature per arc but the one through w = 1
+    # grid on them: the root crossings give sigma on every arc, so no
+    # signature is evaluated; with them declined, one signature per arc but
+    # the one through w = 1.  Both routes give the same average.
     calls = _spy_on_the_core(monkeypatch)
-    for n in range(1, 7):
-        _clear_engine_caches()
-        a = torus_knot_seifert(n)
-        assert signature._sum_by_arcs(a, 211)
-        calls.clear()
-        avg_signature(a, 211)
-        assert len(calls) == n
+    averages = []
+    for declined in (False, True):
+        if declined:
+            monkeypatch.setattr(signature, "_arc_signatures", _declined)
+        for n in range(1, 7):
+            _clear_engine_caches()
+            a = torus_knot_seifert(n)
+            assert signature._sum_by_arcs(a, 211)
+            calls.clear()
+            averages.append(avg_signature(a, 211))
+            assert len(calls) == (n if declined else 0)
+    assert averages[:6] == averages[6:]
     _clear_engine_caches()
     calls.clear()
     assert avg_signature(jn_seifert(1), 100003) == 0
     assert calls == []
+
+
+def _arc_point(lo, low):
+    """(k, d) of a grid point certified inside the open arc (low, lo) of x,
+    from the grids 1009 and 20011, or None where neither has one."""
+    for d in (1009, 20011):
+        k = round(d * math.acos(0.25 * (lo + low)) / (2 * math.pi))
+        if 0 < k <= d // 2:
+            x = signature._grid_x(k, d)
+            if low < x - signature._X_MARGIN and x + signature._X_MARGIN < lo:
+                return k, d
+    return None
+
+
+def _assert_arc_signatures(a):
+    """Every sigma _arc_signatures certifies is the core's count at a grid
+    point inside its arc, and a declined crossing declines all later ones.
+    Returns the number of arcs checked."""
+    enclosures = alexander._alexander_root_enclosures(a)
+    sigmas = alexander._arc_signatures(a)
+    known = [s for s in sigmas if s is not None]
+    assert sigmas == tuple(known) + (None,) * (len(enclosures) - len(known))
+    layout = signature._tridiag_layout(a)
+    lows = [hi for _, hi in enclosures[1:]] + [-2.0]
+    checked = 0
+    for (lo, _), low, sigma in zip(enclosures, lows, known):
+        point = _arc_point(lo, low)
+        if point is not None:
+            k, d = point
+            g = math.gcd(k, d)
+            neg, zero = signature._exact_counts(a, layout, k // g, d // g)
+            assert (a.size - 2 * neg, zero) == (sigma, 0), (a.entries, k, d)
+            checked += 1
+    return checked
+
+
+@given(st.integers(0, 10**9))
+def test_certified_arc_signatures_match_the_core(seed):
+    # On random tridiagonal knots of size up to 16, with zero diagonal
+    # entries and zero off-diagonal pairs, their mirrors and the families,
+    # each sigma that the root crossings certify is the core's at a grid
+    # point inside its arc, and the arc sum is the whole grid at one prime
+    # and one composite grid.
+    rng = random.Random(seed)
+    a = _random_tridiagonal_knot(rng, rng.randint(1, 8))
+    family = rng.choice((torus_knot_seifert, jn_seifert))(rng.randint(1, 12))
+    for k in (a, mirror(a), family):
+        _assert_arc_signatures(k)
+        grids = [
+            rng.choice([d for d in range(4 * k.size + 17, 1501) if _composite(d) == composite])
+            for composite in (False, True)
+        ]
+        _assert_arcs_match(k, grids)
+
+
+def test_certified_arc_signatures_on_the_families():
+    checked = 0
+    for n in range(1, 13):
+        for build in (torus_knot_seifert, jn_seifert):
+            for a in (build(n), mirror(build(n))):
+                assert None not in alexander._arc_signatures(a)
+                checked += _assert_arc_signatures(a)
+    assert checked > 200
+
+
+def test_arc_route_meets_torus_roots_only_at_grid_points_on_them(monkeypatch):
+    # At multiples of 2n + 1 the grid points of torus2:n meet roots of Delta
+    # where d is a multiple of 4n + 2: only they reach the core, each with a
+    # zero eigenvalue, and the sum is the whole grid's.
+    calls = _spy_on_the_core(monkeypatch)
+    for n in range(1, 7):
+        a = torus_knot_seifert(n)
+        assert None not in alexander._arc_signatures(a)
+        for multiple in (16, 17, 30, 41):
+            d = multiple * (2 * n + 1)
+            assert signature._sum_by_arcs(a, d)
+            calls.clear()
+            arcs = signature._exact_sum(a, d, signature._arc_points(a, d))
+            on_roots = calls[:]
+            assert len(on_roots) == (n if d % (4 * n + 2) == 0 else 0), (n, d)
+            layout = signature._tridiag_layout(a)
+            assert all(signature._exact_counts(a, layout, *point)[1] == 1 for point in on_roots)
+            assert arcs == _whole_grid(a, d)
+
+
+def test_point_enclosure_takes_the_exact_sign_where_floats_decline(monkeypatch):
+    # The trefoil's one root is the point x = 1.  With every float sign
+    # declined, the exact signs of R_(m-1) there and of Q on the arc below
+    # give the same sigma, that of w = -1.
+    assert alexander._alexander_root_enclosures(TREFOIL) == ((1.0, 1.0),)
+    want = (signature_details(TREFOIL, UnitRoot(1, 2)).value,)
+    alexander._arc_signatures.cache_clear()
+    assert alexander._arc_signatures(TREFOIL) == want
+    exact = []
+    sign = alexander._dyadic_sign
+    monkeypatch.setattr(alexander, "_float_sign", lambda cosine, x, width=0.0: 0)
+    monkeypatch.setattr(alexander, "_dyadic_sign", lambda p, num: exact.append(num) or sign(p, num))
+    alexander._arc_signatures.cache_clear()
+    assert alexander._arc_signatures(TREFOIL) == want
+    unit = 1 << alexander._ROOT_BITS
+    assert exact == [unit, -unit // 2]  # R_1 at x = 1, Q halfway down to -2
+    alexander._arc_signatures.cache_clear()
+
+
+def test_block_sums_decline_and_still_sum_right(monkeypatch):
+    # Delta(K # K) = Delta_K^2, and R_(m-1) vanishes at each double root, so
+    # no crossing is certified and every arc takes a signature of its own.
+    calls = _spy_on_the_core(monkeypatch)
+    for k in (torus_knot_seifert(2), torus_knot_seifert(3), jn_seifert(2)):
+        double = _connected_sum(k, k)
+        assert alexander._arc_signatures(double) == (None,) * len(alexander._alexander_root_enclosures(double))
+        calls.clear()
+        _assert_arcs_match(double, (211, 1009))
+        assert calls
+    mixed = _connected_sum(torus_knot_seifert(2), mirror(torus_knot_seifert(4)))
+    _assert_arcs_match(mixed, (211, 1009, 2310))
+
+
+@given(st.integers(0, 10**9))
+def test_widened_float_sign_agrees_with_the_exact_sign(seed):
+    # Where _float_sign certifies a sign on [x - w, x + w], every dyadic
+    # point there has it: over the root enclosures, for R_(m-1), and over
+    # random intervals of width 2^-40 to 2^-4, for R_(m-1) and Q.
+    rng = random.Random(seed)
+    a = rng.choice((_random_tridiagonal_knot(rng, rng.randint(1, 8)), jn_seifert(rng.randint(1, 20))))
+    *_, below, big_q = alexander._band_q(a, 0, a.size)
+    unit = 1 << alexander._ROOT_BITS
+    cases = [(below, round(lo * unit), round(hi * unit)) for lo, hi in alexander._alexander_root_enclosures(a)]
+    for p in (below, big_q):
+        for _ in range(10):
+            half = 1 << rng.randint(8, 44)
+            mid = rng.randint(-2 * unit + half, 2 * unit - half)
+            cases.append((p, mid - half, mid + half))
+    for p, lo, hi in cases:
+        if not any(p):
+            continue
+        s = alexander._float_sign(alexander._cosine_floats(p), (lo + hi) / (2 * unit), (hi - lo) / (2 * unit))
+        if s:
+            for y in (lo, hi, (lo + hi) // 2, rng.randint(lo, hi), rng.randint(lo, hi)):
+                assert alexander._dyadic_sign(p, y) == s, (p, lo, hi, y)
+
+
+def test_band_in_the_cosine_basis_matches_the_conversion():
+    rng = random.Random(8)
+    knots = [_random_tridiagonal_knot(rng, rng.randint(1, 8)) for _ in range(30)]
+    knots += [build(n) for n in (1, 5, 30) for build in (torus_knot_seifert, jn_seifert)]
+    for a in knots + [_random_tridiagonal_link(rng, rng.randint(1, 9)) for _ in range(30)]:
+        monomial = alexander._band_q(a, 0, a.size)
+        cosine = alexander._band_q(a, 0, a.size, alexander._cosine_times_x)
+        assert [alexander._cosine_coefficients(r) for r in monomial] == cosine
 
 
 def _assert_enclosures(a):
