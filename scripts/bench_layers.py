@@ -8,9 +8,11 @@ Each run adds its results under --label to the JSON object in --out
 (created if missing), so two source trees can be measured into one file
 on one machine.  Standard library only.  The layers:
 
-- "isolation": root isolation (_alexander_root_enclosures) of jn:60,
-  jn:150 and jn:300 with cold caches, best of three, with the number of
-  exact bracket signs (_dyadic_sign calls) it made;
+- "isolation": root isolation of jn:60, jn:150 and jn:300 with cold
+  caches, best of three, with the number of exact bracket signs
+  (_dyadic_sign calls) it made: the per-matrix entry of root enclosures
+  and arc signatures (_root_arcs), or _alexander_root_enclosures of older
+  trees, which kept the arc signatures apart;
 - "isolation_random": root isolation of RANDOM_KNOTS random knots of size
   up to 24 (random_knot_seifert with random.Random(1), each entry spread
   drawn from 1, 3, 10 and 1000 before its knot), with Alexander
@@ -33,10 +35,11 @@ on one machine.  Standard library only.  The layers:
   every call misses; null where the tree has none); median of REPEATS
   passes, divided by the number of points;
 - "arc_sweep": one live jn:100 and one live jn:300, each with every
-  cache cleared: the per-matrix crossing build (_arc_signatures, timed
-  after root isolation, null for trees that have none), then the exact
-  averages at d = 20011, the first, which isolates the roots, and at
-  d = 20021, the second; best of SWEEP_RUNS;
+  cache cleared: the cold build of the root enclosures with the arc
+  signatures (_root_arcs, or _alexander_root_enclosures and then
+  _arc_signatures of older trees; null for trees without arc
+  signatures), then the exact averages at d = 20011, the first, which
+  isolates the roots, and at d = 20021, the second; best of SWEEP_RUNS;
 - "cold_import": the import of prime-avg's modules (knotrho, seifert,
   signature, cyclotomic) and of knotrho.cli, each timed in COLD_RUNS fresh
   interpreters started with this one's environment: the median time and
@@ -55,10 +58,13 @@ on one machine.  Standard library only.  The layers:
   JUMP_TIMEOUT_S, the matrix built before the clock starts: sigma of
   torus2:100 at 1/402 and of torus2:200 at 1/802 (the exact minor chain),
   the exact average of torus2:100 at d = 402 (the whole grid, jump points
-  included), and for jn:300 and jn:600 Q from the band (_knot_q), Delta
-  and root isolation (_alexander_root_enclosures), each with a digest of
-  its answer.  --layers jump, run in turn on two trees under labels of
-  their own, gives alternating runs.
+  included), and for jn:300 and jn:600 Q in Z[x] from Delta
+  (_delta_q(alexander_polynomial(a), m)), Delta alone and root isolation,
+  each with a digest of its answer.  --layers jump, run in turn on two
+  trees under labels of their own, gives alternating runs;
+- "delta_dense": Delta of scrambled torus2:n, n = 2 .. 15 (sizes 4 to 30;
+  differential.scrambled with random.Random(5)), cold, best of
+  DENSE_RUNS, with a digest of the answer.
 
 Times are in seconds (µs per point for "arc_point").
 """
@@ -110,6 +116,7 @@ JUMP = {
     },
 }
 JUMP_TIMEOUT_S = 60
+DENSE_RUNS = 5
 COLD_IMPORTS = {
     "prime-avg": "import knotrho, knotrho.seifert, knotrho.signature, knotrho.cyclotomic",
     "cli": "import knotrho.cli",
@@ -131,6 +138,15 @@ def clear_caches() -> None:
                 value.cache_clear()
 
 
+def arc_entry():
+    """The per-matrix entry that holds the root enclosures."""
+    return getattr(alexander, "_root_arcs", None) or alexander._alexander_root_enclosures
+
+
+def root_enclosures(a) -> tuple:
+    return tuple((lo, hi) for lo, hi, *_ in arc_entry()(a))
+
+
 def isolation() -> dict:
     calls = [0]
     exact_sign = alexander._dyadic_sign
@@ -149,7 +165,7 @@ def isolation() -> dict:
                 clear_caches()
                 calls[0] = 0
                 t0 = time.perf_counter()
-                alexander._alexander_root_enclosures(a)
+                root_enclosures(a)
                 times.append(time.perf_counter() - t0)
             out[f"jn:{n}"] = {"best_s": min(times), "exact_signs": calls[0]}
     finally:
@@ -164,10 +180,10 @@ def isolation_random() -> dict:
         alexander.alexander_polynomial(a)
     times = []
     for _ in range(3):
-        alexander._alexander_root_enclosures.cache_clear()
+        arc_entry().cache_clear()
         t0 = time.perf_counter()
         for a in knots:
-            alexander._alexander_root_enclosures(a)
+            root_enclosures(a)
         times.append(time.perf_counter() - t0)
     certified = []
     certify = alexander._certified_brackets
@@ -177,12 +193,12 @@ def isolation_random() -> dict:
         certified[-1].append(out is not None)
         return out
 
-    alexander._alexander_root_enclosures.cache_clear()
+    arc_entry().cache_clear()
     alexander._certified_brackets = recording
     try:
         for a in knots:
             certified.append([])
-            alexander._alexander_root_enclosures(a)
+            root_enclosures(a)
     finally:
         alexander._certified_brackets = certify
     routes = [calls.index(True) if True in calls else 2 for calls in certified]
@@ -225,14 +241,19 @@ def arc_point() -> dict:
     out = {}
     d = 1009
     knots = (("torus2:6", torus_knot_seifert(6)), ("jn:6", jn_seifert(6)))
-    crossings = getattr(signature, "_arc_signatures", None)
-    if crossings is not None:  # one point per arc, as where no crossing is certified
-        signature._arc_signatures = lambda a: (None,) * len(alexander._alexander_root_enclosures(a))
+    # one point per arc, as where no crossing is certified
+    if hasattr(signature, "_root_arcs"):
+        attr, declined = "_root_arcs", lambda a: tuple((lo, hi, None) for lo, hi in root_enclosures(a))
+    else:
+        attr, declined = "_arc_signatures", lambda a: (None,) * len(root_enclosures(a))
+    crossings = getattr(signature, attr, None)
+    if crossings is not None:
+        setattr(signature, attr, declined)
     try:
         arcs = {name: signature._arc_points(a, d) for name, a in knots}
     finally:
         if crossings is not None:
-            signature._arc_signatures = crossings
+            setattr(signature, attr, crossings)
     for name, a in knots:
         points = [(k // math.gcd(k, d), d // math.gcd(k, d)) for k, _ in arcs[name]]
         memo, direct = [], []
@@ -258,19 +279,21 @@ def arc_point() -> dict:
 
 
 def arc_sweep() -> dict:
-    build = getattr(alexander, "_arc_signatures", None)
+    crossings = getattr(alexander, "_arc_signatures", None)
+    merged = hasattr(alexander, "_root_arcs")
     out = {}
     for n in (100, 300):
         runs = []
         for _ in range(SWEEP_RUNS):
             a = jn_seifert(n)
             clear_caches()
-            record = {"crossing_build_s": None}
-            if build is not None:
-                alexander._alexander_root_enclosures(a)
+            record = {"arc_entry_s": None}
+            if merged or crossings is not None:
                 t0 = time.perf_counter()
-                build(a)
-                record["crossing_build_s"] = time.perf_counter() - t0
+                arc_entry()(a)
+                if crossings is not None:
+                    crossings(a)
+                record["arc_entry_s"] = time.perf_counter() - t0
                 clear_caches()
             for label, d in zip(("first_s", "second_s"), SWEEP_GRIDS):
                 t0 = time.perf_counter()
@@ -350,11 +373,11 @@ def jump_once(name: str) -> str:
     elif what == "average":
         answer = signature.avg_signature_details(a, arg).value
     elif what == "band_q":
-        answer = hash(tuple(alexander._knot_q(a)))
+        answer = hash(tuple(alexander._delta_q(alexander.alexander_polynomial(a), a.size)))
     elif what == "delta":
         answer = hash(alexander.alexander_polynomial(a))
     else:
-        answer = len(alexander._alexander_root_enclosures(a))
+        answer = len(root_enclosures(a))
     seconds = time.perf_counter() - t0
     return f"{seconds} {str(answer).replace(' ', '')}"
 
@@ -379,6 +402,22 @@ def jump() -> dict:
     return out
 
 
+def delta_dense() -> dict:
+    from differential import scrambled
+
+    out = {}
+    for n in range(2, 16):
+        a = scrambled(torus_knot_seifert(n), random.Random(5))
+        times = []
+        for _ in range(DENSE_RUNS):
+            alexander.alexander_polynomial.cache_clear()
+            t0 = time.perf_counter()
+            delta = alexander.alexander_polynomial(a)
+            times.append(time.perf_counter() - t0)
+        out[f"torus2:{n}"] = {"size": a.size, "best_s": min(times), "answer": hash(delta)}
+    return out
+
+
 LAYERS = {
     "isolation": isolation,
     "isolation_random": isolation_random,
@@ -388,6 +427,7 @@ LAYERS = {
     "cold_import": cold_import,
     "exact_fallback": exact_fallback,
     "jump": jump,
+    "delta_dense": delta_dense,
 }
 
 

@@ -238,7 +238,7 @@ def enclosure_records(named) -> None:
     for name, a in picked:
         emit({
             "kind": "enclosures", "knot": name,
-            "ends": [[lo.hex(), hi.hex()] for lo, hi in alexander._alexander_root_enclosures(a)],
+            "ends": [[lo.hex(), hi.hex()] for lo, hi, _ in alexander._root_arcs(a)],
         })
 
 

@@ -7,9 +7,11 @@ residues of x = zeta + 1/zeta, the signs of the leading minors of the
 Hermitian form that the signature engine tests at a singular point.  For
 a knot, Delta is palindromic, Delta(t) = t^g Q(t + 1/t) with Q in Z[x],
 and its roots e^(i theta) on the unit circle are the roots
-x = 2 cos theta of Q in [-2, 2].  Those are isolated once per matrix.  A
-tridiagonal knot reads Q off its band; other knots convert Delta.  A float
-stage samples Q(2 cos theta) in the cosine basis, where it is well
+x = 2 cos theta of Q in [-2, 2].  Those are isolated once per matrix
+(_root_arcs), from Q in the cosine basis: a tridiagonal knot reads it off
+its band, run in that basis, and any other knot off the upper half of
+Delta; one conversion (_from_cosine) gives Q in Z[x] for the exact steps.
+A float stage samples Q(2 cos theta) in the cosine basis, where it is well
 conditioned at high degree, and refines every sign change by Newton steps
 on Clenshaw's recurrence.  Each float root is then rounded outward to a
 dyadic bracket of width 2^-40, certified by the signs of Q at its two
@@ -29,11 +31,11 @@ root: the number of roots it isolates certifies the float brackets of q
 the same way, or else its cells, refined by sign bisection to width
 2^-48, are the enclosures.  The signature engine's exact averages sum by
 the arcs between the enclosures.  For a tridiagonal knot, the signature
-on every arc follows from the enclosures too (_arc_signatures): the band
-recurrence run in the cosine basis gives the penultimate leading minor
-R_(m-1) next to Q, and one certified sign of R_(m-1) per enclosure, with
-one of Q per arc, tells by Haynsworth's inertia additivity how sigma
-changes across each enclosure; this is computed once per matrix.
+on every arc follows from the enclosures too, in the same entry: the band
+pass that gives Q gives the penultimate leading minor R_(m-1) as well,
+and one certified sign of R_(m-1) per enclosure, with one of Q per arc,
+tells by Haynsworth's inertia additivity how sigma changes across each
+enclosure.
 """
 from __future__ import annotations
 
@@ -120,11 +122,11 @@ def alexander_at(a: SeifertMatrix, root: UnitRoot) -> CyclotomicElement:
 # -- the band recurrence, Q(x) with Delta(t) = t^g Q(t + 1/t), the Descartes count
 
 
-def _band_q(a: SeifertMatrix, start: int, stop: int, times_x=lambda r: [0] + r) -> list[list]:
+def _band_q(a: SeifertMatrix, start: int, stop: int, times_x) -> list[list]:
     """[R_1, ..., R_(stop - start)] of the nonempty block [start, stop) of
     the tridiagonal matrix a, as lists that times_x multiplies by x: in
-    Z[x] by default, in the cosine basis (_cosine_times_x), or residues of
-    x = zeta + 1/zeta mod Phi_d.
+    the cosine basis (_cosine_times_x), or residues of x = zeta + 1/zeta
+    mod Phi_d.
 
     Divide the continuant D_i of the block of A^T - tA by t^(i/2) and put
     u = t^(1/2) - t^(-1/2), so u^2 = x - 2 for x = t + 1/t.  The diagonal
@@ -166,31 +168,25 @@ def _cosine_times_x(b: list[int]) -> list[int]:
     return [2 * b[1] if len(b) > 1 else 0] + [u + w for u, w in zip(b, b[2:] + [0, 0])]
 
 
+def _from_cosine(b: list[int]) -> list[int]:
+    """F in Z[x] for F = b_0 + sum_(j >= 1) b_j V_j(x), where V_0 = 2, V_1 = x
+    and V_(j+1) = x V_j - V_(j-1), so that V_j(t + 1/t) = t^j + t^-j."""
+    f = [b[0]] + [0] * (len(b) - 1)
+    v_prev, v = [2], [0, 1]
+    for c in b[1:]:
+        for i, x in enumerate(v):
+            f[i] += c * x
+        v_prev, v = v, _poly_sub([0] + v, v_prev)
+    return _poly_trim(f)
+
+
 def _delta_q(delta: tuple[int, ...], m: int) -> list[int]:
-    """Q from the Alexander polynomial delta of a knot matrix of size
-    m = 2g.  Delta is palindromic, so with t^j + t^-j = V_j(t + 1/t),
-    V_0 = 2, V_1 = x and V_(j+1) = x V_j - V_(j-1), Q = c_g + sum c_(g+j) V_j.
-    """
-    g = m // 2
+    """Q from the Alexander polynomial delta = sum c_i t^i of a knot matrix
+    of size m = 2g.  Delta is palindromic, so Q = c_g + sum c_(g+j) V_j."""
     c = list(delta) + [0] * (m + 1 - len(delta))
     if any(c[i] != c[m - i] for i in range(m + 1)):
         raise InternalInconsistencyError("Alexander polynomial of a knot is not palindromic")
-    q = [c[g]] + [0] * g
-    v_prev, v = [2], [0, 1]
-    for j in range(1, g + 1):
-        for i, x in enumerate(v):
-            q[i] += c[g + j] * x
-        v_prev, v = v, _poly_sub([0] + v, v_prev)
-    return _poly_trim(q)
-
-
-def _knot_q(a: SeifertMatrix) -> list[int]:
-    """Q with Delta(t) = t^g Q(t + 1/t), for the knot matrix a of size 2g:
-    from the band for a tridiagonal matrix (R_m of _band_q, for any size
-    m), else from Delta."""
-    if not a._tridiagonal:
-        return _delta_q(alexander_polynomial(a), a.size)
-    return _poly_trim(_band_q(a, 0, a.size)[-1] if a.size else [1])
+    return _from_cosine(c[m // 2:])
 
 
 def _shift_by_one(r: list[int]) -> list[int]:
@@ -340,7 +336,9 @@ def _descartes_bisection(q: list[int], squarefree: bool = False):
 
 def _cosine_coefficients(q: list[int]) -> list[int]:
     """b with q(2 cos theta) = b_0 + sum_(j >= 1) b_j V_j(2 cos theta), where
-    V_j(2 cos theta) = 2 cos j theta: (t + 1/t)^i = sum_k C(i, k) t^(i - 2k)."""
+    V_j(2 cos theta) = 2 cos j theta: (t + 1/t)^i = sum_k C(i, k) t^(i - 2k).
+    Root isolation needs it only for the squarefree part of Q, which it
+    builds in Z[x]."""
     b = [0] * len(q)
     for i, c in enumerate(q):
         if c:
@@ -349,11 +347,6 @@ def _cosine_coefficients(q: list[int]) -> list[int]:
                 b[i - 2 * k] += binom
                 binom = binom * (i - k) // (k + 1)
     return b
-
-
-def _cosine_floats(q: list[int]) -> tuple[list[float], float, float, float]:
-    """_scaled_floats of the cosine coefficients of q."""
-    return _scaled_floats(_cosine_coefficients(q))
 
 
 def _scaled_floats(b: list[int]) -> tuple[list[float], float, float, float]:
@@ -387,10 +380,10 @@ _SUBNORMAL = 2.0**-1074  # twice the absolute error of an underflowing product o
 
 def _float_sign(cosine, x: float, width: float = 0.0) -> int:
     """Sign of q on [x - width, x + width] within [-2, 2], from Clenshaw's
-    recurrence at x on cosine = _cosine_floats(q) or _scaled_floats, or 0
-    where the computed value v does not clear its rounding bound, widened
-    by width * slope, which bounds how far q / top moves from x; it never
-    does at a root.
+    recurrence at x on cosine = _scaled_floats of its cosine coefficients,
+    or 0 where the computed value v does not clear its rounding bound,
+    widened by width * slope, which bounds how far q / top moves from x;
+    it never does at a root.
 
     A running error bound (Higham, Accuracy and Stability of Numerical
     Algorithms, ch. 5).  Each step u^_j = fl(fl(f_j + fl(x u^_(j+1))) - u^_(j+2))
@@ -448,9 +441,9 @@ def _newton_root(rev: list[float], f0: float, lo: float, f_lo: float, hi: float,
 
 def _float_roots(cosine) -> list[float]:
     """Float estimates of the roots of q in (-2, 2), descending, from
-    cosine = _cosine_floats(q).  Samples at theta = pi s / S,
-    S = _SAMPLES_PER_DEGREE (deg q + 1), find every root whose neighbours
-    lie at least one step away."""
+    cosine = _scaled_floats of its cosine coefficients.  Samples at
+    theta = pi s / S, S = _SAMPLES_PER_DEGREE (deg q + 1), find every root
+    whose neighbours lie at least one step away."""
     rev, f0 = cosine[:2]
     steps = _SAMPLES_PER_DEGREE * (len(rev) + 1)
     roots = []
@@ -480,14 +473,15 @@ def _certified_brackets(
     and otherwise a bracket with that end.  q must take nonzero opposite
     signs at the two ends of a bracket, so each holds an odd number of
     roots, and the brackets must be disjoint.  Those signs come from
-    _float_sign on cosine = _cosine_floats(q), and from _dyadic_sign where
-    it declines and at the dyadic candidate.  count bounds the roots of q
-    in (-2, 2) that the brackets can hold: the Descartes count of Q, which
-    counts them with multiplicity, or the number of distinct roots that
-    Descartes bisection isolated in [-2, 2], one per cell.  As many
-    brackets as count then hold one root each, simple for the Descartes
-    count, and there are no others, given q(-2) != 0, which the caller
-    checks, and q(2) != 0, which holds for a knot: Q(2) = Delta(1) = +-1.
+    _float_sign on cosine, the _scaled_floats of the cosine coefficients
+    of q, and from _dyadic_sign where it declines and at the dyadic
+    candidate.  count bounds the roots of q in (-2, 2) that the brackets
+    can hold: the Descartes count of Q, which counts them with
+    multiplicity, or the number of distinct roots that Descartes bisection
+    isolated in [-2, 2], one per cell.  As many brackets as count then
+    hold one root each, simple for the Descartes count, and there are no
+    others, given q(-2) != 0, which the caller checks, and q(2) != 0,
+    which holds for a knot: Q(2) = Delta(1) = +-1.
     """
     if len(roots) != count:
         return None
@@ -536,59 +530,55 @@ def _refine_root(q: list[int], lo: int, hi: int) -> tuple[int, int]:
     return lo, hi
 
 
-@per_matrix_cache
-def _alexander_root_enclosures(a: SeifertMatrix) -> tuple[tuple[float, float], ...]:
-    """Disjoint closed enclosures [lo, hi], of width at most 2^-40, of the
-    distinct roots of Q in [-2, 2], in descending order, where
-    Delta(t) = t^g Q(t + 1/t) for the knot matrix a of size 2g.  Their
-    endpoints are dyadic floats, exact; an exact dyadic root is a point.
+def _root_enclosures(big_q: list[int], cosine) -> list[tuple[int, int]]:
+    """Disjoint closed enclosures (lo, hi), in units of 2^-_ROOT_BITS and of
+    width at most 2^-40, of the distinct roots of Q = big_q in [-2, 2], in
+    descending order; cosine is _scaled_floats of its cosine coefficients.
+    An exact dyadic root is a point.
 
-    The roots of Delta on the unit circle are the t = e^(i theta) with
-    Q(2 cos theta) = 0.  Float brackets of the roots of Q (_float_roots)
-    are certified by the Descartes count of Q (_certified_brackets with
-    _descartes_bound); a count of 0 needs no float stage.  Where that fails
-    (complex roots near the interval, a repeated root, roots the floats
-    cannot separate or place), Descartes bisection isolates the distinct
-    roots of Q, or of its squarefree part q where a repeated root needs
-    it.  Their number certifies float brackets of q as the Descartes
-    count does, unless a unit cell may hold several; failing that, the
-    cells, refined by _refine_root, are the enclosures: the aligned cells
-    of width 2^-48 that hold the roots, or the dyadic roots themselves.
+    Float brackets of the roots of Q (_float_roots) are certified by the
+    Descartes count of Q (_certified_brackets with _descartes_bound); a
+    count of 0 needs no float stage.  Where that fails (complex roots near
+    the interval, a repeated root, roots the floats cannot separate or
+    place), Descartes bisection isolates the distinct roots of Q, or of its
+    squarefree part q where a repeated root needs it.  Their number
+    certifies float brackets of q as the Descartes count does, unless a
+    unit cell may hold several; failing that, the cells, refined by
+    _refine_root, are the enclosures: the aligned cells of width 2^-48 that
+    hold the roots, or the dyadic roots themselves.
     """
-    big_q = _knot_q(a)
-    if len(big_q) == 1:
-        return ()
     found = roots = None
     if sum(c * (-2) ** i for i, c in enumerate(big_q)):  # Q(-2) != 0: Delta(-1) is odd for a knot
         count = _descartes_bound(big_q)
-        cosine = _cosine_floats(big_q) if count else None
         roots = _float_roots(cosine) if count else []
         found = _certified_brackets(big_q, cosine, count, roots)
     if found is None:
         q, cells, several = _descartes_bisection(big_q)
         if roots is not None and not several:  # q(-2) != 0, and one root per cell
             if q is not big_q:
-                cosine = _cosine_floats(q)
+                cosine = _scaled_floats(_cosine_coefficients(q))
                 roots = _float_roots(cosine)
             found = _certified_brackets(q, cosine, len(cells), roots)
         if found is None:
             found = [_refine_root(q, lo, hi) for lo, hi in cells]
-    unit = 1 << _ROOT_BITS
-    return tuple(sorted(((lo / unit, hi / unit) for lo, hi in found), reverse=True))
+    return sorted(found, reverse=True)
 
 
 @per_matrix_cache
-def _arc_signatures(a: SeifertMatrix) -> tuple[int | None, ...]:
-    """sigma on the open arc below each root enclosure of
-    _alexander_root_enclosures(a), in the same order, down to the next
-    enclosure or to w = -1; None from the first crossing whose signs are
-    not certified on, and everywhere for a knot matrix that is not
-    tridiagonal.  The arc through w = 1, above every enclosure, has
-    sigma = 0 (see _arc_points in signature).
+def _root_arcs(a: SeifertMatrix) -> tuple[tuple[float, float, int | None], ...]:
+    """(lo, hi, sigma) per root enclosure of the knot matrix a of size
+    m = 2g, in descending order: [lo, hi] encloses a distinct root of Q in
+    [-2, 2], where Delta(t) = t^g Q(t + 1/t) (_root_enclosures; the
+    endpoints are dyadic floats, exact), and sigma is the signature on the
+    open arc below it, down to the next enclosure or to w = -1.  sigma is
+    None from the first crossing whose signs are not certified on, and
+    everywhere for a knot matrix that is not tridiagonal.  The arc through
+    w = 1, above every enclosure, has sigma = 0 (see _arc_points in
+    signature).  Q comes in the cosine basis, from one band pass for a
+    tridiagonal matrix, which gives R_(m-1) as well, or from Delta.
 
-    One band pass in the cosine basis gives R_(m-1) and Q = R_m.  The
-    leading minors of H are D_i = (x - 2)^ceil(i/2) R_i(x) (_band_q), so
-    where R_(m-1) != 0, H_(m-1) is nonsingular and Haynsworth's inertia
+    The leading minors of H are D_i = (x - 2)^ceil(i/2) R_i(x) (_band_q),
+    so where R_(m-1) != 0, H_(m-1) is nonsingular and Haynsworth's inertia
     additivity (Linear Algebra Appl. 1, 1968) gives
     neg H = neg H_(m-1) + [Q R_(m-1) < 0]: the factors (x - 2)^g cancel in
     D_m / D_(m-1).  neg H_(m-1) cannot change where R_(m-1) has no zero.
@@ -597,40 +587,46 @@ def _arc_signatures(a: SeifertMatrix) -> tuple[int | None, ...]:
     -2 ([s P+ < 0] - [s P- < 0]), however many roots, of whatever
     multiplicity, the enclosure holds.  The sign of R_(m-1) comes from
     _float_sign at the enclosure's midpoint, widened by its half-width,
-    or, at a point enclosure, from the exact sign where that declines; P
-    on each arc is the sign of Q at the dyadic point halfway down to the
-    next enclosure, P = sign Q(2) = Delta(1) on the arc through w = 1.
-    Block sums such as K # K, where R_(m-1) vanishes at the roots,
-    decline.  One entry per matrix, of one value per enclosure.
+    or, at a point enclosure, from the exact sign of R_(m-1) in Z[x],
+    converted only then, where that declines; P on each arc is the sign of
+    Q at the dyadic point halfway down to the next enclosure,
+    P = sign Q(2) = Delta(1) on the arc through w = 1.  Block sums such as
+    K # K, where R_(m-1) vanishes at the roots, decline.  One entry per
+    matrix, of one triple per enclosure.
     """
-    enclosures = _alexander_root_enclosures(a)
-    if not (a._tridiagonal and enclosures):
-        return (None,) * len(enclosures)
-    *_, below, big_q = _band_q(a, 0, a.size, _cosine_times_x)
-    if not any(below):
-        return (None,) * len(enclosures)
+    m = a.size
+    below = ()  # R_(m-1), from the band only
+    if a._tridiagonal and m:
+        *_, below, b = _band_q(a, 0, m, _cosine_times_x)
+        big_q = _from_cosine(b)
+    else:
+        delta = alexander_polynomial(a)
+        big_q, b = _delta_q(delta, m), list(delta[m // 2:])
+    b = _poly_trim(b)
+    if len(b) == 1:
+        return ()
+    q_floats = _scaled_floats(b)
     unit = 1 << _ROOT_BITS
-    exact = []  # R_(m-1) and Q in Z[x], built only if a float sign declines at a point
-
-    def exact_sign(which: int, x: int) -> int:
-        if not exact:
-            exact.extend(_band_q(a, 0, a.size)[-2:])
-        return _dyadic_sign(exact[which], x)
-
-    below_floats, q_floats = _scaled_floats(below), _scaled_floats(big_q)
-    above = 1 if big_q[0] + 2 * sum(big_q[1:]) > 0 else -1  # Q(2), as V_j(2) = 2
-    lows = [round(hi * unit) for _, hi in enclosures[1:]] + [-2 * unit]
-    sigma, out = 0, []
-    for (lo, hi), low in zip(enclosures, lows):
-        # lo + hi and hi - lo are exact, and so are their halves
-        s = _float_sign(below_floats, 0.5 * (lo + hi), 0.5 * (hi - lo))
-        s = s or lo == hi and exact_sign(0, round(lo * unit))
-        # Q has no root in (low, lo), and low is one only at a point enclosure
-        x = (round(lo * unit) + low) // 2
-        p = _float_sign(q_floats, x / unit) or exact_sign(1, x)
-        if not (s and p):
-            break
-        sigma -= 2 * ((s * p < 0) - (s * above < 0))
-        out.append(sigma)
-        above = p
-    return tuple(out) + (None,) * (len(enclosures) - len(out))
+    enclosures = [(lo / unit, hi / unit) for lo, hi in _root_enclosures(big_q, q_floats)]
+    sigmas = []
+    if any(below):
+        below_floats = _scaled_floats(below)
+        exact_below = []  # R_(m-1) in Z[x], built only if a float sign declines at a point
+        above = 1 if b[0] + 2 * sum(b[1:]) > 0 else -1  # Q(2), as V_j(2) = 2
+        lows = [round(hi * unit) for _, hi in enclosures[1:]] + [-2 * unit]
+        sigma = 0
+        for (lo, hi), low in zip(enclosures, lows):
+            # lo + hi and hi - lo are exact, and so are their halves
+            s = _float_sign(below_floats, 0.5 * (lo + hi), 0.5 * (hi - lo))
+            if not s and lo == hi:
+                exact_below = exact_below or _from_cosine(below)
+                s = _dyadic_sign(exact_below, round(lo * unit))
+            # Q has no root in (low, lo), and low is one only at a point enclosure
+            x = (round(lo * unit) + low) // 2
+            p = _float_sign(q_floats, x / unit) or _dyadic_sign(big_q, x)
+            if not (s and p):
+                break
+            sigma -= 2 * ((s * p < 0) - (s * above < 0))
+            sigmas.append(sigma)
+            above = p
+    return tuple((lo, hi, sigma) for (lo, hi), sigma in zip_longest(enclosures, sigmas))

@@ -261,7 +261,7 @@ def seifert_from_json(text: str) -> SeifertMatrix:
     kind, size, entries = obj["kind"], obj["size"], obj["entries"]
     if kind not in ("knot", "link"):
         raise SeifertJSONError(f"kind must be 'knot' or 'link', got {kind!r}")
-    if not isinstance(size, int) or size < 0:
+    if not isinstance(size, int) or isinstance(size, bool) or size < 0:
         raise SeifertJSONError(f"size must be a nonnegative integer, got {size!r}")
     if not isinstance(entries, list) or len(entries) != size:
         raise SeifertJSONError(f"entries must be a list of {size} rows")

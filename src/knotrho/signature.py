@@ -56,9 +56,8 @@ from .cyclotomic import (
     _divisors,
 )
 from .alexander import (
-    _alexander_root_enclosures,
-    _arc_signatures,
     _band_q,
+    _root_arcs,
     alexander_at,
     alexander_polynomial,
 )
@@ -473,8 +472,8 @@ def _generic_seifert_inertia(a: SeifertMatrix, omc, s, num: int, den: int) -> In
     if rest == 1 and alexander_at(a, root).is_zero:
         return InertiaTriple(p, 1, n)
     if a.kind == "knot":
-        enclosures = _alexander_root_enclosures(a)
-        if not enclosures or _grid_x(num, den) - _X_MARGIN > enclosures[0][1]:
+        arcs = _root_arcs(a)
+        if not arcs or _grid_x(num, den) - _X_MARGIN > arcs[0][1]:
             return InertiaTriple(a.size // 2, 0, a.size // 2)
     return _generic_inertia_exact(_herm_residues(a, den), root)
 
@@ -654,14 +653,14 @@ def _arc_points(a: SeifertMatrix, d: int) -> list[tuple[int | None, int]]:
     sigma over the d-th roots of unity other than 1, for a knot matrix: one
     item per run of grid points inside an open arc between unit-circle
     roots of Delta other than the arc through w = 1, plus every point that
-    may meet a root.  A run on an arc whose sigma _arc_signatures certifies
-    is (None, weight * sigma), or nothing where sigma = 0; any other run is
+    may meet a root.  A run on an arc whose sigma _root_arcs certifies is
+    (None, weight * sigma), or nothing where sigma = 0; any other run is
     its middle point with the run's total weight.
 
     The grid points k = 1 .. d // 2 stand for their conjugate pairs
     (weight 2, or 1 at k = d/2) and sit at x_k = 2 cos(2 pi k/d), which
     decreases strictly in k.  For each root enclosure [lo, hi] of
-    _alexander_root_enclosures, _place_enclosure places a point `first`
+    _root_arcs, _place_enclosure places a point `first`
     whose predecessor is certified above hi, so all earlier points are,
     and a point `below` certified below lo, so all later points are.  The
     walk for `below` goes on from first - 1, which is not certified below
@@ -690,7 +689,7 @@ def _arc_points(a: SeifertMatrix, d: int) -> list[tuple[int | None, int]]:
             weight = 2 * (k1 - k0) - (k1 > half and 2 * half == d)
             points.append(((k0 + k1 - 1) // 2, weight) if sigma is None else (None, weight * sigma))
 
-    for (lo, hi), after in zip(_alexander_root_enclosures(a), _arc_signatures(a)):
+    for lo, hi, after in _root_arcs(a):
         first, below = _place_enclosure(d, lo, hi, pos)
         run(pos, first)
         points.extend(_grid_points(d, first, below))
@@ -730,7 +729,7 @@ def avg_signature_details(a: SeifertMatrix, d: int, mode: str = "exact") -> AvgS
     placed in the grid in O(1), and each grid point whose enclosure meets
     a root takes a certified signature.  A run of grid points between two
     roots adds its weight times the sigma of its arc: 0 on the arc through
-    w = 1, and for a tridiagonal knot the sigma that _arc_signatures
+    w = 1, and for a tridiagonal knot the sigma that _root_arcs
     derives once per matrix from one sign per root; any other run takes
     one certified signature at its middle point.  So the cost no longer
     grows with d, and a second average of a live tridiagonal knot costs

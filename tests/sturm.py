@@ -127,8 +127,8 @@ def bisection(q, chain):
 
 def enclosures(a):
     """Sturm bisection's enclosures of the roots of Q for the knot matrix
-    a, as _alexander_root_enclosures reports them: floats, descending."""
-    q, chain = squarefree(alexander._knot_q(a))
+    a, as _root_arcs reports them: floats, descending."""
+    q, chain = squarefree(alexander._delta_q(alexander.alexander_polynomial(a), a.size))
     if len(q) == 1:
         return ()
     return tuple(sorted(((lo / UNIT, hi / UNIT) for lo, hi in bisection(q, chain)), reverse=True))

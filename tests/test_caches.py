@@ -12,12 +12,12 @@ import weakref
 import pytest
 
 from knotrho import floatpass, seifert
-from knotrho.alexander import _alexander_root_enclosures, _arc_signatures, alexander_polynomial
+from knotrho.alexander import _root_arcs, alexander_polynomial
 from knotrho.cli import cli
 from knotrho.cyclotomic import UnitRoot
 from knotrho.floatpass import _tridiag_layout
 from knotrho.rho import rho_knot_surgery_result
-from knotrho.seifert import jn_seifert, per_matrix_cache, torus_knot_seifert
+from knotrho.seifert import SeifertMatrix, jn_seifert, per_matrix_cache, torus_knot_seifert
 from knotrho.signature import (
     _herm_residues,
     _minor_chain,
@@ -30,7 +30,7 @@ from clirun import run_cli
 
 MATRIX_CACHES = (
     alexander_polynomial,
-    _alexander_root_enclosures,
+    _root_arcs,
     _tridiag_layout,
     _herm_residues,
     _minor_chain,
@@ -117,22 +117,33 @@ def test_rho_levels_keep_no_entry_per_grid_point():
     assert sizes[0] < 10
 
 
+# jn:3 scrambled by P^T A P (signed column additions): a dense knot, whose
+# root enclosures come from Delta and whose arcs carry no certified sigma
+SCRAMBLED_JN3 = (
+    (1, 0, 0, 0, -1, 0),
+    (-1, 1, 1, -1, 0, 0),
+    (0, 0, 1, 0, 0, 0),
+    (0, 0, -1, 3, 2, 0),
+    (0, -1, -1, 3, 2, 1),
+    (0, 0, 0, -1, 0, -1),
+)
+
+
 def test_averages_keep_no_entry_per_grid():
     # One live knot averaged at 16 grids up to d = 20011, all by arcs: after
-    # the first grid, no per-matrix cache gains an entry, the root
-    # crossings included, and no entry is lost while the knot lives.
-    caches = MATRIX_CACHES + (_arc_signatures,)
-    for cache in caches:
-        cache.cache_clear()
-    a = jn_seifert(6)
+    # the first grid, no per-matrix cache gains an entry, and no entry is
+    # lost while the knot lives.  The root enclosures and arc signatures are
+    # one entry.  A tridiagonal knot and a scrambled one.
     grids = (20011, 241, 1009, 3001, 5003, 210, 2310, 7919, 10007, 10010, 12011, 15013, 17011, 18000, 19997, 20010)
-    assert len(set(grids)) == 16 and all(d > 4 * a.size + 16 for d in grids)
-    sizes = []
-    for d in grids:
-        avg_signature(a, d)
-        sizes.append([cache.cache_info().currsize for cache in caches])
-    assert sizes == [sizes[0]] * len(grids), sizes
-    assert sizes[0][-1] == 1
+    for a in (jn_seifert(6), SeifertMatrix(SCRAMBLED_JN3, kind="knot")):
+        _clear()
+        assert len(set(grids)) == 16 and all(d > 4 * a.size + 16 for d in grids)
+        sizes = []
+        for d in grids:
+            avg_signature(a, d)
+            sizes.append([cache.cache_info().currsize for cache in MATRIX_CACHES])
+        assert sizes == [sizes[0]] * len(grids), (a.entries, sizes)
+        assert _root_arcs.cache_info().currsize == 1
 
 
 def test_cli_query_leaves_no_live_entry():

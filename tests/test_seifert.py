@@ -31,6 +31,8 @@ from knotrho.seifert import (
 )
 from knotrho.verify import random_knot_seifert
 
+from clirun import run_cli
+
 
 def test_jn_small_cases():
     assert jn_seifert(1).entries == ((1, 1), (0, -1))
@@ -156,6 +158,20 @@ def test_json_parse_errors_are_distinct_from_validation():
     # well-formed JSON, invalid Seifert data
     with pytest.raises(InvalidSeifertMatrixError):
         seifert_from_json(json.dumps({"kind": "knot", "size": 2, "entries": [[1, 0], [0, 1]]}))
+
+
+def test_json_boolean_size_is_a_parse_error(tmp_path):
+    # JSON booleans load as Python bools, which are ints: true would read
+    # as a 1x1 matrix and false as the empty one.  The CLI reports the
+    # parse error with exit code 2.
+    for size, entries in ((True, [[1]]), (False, [])):
+        text = json.dumps({"kind": "link", "size": size, "entries": entries})
+        with pytest.raises(SeifertJSONError, match="size must be a nonnegative integer"):
+            seifert_from_json(text)
+        path = tmp_path / f"{size}.json"
+        path.write_text(text)
+        code, _ = run_cli(["sig", f"file:{path}", "--omega", "1/2"])
+        assert code == 2
 
 
 def test_knot_surgery_presentation():

@@ -797,6 +797,40 @@ def test_twist_family_needs_no_exact_chain(monkeypatch):
     assert calls == []
 
 
+def _enclosures(a):
+    """The root enclosures (lo, hi) of the merged per-matrix entry."""
+    return tuple((lo, hi) for lo, hi, _ in alexander._root_arcs(a))
+
+
+def _sigmas(a):
+    """The arc signatures of the merged per-matrix entry, one per enclosure."""
+    return tuple(sigma for _, _, sigma in alexander._root_arcs(a))
+
+
+def _knot_q(a):
+    """Q with Delta(t) = t^g Q(t + 1/t) for the knot matrix a, from Delta."""
+    return alexander._delta_q(alexander_polynomial(a), a.size)
+
+
+def _q_from_the_band(a):
+    """Q of the tridiagonal knot matrix a, from its band in the cosine
+    basis, as root isolation reads it."""
+    if not a.size:
+        return [1]
+    return alexander._from_cosine(alexander._band_q(a, 0, a.size, alexander._cosine_times_x)[-1])
+
+
+def _cosine_floats(q):
+    """The scaled float cosine coefficients of q in Z[x], as root isolation
+    reads them."""
+    return alexander._scaled_floats(alexander._cosine_coefficients(q))
+
+
+def _times_x(r):
+    """x r for r in Z[x]: the band recurrence in the monomial basis."""
+    return [0] + r
+
+
 def _spy_on_the_core(monkeypatch) -> list:
     """Record the (num, den) of every call to the signature engine's core."""
     calls = []
@@ -811,8 +845,8 @@ def _spy_on_the_core(monkeypatch) -> list:
 
 
 def _declined(a):
-    """_arc_signatures as it reads where no crossing is certified."""
-    return (None,) * len(alexander._alexander_root_enclosures(a))
+    """_root_arcs as it reads where no crossing is certified."""
+    return tuple((lo, hi, None) for lo, hi in _enclosures(a))
 
 
 def test_rho_closed_form_by_arcs_matches_the_levels_per_root(monkeypatch):
@@ -824,7 +858,7 @@ def test_rho_closed_form_by_arcs_matches_the_levels_per_root(monkeypatch):
     _clear_engine_caches()
     a = jn_seifert(3)
     d = 401
-    enclosures = alexander._alexander_root_enclosures(a)
+    enclosures = _enclosures(a)
     assert enclosures
     boundary = sum(
         any(lo - 1e-12 <= 2 * math.cos(2 * math.pi * k / d) <= hi + 1e-12 for lo, hi in enclosures)
@@ -833,7 +867,7 @@ def test_rho_closed_form_by_arcs_matches_the_levels_per_root(monkeypatch):
     calls = _spy_on_the_core(monkeypatch)
     for declined in (False, True):
         if declined:
-            monkeypatch.setattr(signature, "_arc_signatures", _declined)
+            monkeypatch.setattr(signature, "_root_arcs", _declined)
         calls.clear()
         avg = avg_signature(a, d)
         arcs = calls[:]
@@ -1264,7 +1298,7 @@ def test_arc_route_through_the_core_matches_the_grid(seed):
 
 def test_arc_sum_without_unit_circle_roots():
     figure_eight = jn_seifert(1)
-    assert alexander._alexander_root_enclosures(figure_eight) == ()
+    assert _enclosures(figure_eight) == ()
     _assert_arcs_match(figure_eight, (2, 7, 100, 1009))
     assert avg_signature(figure_eight, 1009) == 0
 
@@ -1282,7 +1316,7 @@ def test_no_arc_point_and_zero_signature_above_the_largest_root():
     randoms = [random_knot_seifert(rng, size_max=8) for _ in range(150)]
     rootless = 0
     for a in knots + randoms:
-        enclosures = alexander._alexander_root_enclosures(a)
+        enclosures = _enclosures(a)
         rootless += not enclosures
         top = enclosures[0][1] if enclosures else -math.inf
         link = SeifertMatrix(a.entries, kind="link")
@@ -1310,7 +1344,7 @@ def test_exact_average_by_arcs_skips_the_arc_through_one(monkeypatch):
     averages = []
     for declined in (False, True):
         if declined:
-            monkeypatch.setattr(signature, "_arc_signatures", _declined)
+            monkeypatch.setattr(signature, "_root_arcs", _declined)
         for n in range(1, 7):
             _clear_engine_caches()
             a = torus_knot_seifert(n)
@@ -1341,8 +1375,8 @@ def _assert_arc_signatures(a):
     """Every sigma _arc_signatures certifies is the core's count at a grid
     point inside its arc, and a declined crossing declines all later ones.
     Returns the number of arcs checked."""
-    enclosures = alexander._alexander_root_enclosures(a)
-    sigmas = alexander._arc_signatures(a)
+    enclosures = _enclosures(a)
+    sigmas = _sigmas(a)
     known = [s for s in sigmas if s is not None]
     assert sigmas == tuple(known) + (None,) * (len(enclosures) - len(known))
     layout = signature._tridiag_layout(a)
@@ -1383,7 +1417,7 @@ def test_certified_arc_signatures_on_the_families():
     for n in range(1, 13):
         for build in (torus_knot_seifert, jn_seifert):
             for a in (build(n), mirror(build(n))):
-                assert None not in alexander._arc_signatures(a)
+                assert None not in _sigmas(a)
                 checked += _assert_arc_signatures(a)
     assert checked > 200
 
@@ -1395,7 +1429,7 @@ def test_arc_route_meets_torus_roots_only_at_grid_points_on_them(monkeypatch):
     calls = _spy_on_the_core(monkeypatch)
     for n in range(1, 7):
         a = torus_knot_seifert(n)
-        assert None not in alexander._arc_signatures(a)
+        assert None not in _sigmas(a)
         for multiple in (16, 17, 30, 41):
             d = multiple * (2 * n + 1)
             assert signature._sum_by_arcs(a, d)
@@ -1412,19 +1446,57 @@ def test_point_enclosure_takes_the_exact_sign_where_floats_decline(monkeypatch):
     # The trefoil's one root is the point x = 1.  With every float sign
     # declined, the exact signs of R_(m-1) there and of Q on the arc below
     # give the same sigma, that of w = -1.
-    assert alexander._alexander_root_enclosures(TREFOIL) == ((1.0, 1.0),)
-    want = (signature_details(TREFOIL, UnitRoot(1, 2)).value,)
-    alexander._arc_signatures.cache_clear()
-    assert alexander._arc_signatures(TREFOIL) == want
+    want = ((1.0, 1.0, signature_details(TREFOIL, UnitRoot(1, 2)).value),)
+    alexander._root_arcs.cache_clear()
+    assert alexander._root_arcs(TREFOIL) == want
     exact = []
     sign = alexander._dyadic_sign
     monkeypatch.setattr(alexander, "_float_sign", lambda cosine, x, width=0.0: 0)
     monkeypatch.setattr(alexander, "_dyadic_sign", lambda p, num: exact.append(num) or sign(p, num))
-    alexander._arc_signatures.cache_clear()
-    assert alexander._arc_signatures(TREFOIL) == want
+    alexander._root_arcs.cache_clear()
+    assert alexander._root_arcs(TREFOIL) == want
     unit = 1 << alexander._ROOT_BITS
-    assert exact == [unit, -unit // 2]  # R_1 at x = 1, Q halfway down to -2
-    alexander._arc_signatures.cache_clear()
+    # Q at the dyadic candidate x = 1 (isolation), R_1 there, Q halfway down to -2
+    assert exact == [unit, unit, -unit // 2]
+    alexander._root_arcs.cache_clear()
+
+
+def test_one_band_pass_per_knot_and_no_delta_on_the_arc_route(monkeypatch):
+    # A cold tridiagonal knot averaged by arcs runs one band pass, in the
+    # cosine basis, and builds no Delta; a dense knot's arc entry reads Q off
+    # Delta and runs no band pass.  Only the squarefree part of the Q of
+    # K # K, built in Z[x], takes the cosine coefficients of a polynomial.
+    _clear_engine_caches()
+    calls = []
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def recording(*args):
+            calls.append((name,) + args[1:])
+            return original(*args)
+
+        monkeypatch.setattr(module, name, recording)
+
+    for module in (alexander, signature):
+        spy(module, "_band_q")
+    spy(alexander, "alexander_polynomial")
+    spy(alexander, "_cosine_coefficients")
+    for knot in (jn_seifert(6), torus_knot_seifert(5)):
+        assert signature._sum_by_arcs(knot, 1009)
+        calls.clear()
+        avg_signature(knot, 1009)
+        assert calls == [("_band_q", 0, knot.size, alexander._cosine_times_x)]
+    dense = _scrambled(jn_seifert(3), random.Random(0))
+    assert not dense._tridiagonal
+    calls.clear()
+    assert _sigmas(dense) == (None, None)
+    assert calls == [("alexander_polynomial",)]
+    t2 = torus_knot_seifert(2)
+    double = _connected_sum(t2, t2)
+    calls.clear()
+    assert len(_enclosures(double)) == 2
+    assert calls == [("_band_q", 0, double.size, alexander._cosine_times_x), ("_cosine_coefficients",)]
 
 
 def test_block_sums_decline_and_still_sum_right(monkeypatch):
@@ -1433,7 +1505,7 @@ def test_block_sums_decline_and_still_sum_right(monkeypatch):
     calls = _spy_on_the_core(monkeypatch)
     for k in (torus_knot_seifert(2), torus_knot_seifert(3), jn_seifert(2)):
         double = _connected_sum(k, k)
-        assert alexander._arc_signatures(double) == (None,) * len(alexander._alexander_root_enclosures(double))
+        assert _sigmas(double) == (None,) * len(_enclosures(double))
         calls.clear()
         _assert_arcs_match(double, (211, 1009))
         assert calls
@@ -1448,9 +1520,9 @@ def test_widened_float_sign_agrees_with_the_exact_sign(seed):
     # random intervals of width 2^-40 to 2^-4, for R_(m-1) and Q.
     rng = random.Random(seed)
     a = rng.choice((_random_tridiagonal_knot(rng, rng.randint(1, 8)), jn_seifert(rng.randint(1, 20))))
-    *_, below, big_q = alexander._band_q(a, 0, a.size)
+    *_, below, big_q = alexander._band_q(a, 0, a.size, _times_x)
     unit = 1 << alexander._ROOT_BITS
-    cases = [(below, round(lo * unit), round(hi * unit)) for lo, hi in alexander._alexander_root_enclosures(a)]
+    cases = [(below, round(lo * unit), round(hi * unit)) for lo, hi in _enclosures(a)]
     for p in (below, big_q):
         for _ in range(10):
             half = 1 << rng.randint(8, 44)
@@ -1459,27 +1531,30 @@ def test_widened_float_sign_agrees_with_the_exact_sign(seed):
     for p, lo, hi in cases:
         if not any(p):
             continue
-        s = alexander._float_sign(alexander._cosine_floats(p), (lo + hi) / (2 * unit), (hi - lo) / (2 * unit))
+        s = alexander._float_sign(_cosine_floats(p), (lo + hi) / (2 * unit), (hi - lo) / (2 * unit))
         if s:
             for y in (lo, hi, (lo + hi) // 2, rng.randint(lo, hi), rng.randint(lo, hi)):
                 assert alexander._dyadic_sign(p, y) == s, (p, lo, hi, y)
 
 
 def test_band_in_the_cosine_basis_matches_the_conversion():
+    # The band in the cosine basis against the band in Z[x], through both
+    # conversions between the bases.
     rng = random.Random(8)
     knots = [_random_tridiagonal_knot(rng, rng.randint(1, 8)) for _ in range(30)]
     knots += [build(n) for n in (1, 5, 30) for build in (torus_knot_seifert, jn_seifert)]
     for a in knots + [_random_tridiagonal_link(rng, rng.randint(1, 9)) for _ in range(30)]:
-        monomial = alexander._band_q(a, 0, a.size)
+        monomial = alexander._band_q(a, 0, a.size, _times_x)
         cosine = alexander._band_q(a, 0, a.size, alexander._cosine_times_x)
         assert [alexander._cosine_coefficients(r) for r in monomial] == cosine
+        assert [alexander._from_cosine(b) for b in cosine] == [cyclotomic._poly_trim(r) for r in monomial]
 
 
 def _assert_enclosures(a):
     """Disjoint, descending, at most 2^-40 wide, and each holding the one
     root that Sturm bisection (the oracle in tests/sturm.py) encloses;
     exact dyadic roots are points."""
-    enclosures = alexander._alexander_root_enclosures(a)
+    enclosures = _enclosures(a)
     assert all(lo <= hi and hi - lo <= 2.0**-40 for lo, hi in enclosures)
     assert all(lo1 > hi2 for (lo1, _), (_, hi2) in zip(enclosures, enclosures[1:]))
     reference = sturm.enclosures(a)
@@ -1493,14 +1568,14 @@ def _assert_enclosures(a):
 def test_root_enclosures_are_disjoint_and_hold_every_unit_circle_root():
     # torus2:n: Delta = Phi_(4n+2), roots 2 cos(pi (2j+1)/(2n+1)), j = 0..n-1
     for n in range(1, 61):
-        enclosures = alexander._alexander_root_enclosures(torus_knot_seifert(n))
+        enclosures = _enclosures(torus_knot_seifert(n))
         roots = [2 * math.cos(math.pi * (2 * j + 1) / (2 * n + 1)) for j in range(n)]
         assert len(enclosures) == n
         assert all(lo - 1e-12 <= x <= hi + 1e-12 for (lo, hi), x in zip(enclosures, roots))
         assert all(lo1 > hi2 for (lo1, _), (_, hi2) in zip(enclosures, enclosures[1:]))
         assert all(hi - lo <= 2.0**-40 for lo, hi in enclosures)
     # the trefoil's root x = 1 is exact: a point
-    assert alexander._alexander_root_enclosures(TREFOIL) == ((1.0, 1.0),)
+    assert _enclosures(TREFOIL) == ((1.0, 1.0),)
     for n in (1, 2, 3, 4, 5, 6, 7, 8, 15, 30, 60):
         _assert_enclosures(jn_seifert(n))
         _assert_enclosures(mirror(torus_knot_seifert(n)))
@@ -1518,16 +1593,16 @@ def test_root_isolation_falls_back_to_bisection_for_close_roots():
     # float stage finds 13 sign changes against 15 roots, and Descartes
     # bisection gives the enclosures that Sturm bisection gives.
     a = _connected_sum(torus_knot_seifert(8), jn_seifert(8))
-    q = alexander._knot_q(a)
+    q = _knot_q(a)
     oracle_q, chain = sturm.squarefree(q)
     assert oracle_q == q
-    cosine = alexander._cosine_floats(q)
+    cosine = _cosine_floats(q)
     assert len(alexander._float_roots(cosine)) == 13
     assert sturm.count(chain, -2 * sturm.UNIT, 2 * sturm.UNIT) == alexander._descartes_bound(q) == 15
     assert alexander._certified_brackets(q, cosine, 15, alexander._float_roots(cosine)) is None
     same_q, cells, several = alexander._descartes_bisection(q)
     assert same_q is q and len(cells) == 15 and several == 0
-    enclosures = alexander._alexander_root_enclosures(a)
+    enclosures = _enclosures(a)
     assert len(enclosures) == 15
     assert enclosures == sturm.enclosures(a)
     _assert_arcs_match(a, (1009,))
@@ -1555,24 +1630,24 @@ def test_certified_roots_cost_two_exact_signs_each(monkeypatch):
     knots = [torus_knot_seifert(1), torus_knot_seifert(25)]
     knots += [build(n) for n in (2, 3, 6, 15, 30, 60, 150) for build in (jn_seifert, torus_knot_seifert)]
     for a in knots:
-        alexander._alexander_root_enclosures.cache_clear()
+        alexander._root_arcs.cache_clear()
         calls.update(bisection=0, sign=0)
-        enclosures = alexander._alexander_root_enclosures(a)
+        enclosures = _enclosures(a)
         assert enclosures
         assert calls["bisection"] == 0
         assert calls["sign"] == ((1.0, 1.0) in enclosures)
-    assert (1.0, 1.0) in alexander._alexander_root_enclosures(torus_knot_seifert(25))
+    assert (1.0, 1.0) in _enclosures(torus_knot_seifert(25))
 
 
 def test_certificate_rejects_a_float_root_found_twice():
     # Two float estimates of one root of q = x^2 - x - 1 give as many
     # brackets as the root count, each with a sign change, but they overlap
     # and miss the other root.
-    q = alexander._knot_q(torus_knot_seifert(2))
+    q = _knot_q(torus_knot_seifert(2))
     assert q == [-1, -1, 1]
     chain = sturm.sturm_chain(q)
     assert sturm.count(chain, -2 * sturm.UNIT, 2 * sturm.UNIT) == alexander._descartes_bound(q) == 2
-    cosine = alexander._cosine_floats(q)
+    cosine = _cosine_floats(q)
     good = [(1 + math.sqrt(5)) / 2, (1 - math.sqrt(5)) / 2]
     assert alexander._certified_brackets(q, cosine, 2, good) is not None
     twice = [good[0], good[0] - 2.0**-46]
@@ -1581,10 +1656,10 @@ def test_certificate_rejects_a_float_root_found_twice():
     # Two float estimates of the dyadic root x = 1 of the trefoil's
     # q = x - 1 both round to the point enclosure (1, 1): a second point
     # on the first must be rejected like an overlapping bracket.
-    q = alexander._knot_q(torus_knot_seifert(1))
+    q = _knot_q(torus_knot_seifert(1))
     assert q == [-1, 1]
     unit = 1 << alexander._ROOT_BITS
-    cosine = alexander._cosine_floats(q)
+    cosine = _cosine_floats(q)
     assert alexander._certified_brackets(q, cosine, 1, [1.0]) == [(unit, unit)]
     assert alexander._certified_brackets(q, cosine, 2, [1.0, 1.0 - 2.0**-50]) is None
 
@@ -1607,10 +1682,10 @@ def test_float_signs_match_the_exact_signs(seed):
         a = rng.choice((torus_knot_seifert, jn_seifert))(rng.randint(1, 60))
     else:
         a = random_knot_seifert(rng, size_max=24, spread=rng.choice((1, 3, 10, 100, 1000)))
-    q = alexander._knot_q(a)
+    q = _knot_q(a)
     if len(q) == 1:
         return
-    cosine = alexander._cosine_floats(q)
+    cosine = _cosine_floats(q)
     unit, half = 1 << alexander._ROOT_BITS, alexander._HALF_WIDTH
     roots = alexander._float_roots(cosine)
     for x in rng.sample(roots, min(len(roots), 8)):
@@ -1629,10 +1704,10 @@ def test_float_signs_match_the_exact_signs(seed):
 def test_float_sign_declines_at_an_exact_root():
     # x = 1 is a root of Q for torus2:1 and torus2:25 (3 divides 2n + 1)
     for n in (1, 25):
-        q = alexander._knot_q(torus_knot_seifert(n))
+        q = _knot_q(torus_knot_seifert(n))
         assert _exact_sign(q, 1.0) == 0
-        assert alexander._float_sign(alexander._cosine_floats(q), 1.0) == 0
-        assert alexander._float_sign(alexander._cosine_floats(q), 1.0 + 2.0**-40) != 0
+        assert alexander._float_sign(_cosine_floats(q), 1.0) == 0
+        assert alexander._float_sign(_cosine_floats(q), 1.0 + 2.0**-40) != 0
 
 
 def _random_tridiagonal_knot(rng, g):
@@ -1650,18 +1725,50 @@ def _random_tridiagonal_knot(rng, g):
     return SeifertMatrix(tuple(tuple(r) for r in rows), kind="knot")
 
 
-def _checked_delta(a, rng):
-    """Delta of the tridiagonal matrix a by routes that share nothing with
-    the band recurrence: Bareiss elimination over Z[t] on a scrambled copy
-    P^T A P, whose Delta is the same, checked against det_int(A^T - tA) at
-    size + 3 integer points, which determine a polynomial of degree <= size.
-    Every matrix of size <= 2 is tridiagonal, so there the points decide."""
-    delta = alexander_polynomial(_scrambled(a, rng) if a.size > 2 else a)
+def _assert_det_int_values(a, delta):
+    """delta is det_int(A^T - tA) at the size + 3 integer points
+    t = -2 .. size, which determine a polynomial of degree <= size."""
     e, m = a.entries, a.size
     for t in range(-2, m + 1):
         rows = tuple(tuple(e[j][i] - t * e[i][j] for j in range(m)) for i in range(m))
         assert sum(c * t**j for j, c in enumerate(delta)) == det_int(rows), (a, t)
+
+
+def _checked_delta(a, rng):
+    """Delta of the tridiagonal matrix a by routes that share nothing with
+    the band recurrence: Bareiss elimination over Z[t] on a scrambled copy
+    P^T A P, whose Delta is the same, checked against det_int(A^T - tA).
+    Every matrix of size <= 2 is tridiagonal, so there the points decide."""
+    delta = alexander_polynomial(_scrambled(a, rng) if a.size > 2 else a)
+    _assert_det_int_values(a, delta)
     return delta
+
+
+def _dense_link(rng, m):
+    """A random integer matrix of size m as a link matrix; sometimes with a
+    zero row, and sometimes a zero row and column, where Delta = 0."""
+    rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+    zero = rng.randrange(m)
+    if rng.random() < 0.4:
+        rows[zero] = [0] * m
+        if rng.random() < 0.5:
+            for row in rows:
+                row[zero] = 0
+    return SeifertMatrix(tuple(tuple(r) for r in rows), kind="link")
+
+
+@given(st.integers(0, 10**9))
+def test_delta_of_dense_matrices_matches_det_int(seed):
+    # links of odd and even size, with zero rows and Delta = 0, and random
+    # knots, whose Delta is palindromic with Delta(1) = +-1
+    rng = random.Random(seed)
+    links = [_dense_link(rng, rng.randrange(1, 10, 2)), _dense_link(rng, rng.randrange(2, 11, 2))]
+    knot = random_knot_seifert(rng, size_max=rng.choice((4, 8, 12)), spread=rng.choice((1, 3, 10)))
+    for a in links + [knot]:
+        _assert_det_int_values(a, alexander_polynomial(a))
+    delta = alexander_polynomial(knot)
+    c = list(delta) + [0] * (knot.size + 1 - len(delta))
+    assert c == c[::-1] and sum(c) in (1, -1)
 
 
 @given(st.integers(0, 10**9))
@@ -1682,14 +1789,14 @@ def test_q_from_the_band_matches_the_conversion_from_delta(seed):
     a = _random_tridiagonal_knot(rng, rng.randint(0, 6))
     for k in (a, mirror(a)):
         assert k._tridiagonal
-        assert alexander._knot_q(k) == alexander._delta_q(_checked_delta(k, rng), k.size)
+        assert _q_from_the_band(k) == alexander._delta_q(_checked_delta(k, rng), k.size)
 
 
 def test_q_from_the_band_on_the_families():
     # Delta of torus2:n is 1 - t + t^2 - ... + t^(2n), and that of jn:n is
     # -1 + 3t - 3t^2 + ... + 3t^(2n-1) - t^(2n), pinned for n <= 6 by the
     # independent routes
-    assert alexander._knot_q(unknot_seifert()) == [1]
+    assert _knot_q(unknot_seifert()) == _q_from_the_band(unknot_seifert()) == [1]
     rng = random.Random(4)
     for n in range(1, 61):
         closed = {
@@ -1701,7 +1808,7 @@ def test_q_from_the_band_on_the_families():
             if n <= 6:
                 assert _checked_delta(a, rng) == delta
             assert alexander_polynomial(a) == alexander_polynomial(mirror(a)) == delta
-            assert alexander._knot_q(a) == alexander._delta_q(delta, a.size)
+            assert _q_from_the_band(a) == alexander._delta_q(delta, a.size)
 
 
 def _poly_from_factors(factors):
@@ -1800,11 +1907,11 @@ def test_repeated_unit_circle_roots_take_the_squarefree_route(monkeypatch):
         (_connected_sum(_connected_sum(TREFOIL, TREFOIL), t2), 4, golden[:1] + one + golden[1:]),
     )
     for knot, bound, want in cases:
-        q = alexander._knot_q(knot)
+        q = _knot_q(knot)
         assert alexander._descartes_bound(q) == bound
         built.clear()
-        alexander._alexander_root_enclosures.cache_clear()
-        got = alexander._alexander_root_enclosures(knot)
+        alexander._root_arcs.cache_clear()
+        got = _enclosures(knot)
         assert built == [q]
         assert got == tuple((float.fromhex(lo), float.fromhex(hi)) for lo, hi in want)
         assert len(got) == sturm.count(sturm.squarefree(q)[1], -2 * sturm.UNIT, 2 * sturm.UNIT)
@@ -1826,7 +1933,7 @@ def test_descartes_excess_is_certified_by_the_isolated_count(monkeypatch):
         ),
         kind="knot",
     )
-    q = alexander._knot_q(a)
+    q = _knot_q(a)
     assert q == [-12169, 19011, -9897, 1717]
     assert alexander._descartes_bound(q) == 3
     assert sturm.count(sturm.sturm_chain(q), -2 * sturm.UNIT, 2 * sturm.UNIT) == 1
@@ -1838,8 +1945,8 @@ def test_descartes_excess_is_certified_by_the_isolated_count(monkeypatch):
 
     monkeypatch.setattr(alexander, "_descartes_bisection", lambda q: isolated.append(bisection(q)) or isolated[-1])
     monkeypatch.setattr(alexander, "_refine_root", no_refinement)
-    alexander._alexander_root_enclosures.cache_clear()
-    enclosures = alexander._alexander_root_enclosures(a)
+    alexander._root_arcs.cache_clear()
+    enclosures = _enclosures(a)
     assert [(len(cells), several) for _, cells, several in isolated] == [(1, 0)]
     assert len(enclosures) == 1
     monkeypatch.undo()
