@@ -1372,7 +1372,7 @@ def _arc_point(lo, low):
 
 
 def _assert_arc_signatures(a):
-    """Every sigma _arc_signatures certifies is the core's count at a grid
+    """Every sigma _root_arcs certifies is the core's count at a grid
     point inside its arc, and a declined crossing declines all later ones.
     Returns the number of arcs checked."""
     enclosures = _enclosures(a)
