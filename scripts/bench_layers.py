@@ -18,9 +18,10 @@ on one machine.  Standard library only.  The layers:
   drawn from 1, 3, 10 and 1000 before its knot), with Alexander
   polynomials cached and root enclosures cold, best of three passes over
   all of them; and, in a fourth pass, how many knots were certified by
-  the Descartes count of Q (the first _certified_brackets call), by the
-  root count of the fallback (the second) and by its refined cells
-  (neither);
+  the degree and parity of Q (the first _certified_brackets call, with
+  no Descartes count made; none on trees without that route), by the
+  Descartes count of Q (the first call, after a count), by the root
+  count of the fallback (the second) and by its refined cells (neither);
 - "averages": exact averages of the twelve prime-avg knots (torus2:n and
   jn:n, n = 1 .. 6) at one prime each, summed over the twelve, cold (every
   cache cleared, root isolation included) and warm (root enclosures
@@ -185,27 +186,33 @@ def isolation_random() -> dict:
         for a in knots:
             root_enclosures(a)
         times.append(time.perf_counter() - t0)
-    certified = []
-    certify = alexander._certified_brackets
+    certified, counted = [], []
+    certify, count = alexander._certified_brackets, alexander._descartes_bound
 
     def recording(*args):
         out = certify(*args)
         certified[-1].append(out is not None)
         return out
 
+    def counting(q):
+        counted[-1] = True
+        return count(q)
+
     arc_entry().cache_clear()
-    alexander._certified_brackets = recording
+    alexander._certified_brackets, alexander._descartes_bound = recording, counting
     try:
         for a in knots:
             certified.append([])
+            counted.append(False)
             root_enclosures(a)
     finally:
-        alexander._certified_brackets = certify
+        alexander._certified_brackets, alexander._descartes_bound = certify, count
     routes = [calls.index(True) if True in calls else 2 for calls in certified]
     return {
         "best_s": min(times),
         "knots": len(knots),
-        "descartes_count": routes.count(0),
+        "degree_parity": sum(route == 0 and not c for route, c in zip(routes, counted)),
+        "descartes_count": sum(route == 0 and c for route, c in zip(routes, counted)),
         "fallback_count": routes.count(1),
         "refined": routes.count(2),
     }

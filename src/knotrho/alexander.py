@@ -10,15 +10,17 @@ and its roots e^(i theta) on the unit circle are the roots
 x = 2 cos theta of Q in [-2, 2].  Those are isolated once per matrix
 (_root_arcs), from Q in the cosine basis: a tridiagonal knot reads it off
 its band, run in that basis, and any other knot off the upper half of
-Delta; one conversion (_from_cosine) gives Q in Z[x] for the exact steps.
-A float stage samples Q(2 cos theta) in the cosine basis, where it is well
-conditioned at high degree, and refines every sign change by Newton steps
-on Clenshaw's recurrence.  Each float root is then rounded outward to a
-dyadic bracket of width 2^-40, certified by the signs of Q at its two
-ends and by Descartes' rule of signs: disjoint brackets with a sign
-change each, as many as the sign variations of Q carried by a Moebius map
-from (-2, 2) onto (0, inf), hold one simple root each, and there is no
-other root.  The signs come from Clenshaw's recurrence on the same
+Delta; one conversion (_from_cosine) gives Q in Z[x] for the exact steps,
+made only where one needs it.  A float stage samples Q(2 cos theta) in
+the cosine basis, where it is well conditioned at high degree, and
+refines every sign change by Newton steps on Clenshaw's recurrence.  Each
+float root is then rounded outward to a dyadic bracket of width 2^-40,
+certified by the signs of Q at its two ends and by a count of the roots:
+disjoint brackets with a sign change each hold one simple root each, and
+there is no other root, if there are deg Q of them, or deg Q - 1 of the
+parity that the signs of Q(2) and Q(-2) give, or as many as the sign
+variations of Q carried by a Moebius map from (-2, 2) onto (0, inf)
+(Descartes' rule of signs).  The signs come from Clenshaw's recurrence on the same
 scaled coefficients with a rigorous running error bound; integer Horner
 at the dyadic point decides only where the float value does not clear
 it, and at a dyadic candidate root.  Any other case (more variations
@@ -33,8 +35,9 @@ the same way, or else its cells, refined by sign bisection to width
 the arcs between the enclosures.  For a tridiagonal knot, the signature
 on every arc follows from the enclosures too, in the same entry: the band
 pass that gives Q gives the penultimate leading minor R_(m-1) as well,
-and one certified sign of R_(m-1) per enclosure, with one of Q per arc,
-tells by Haynsworth's inertia additivity how sigma changes across each
+and one certified sign of R_(m-1) per enclosure, with the sign of Q on
+each arc that isolation certified at the bracket ends, tells by
+Haynsworth's inertia additivity how sigma changes across each
 enclosure.
 """
 from __future__ import annotations
@@ -178,6 +181,14 @@ def _from_cosine(b: list[int]) -> list[int]:
             f[i] += c * x
         v_prev, v = v, _poly_sub([0] + v, v_prev)
     return _poly_trim(f)
+
+
+def _exact_q(b: list[int], q: list[int]) -> list[int]:
+    """q, which holds F in Z[x] for F = b_0 + sum_(j >= 1) b_j V_j, or is
+    empty until an exact step needs F, when _from_cosine fills it."""
+    if not q:
+        q += _from_cosine(b)
+    return q
 
 
 def _delta_q(delta: tuple[int, ...], m: int) -> list[int]:
@@ -461,55 +472,65 @@ def _float_roots(cosine) -> list[float]:
     return roots
 
 
+def _sign_at(b: list[int], q: list[int], cosine, num: int) -> int:
+    """Sign of F at num / 2^_ROOT_BITS in [-2, 2], F with the cosine
+    coefficients b: _float_sign on cosine = _scaled_floats(b), or, where
+    that declines, _dyadic_sign on F in Z[x], held in q (_exact_q)."""
+    # num / 2^_ROOT_BITS is exact: |num| <= 2^(_ROOT_BITS + 1)
+    return _float_sign(cosine, num / (1 << _ROOT_BITS)) or _dyadic_sign(_exact_q(b, q), num)
+
+
 def _certified_brackets(
-    q: list[int], cosine, count: int, roots: list[float]
-) -> list[tuple[int, int]] | None:
-    """Enclosures (lo, hi) of the roots of q in [-2, 2], in units of
-    2^-_ROOT_BITS, from the descending float roots; None unless certified.
+    b: list[int], q: list[int], cosine, count: int, roots: list[float]
+) -> list[tuple[int, int, int]] | None:
+    """Enclosures (lo, hi, below) of the roots of a polynomial F in
+    [-2, 2], in units of 2^-_ROOT_BITS, from the descending float roots;
+    None unless certified.  F has the cosine coefficients b, of which
+    cosine is _scaled_floats, and q holds F in Z[x] or is empty until an
+    exact sign needs it (_exact_q, _sign_at).
 
     Each root becomes a bracket of width 2 _HALF_WIDTH around it, clipped to
-    [-2, 2], or, when a dyadic root of q may be that close (its denominator
-    divides the leading coefficient), the point itself if q vanishes there
-    and otherwise a bracket with that end.  q must take nonzero opposite
-    signs at the two ends of a bracket, so each holds an odd number of
-    roots, and the brackets must be disjoint.  Those signs come from
-    _float_sign on cosine, the _scaled_floats of the cosine coefficients
-    of q, and from _dyadic_sign where it declines and at the dyadic
-    candidate.  count bounds the roots of q in (-2, 2) that the brackets
-    can hold: the Descartes count of Q, which counts them with
-    multiplicity, or the number of distinct roots that Descartes bisection
-    isolated in [-2, 2], one per cell.  As many brackets as count then
-    hold one root each, simple for the Descartes count, and there are no
-    others, given q(-2) != 0, which the caller checks, and q(2) != 0,
-    which holds for a knot: Q(2) = Delta(1) = +-1.
+    [-2, 2], or, when a dyadic root of F may be that close (its denominator
+    divides the leading coefficient b[-1]), the point itself if F vanishes
+    there and otherwise a bracket with that end.  F must take nonzero
+    opposite signs at the two ends of a bracket, so each holds an odd
+    number of roots, and the brackets must be disjoint.  Those signs come
+    from _sign_at, and from _dyadic_sign at the dyadic candidate.  count
+    bounds the roots of F in (-2, 2) that the brackets can hold, and as
+    many brackets as count then hold one simple root each, and there are
+    no others (see _root_enclosures for the counts).  below is the sign of
+    F on the gap below the enclosure, as far as the bracket signs certify
+    it: F(lo) for a bracket; for a point, the sign at the high end of the
+    bracket that comes next, or 0 where a point or nothing does.
     """
     if len(roots) != count:
         return None
     unit = 1 << _ROOT_BITS
-    lc = q[-1]
+    lc = b[-1]
     step = 1 << max(_ROOT_BITS - ((lc & -lc).bit_length() - 1), 0)
     out = []
     for x in roots:
         c = x * unit  # exact: unit is a power of two
         cand = round(c / step) * step
         if abs(c - cand) <= _HALF_WIDTH:
-            s = _dyadic_sign(q, cand)
+            s = _dyadic_sign(_exact_q(b, q), cand)
             if s == 0:
                 if out and out[-1][0] <= cand:
                     return None
-                out.append((cand, cand))
+                out.append((cand, cand, 0))
                 continue
             lo, hi = (cand, cand + 2 * _HALF_WIDTH) if c >= cand else (cand - 2 * _HALF_WIDTH, cand)
         else:
             s = None
             lo, hi = round(c) - _HALF_WIDTH, round(c) + _HALF_WIDTH
         lo, hi = max(lo, -2 * unit), min(hi, 2 * unit)
-        # lo / unit and hi / unit are exact: |lo|, |hi| <= 2^(_ROOT_BITS + 1)
-        s_lo = s if s is not None and lo == cand else _float_sign(cosine, lo / unit) or _dyadic_sign(q, lo)
-        s_hi = s if s is not None and hi == cand else _float_sign(cosine, hi / unit) or _dyadic_sign(q, hi)
+        s_lo = s if s is not None and lo == cand else _sign_at(b, q, cosine, lo)
+        s_hi = s if s is not None and hi == cand else _sign_at(b, q, cosine, hi)
         if s_lo * s_hi >= 0 or (out and out[-1][0] <= hi):
             return None
-        out.append((lo, hi))
+        if out and not out[-1][2]:  # a point above, with no root between: F has the sign s_hi below it
+            out[-1] = (*out[-1][:2], s_hi)
+        out.append((lo, hi, s_lo))
     return out
 
 
@@ -530,38 +551,71 @@ def _refine_root(q: list[int], lo: int, hi: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _root_enclosures(big_q: list[int], cosine) -> list[tuple[int, int]]:
-    """Disjoint closed enclosures (lo, hi), in units of 2^-_ROOT_BITS and of
-    width at most 2^-40, of the distinct roots of Q = big_q in [-2, 2], in
-    descending order; cosine is _scaled_floats of its cosine coefficients.
-    An exact dyadic root is a point.
+def _degree_certifies(n: int, k: int, at_2: int, at_minus_2: int) -> bool:
+    """Whether k disjoint brackets, each with nonzero opposite signs of Q at
+    its ends and so an odd number of roots, hold every root of Q, of degree
+    n, in (-2, 2), one simple root each, given Q(2) = at_2 and
+    Q(-2) = at_minus_2 != 0.  They hold k roots or more, and Q has n.  So
+    k = n leaves one root to each bracket and none elsewhere.  k = n - 1
+    does where Q(2) != 0 and n - 1 has the parity of [Q(-2) Q(2) < 0],
+    which is that of the number of roots in (-2, 2): that number, n - 1
+    or n, is then n - 1, and the root left over lies outside [-2, 2]."""
+    return k == n or (k == n - 1 and at_2 != 0 and k % 2 == (at_2 * at_minus_2 < 0))
 
-    Float brackets of the roots of Q (_float_roots) are certified by the
-    Descartes count of Q (_certified_brackets with _descartes_bound); a
-    count of 0 needs no float stage.  Where that fails (complex roots near
-    the interval, a repeated root, roots the floats cannot separate or
-    place), Descartes bisection isolates the distinct roots of Q, or of its
-    squarefree part q where a repeated root needs it.  Their number
-    certifies float brackets of q as the Descartes count does, unless a
-    unit cell may hold several; failing that, the cells, refined by
-    _refine_root, are the enclosures: the aligned cells of width 2^-48 that
-    hold the roots, or the dyadic roots themselves.
+
+def _root_enclosures(b: list[int], q: list[int], cosine) -> list[tuple[int, int, int]]:
+    """Disjoint closed enclosures (lo, hi, below), in units of 2^-_ROOT_BITS
+    and of width at most 2^-40, of the distinct roots of Q in [-2, 2], in
+    descending order; an exact dyadic root is a point.  Q has degree
+    n >= 1 and the cosine coefficients b, cosine is _scaled_floats(b), and
+    q holds Q in Z[x] or is empty until an exact step needs it (_exact_q).
+    below is the sign of Q on the gap below [lo, hi], down to the next
+    enclosure or to -2, where isolation certified it, and 0 elsewhere.
+
+    Float brackets of the roots of Q (_float_roots, _certified_brackets)
+    are certified by degree and parity (_degree_certifies), with
+    Q(+-2) = b_0 + 2 sum (+-1)^j b_j read off b (V_j(+-2) = 2 (+-1)^j; for
+    a knot Q(2) = Delta(1) = +-1 and Delta(-1) is odd), or else by the
+    Descartes count of Q, which counts the roots in (-2, 2) with
+    multiplicity; a count of 0 needs no brackets.  A real-rooted Q has a
+    Descartes count equal to its root count, so wherever degree and parity
+    certify, the count would certify the same brackets.  Where both fail
+    (complex roots near the interval, a repeated root, roots the floats
+    cannot separate or place), Descartes bisection isolates the distinct
+    roots of Q, or of its squarefree part where a repeated root needs it.
+    Their number certifies float brackets as the Descartes count does,
+    unless a unit cell may hold several; failing that, the cells, refined
+    by _refine_root, are the enclosures: the aligned cells of width 2^-48
+    that hold the roots, or the dyadic roots themselves.  below comes from
+    the bracket signs of Q (not of a squarefree part), and from Q(-2)
+    below the last enclosure.
     """
+    at_2 = b[0] + 2 * sum(b[1:])
+    at_minus_2 = b[0] + 2 * sum(b[2::2]) - 2 * sum(b[1::2])
     found = roots = None
-    if sum(c * (-2) ** i for i, c in enumerate(big_q)):  # Q(-2) != 0: Delta(-1) is odd for a knot
-        count = _descartes_bound(big_q)
-        roots = _float_roots(cosine) if count else []
-        found = _certified_brackets(big_q, cosine, count, roots)
+    if at_minus_2:
+        roots = _float_roots(cosine)
+        if _degree_certifies(len(b) - 1, len(roots), at_2, at_minus_2):
+            found = _certified_brackets(b, q, cosine, len(roots), roots)
+        else:
+            count = _descartes_bound(_exact_q(b, q))
+            found = _certified_brackets(b, q, cosine, count, roots if count else [])
     if found is None:
-        q, cells, several = _descartes_bisection(big_q)
-        if roots is not None and not several:  # q(-2) != 0, and one root per cell
-            if q is not big_q:
-                cosine = _scaled_floats(_cosine_coefficients(q))
-                roots = _float_roots(cosine)
-            found = _certified_brackets(q, cosine, len(cells), roots)
+        square_free, cells, several = _descartes_bisection(_exact_q(b, q))
+        if roots is not None and not several:  # Q(-2) != 0, and one root per cell
+            if square_free is q:
+                found = _certified_brackets(b, q, cosine, len(cells), roots)
+            else:
+                b = _cosine_coefficients(square_free)
+                cosine = _scaled_floats(b)
+                found = _certified_brackets(b, square_free, cosine, len(cells), _float_roots(cosine))
+                found = found and [(lo, hi, 0) for lo, hi, _ in found]
         if found is None:
-            found = [_refine_root(q, lo, hi) for lo, hi in cells]
-    return sorted(found, reverse=True)
+            found = [(*_refine_root(square_free, lo, hi), 0) for lo, hi in cells]
+        found.sort(reverse=True)
+    if found:
+        found[-1] = (*found[-1][:2], (at_minus_2 > 0) - (at_minus_2 < 0))
+    return found
 
 
 @per_matrix_cache
@@ -588,45 +642,45 @@ def _root_arcs(a: SeifertMatrix) -> tuple[tuple[float, float, int | None], ...]:
     multiplicity, the enclosure holds.  The sign of R_(m-1) comes from
     _float_sign at the enclosure's midpoint, widened by its half-width,
     or, at a point enclosure, from the exact sign of R_(m-1) in Z[x],
-    converted only then, where that declines; P on each arc is the sign of
-    Q at the dyadic point halfway down to the next enclosure,
-    P = sign Q(2) = Delta(1) on the arc through w = 1.  Block sums such as
-    K # K, where R_(m-1) vanishes at the roots, decline.  One entry per
-    matrix, of one triple per enclosure.
+    converted only then, where that declines.  P on each arc is the sign of
+    Q that isolation certified below the enclosure above it
+    (_root_enclosures), or else the sign at the dyadic point halfway down
+    to the next enclosure; P = sign Q(2) = Delta(1) on the arc through
+    w = 1.  Block sums such as K # K, where R_(m-1) vanishes at the roots,
+    decline.  One entry per matrix, of one triple per enclosure.
     """
     m = a.size
     below = ()  # R_(m-1), from the band only
     if a._tridiagonal and m:
         *_, below, b = _band_q(a, 0, m, _cosine_times_x)
-        big_q = _from_cosine(b)
+        q = []  # Q in Z[x], converted only for an exact step
     else:
         delta = alexander_polynomial(a)
-        big_q, b = _delta_q(delta, m), list(delta[m // 2:])
+        q, b = _delta_q(delta, m), list(delta[m // 2:])
     b = _poly_trim(b)
     if len(b) == 1:
         return ()
     q_floats = _scaled_floats(b)
+    found = _root_enclosures(b, q, q_floats)
     unit = 1 << _ROOT_BITS
-    enclosures = [(lo / unit, hi / unit) for lo, hi in _root_enclosures(big_q, q_floats)]
     sigmas = []
     if any(below):
         below_floats = _scaled_floats(below)
         exact_below = []  # R_(m-1) in Z[x], built only if a float sign declines at a point
         above = 1 if b[0] + 2 * sum(b[1:]) > 0 else -1  # Q(2), as V_j(2) = 2
-        lows = [round(hi * unit) for _, hi in enclosures[1:]] + [-2 * unit]
         sigma = 0
-        for (lo, hi), low in zip(enclosures, lows):
-            # lo + hi and hi - lo are exact, and so are their halves
-            s = _float_sign(below_floats, 0.5 * (lo + hi), 0.5 * (hi - lo))
+        for i, (lo, hi, p) in enumerate(found):
+            # (lo + hi) / 2 and (hi - lo) / 2, in x, are exact
+            s = _float_sign(below_floats, (lo + hi) / (2 * unit), (hi - lo) / (2 * unit))
             if not s and lo == hi:
-                exact_below = exact_below or _from_cosine(below)
-                s = _dyadic_sign(exact_below, round(lo * unit))
-            # Q has no root in (low, lo), and low is one only at a point enclosure
-            x = (round(lo * unit) + low) // 2
-            p = _float_sign(q_floats, x / unit) or _dyadic_sign(big_q, x)
+                s = _dyadic_sign(_exact_q(below, exact_below), lo)
+            if s and not p:
+                # Q has no root in (low, lo), and low is one only at a point enclosure
+                low = found[i + 1][1] if i + 1 < len(found) else -2 * unit
+                p = _sign_at(b, q, q_floats, (lo + low) // 2)
             if not (s and p):
                 break
             sigma -= 2 * ((s * p < 0) - (s * above < 0))
             sigmas.append(sigma)
             above = p
-    return tuple((lo, hi, sigma) for (lo, hi), sigma in zip_longest(enclosures, sigmas))
+    return tuple((lo / unit, hi / unit, sigma) for (lo, hi, _), sigma in zip_longest(found, sigmas))

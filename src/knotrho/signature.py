@@ -587,10 +587,13 @@ def _float_grid_sum(a: SeifertMatrix, d: int) -> tuple[int, bool]:
     return total, certified
 
 
+_TWO_PI_I = 2j * math.pi
+
+
 def _grid_x(k: int, d: int) -> float:
     """2 Re e^{2 pi i k/d} rounded as in _mr_root: within 2 _ROOT_ERR of
     the true 2 cos(2 pi k/d)."""
-    return 2.0 * cmath.exp(2j * math.pi * k / d).real
+    return 2.0 * cmath.exp(_TWO_PI_I * k / d).real
 
 
 # Bound on |_grid_x(k, d) - 2 cos(2 pi k/d)|, widened to cover the
@@ -598,7 +601,10 @@ def _grid_x(k: int, d: int) -> float:
 _X_MARGIN = 2.0 * _ROOT_ERR + 4.0 * _EPS
 
 
-def _grid_walk(d: int, end: float, below: bool, left: int, k: int) -> tuple[int, float | None]:
+def _grid_walk(
+    d: int, end: float, below: bool, left: int, k: int,
+    right: int | None = None, x_right: float | None = None, probes: int = 0,
+) -> tuple[int, float | None]:
     """(right, x) with right in left + 1 .. d // 2 + 1, past(right) true and
     past(right - 1) false, taking past(left) false and past(d // 2 + 1)
     true, where past(j) says that x_j is not certified above end,
@@ -606,9 +612,11 @@ def _grid_walk(d: int, end: float, below: bool, left: int, k: int) -> tuple[int,
     below end, _grid_x(j, d) + _X_MARGIN < end; x is _grid_x(right, d), or
     None where right = d // 2 + 1 was never probed.  The caller vouches for
     past(left) being false.  Rounded, past need not be monotone.  The first
-    four probes walk from the guess k; bisection does the rest."""
-    right, x_right = d // 2 + 1, None
-    probes = 0
+    four probes walk from the guess k; bisection does the rest.  A walk
+    that the caller began resumes from its state: right, past with
+    _grid_x x_right, after `probes` probes."""
+    if right is None:
+        right = d // 2 + 1
     while right - left > 1:
         if probes < 4:
             k = left + 1 if k <= left else right - 1 if k >= right else k
@@ -634,17 +642,31 @@ def _place_enclosure(d: int, lo: float, hi: float, pos: int) -> tuple[int, int]:
     certified below lo while x_(k-1) is not, the walk going on from
     first - 1, which the caller vouches is not certified below lo (see
     _arc_points).  Where first was not raised to pos, its own probe
-    decides whether below = first, so the usual root, whose enclosure no
-    grid point meets, costs the two probes that place first.
+    decides whether below = first.
+
+    The walk's first two probes, of the guess k and of k - 1, are written
+    out here: the usual root, whose enclosure no grid point meets, costs
+    those two probes, x_(k-1) certified above hi and x_k certified below
+    lo, and no walk.  Where the guess misses, the walk resumes from them,
+    probe for probe the walk it would have been.
     """
-    half = 0.5 * (hi + _X_MARGIN)
-    half = -1.0 if half < -1.0 else 1.0 if half > 1.0 else half
-    first, x_first = _grid_walk(d, hi, False, 0, math.ceil(d * math.acos(half) / (2.0 * math.pi)))
+    c = 0.5 * (hi + _X_MARGIN)
+    k = math.ceil(d * math.acos(-1.0 if c < -1.0 else 1.0 if c > 1.0 else c) / math.tau)
+    if 0 < k <= d // 2:
+        x = _grid_x(k, d)
+        if x - _X_MARGIN > hi:  # x_k certified above hi: first > k
+            first, x = _grid_walk(d, hi, False, k, k + 1, probes=1)
+        elif k > 1 and (x_prev := _grid_x(k - 1, d)) - _X_MARGIN <= hi:  # first < k
+            first, x = _grid_walk(d, hi, False, 0, k - 2, k - 1, x_prev, 2)
+        else:
+            first = k
+    else:
+        first, x = _grid_walk(d, hi, False, 0, k)
     if first < pos:
-        first, x_first = pos, None
-    if x_first is not None and x_first + _X_MARGIN < lo:
+        first, x = pos, None
+    if x is not None and x + _X_MARGIN < lo:
         return first, first
-    left = first - 1 if x_first is None else first
+    left = first - 1 if x is None else first
     return first, _grid_walk(d, lo, True, left, left + 1)[0]
 
 
@@ -655,7 +677,8 @@ def _arc_points(a: SeifertMatrix, d: int) -> list[tuple[int | None, int]]:
     roots of Delta other than the arc through w = 1, plus every point that
     may meet a root.  A run on an arc whose sigma _root_arcs certifies is
     (None, weight * sigma), or nothing where sigma = 0; any other run is
-    its middle point with the run's total weight.
+    its middle point with the run's total weight.  One pass over the
+    entries of _root_arcs, one _place_enclosure each.
 
     The grid points k = 1 .. d // 2 stand for their conjugate pairs
     (weight 2, or 1 at k = d/2) and sit at x_k = 2 cos(2 pi k/d), which
@@ -680,21 +703,21 @@ def _arc_points(a: SeifertMatrix, d: int) -> list[tuple[int | None, int]]:
     item, and a knot whose Delta has no unit-circle roots gets none.
     """
     half = d // 2
+    even = 2 * half == d  # the real point k = d/2 weighs 1
     points = []
     pos, sigma = 1, 0  # from the arc through w = 1
-
-    def run(k0: int, k1: int) -> None:
-        """The run k0 .. k1 - 1, if any, on an arc of signature sigma."""
-        if k1 > k0 and sigma != 0:
-            weight = 2 * (k1 - k0) - (k1 > half and 2 * half == d)
-            points.append(((k0 + k1 - 1) // 2, weight) if sigma is None else (None, weight * sigma))
-
     for lo, hi, after in _root_arcs(a):
         first, below = _place_enclosure(d, lo, hi, pos)
-        run(pos, first)
-        points.extend(_grid_points(d, first, below))
+        if first > pos and sigma != 0:  # the run pos .. first - 1
+            weight = 2 * (first - pos) - (even and first > half)
+            points.append(((pos + first - 1) // 2, weight) if sigma is None else (None, weight * sigma))
+        while first < below:
+            points.append((first, 2 - (even and first == half)))
+            first += 1
         pos, sigma = below, after
-    run(pos, half + 1)
+    if pos <= half and sigma != 0:  # the run pos .. d // 2, down to w = -1
+        weight = 2 * (half + 1 - pos) - even
+        points.append(((pos + half) // 2, weight) if sigma is None else (None, weight * sigma))
     return points
 
 
@@ -737,11 +760,14 @@ def avg_signature_details(a: SeifertMatrix, d: int, mode: str = "exact") -> AvgS
     Links, whose Delta may vanish identically, and small grids take every
     grid point, the reference the arc route is tested against.  Both
     routes are summed by _exact_sum, which keeps no signature.  Float mode
-    sums the whole grid in chunks of stacked eigensolves.  Any other mode
-    raises InvalidParameterError before any work.
+    sums the whole grid in chunks of stacked eigensolves.  Any other mode,
+    and a d that is not an int (a bool included) or not positive, raises
+    InvalidParameterError before any work.
     """
     if mode not in ("exact", "float"):
         raise _mode_error(mode)
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise InvalidParameterError(f"root count d must be an integer, got {d!r}")
     if d < 1:
         raise InvalidParameterError(f"root count d must be positive, got {d}")
     if a.size == 0 or d == 1:

@@ -119,6 +119,24 @@ def test_averages_reject_bad_mode_before_any_work():
         assert str(excinfo.value) == message
 
 
+def test_averages_reject_a_root_count_that_is_not_an_int_before_any_work(monkeypatch):
+    # A float d would run the whole arc route, then fail in Fraction(total,
+    # d); True would average over one root.  Both modes refuse them, and
+    # other types, before any work, and after the mode check.
+    monkeypatch.setattr(signature, "_root_arcs", lambda a: pytest.fail("work before the check"))
+    monkeypatch.setattr(signature, "_float_grid_sum", lambda a, d: pytest.fail("work before the check"))
+    a = jn_seifert(3)
+    for d in (1009.0, 1.0, True, False, Fraction(1009), "1009", None):
+        for mode in ("exact", "float"):
+            with pytest.raises(InvalidParameterError) as excinfo:
+                avg_signature_details(a, d, mode)
+            assert str(excinfo.value) == f"root count d must be an integer, got {d!r}"
+    with pytest.raises(InvalidParameterError, match="mode must be"):
+        avg_signature_details(a, 1009.0, "fast")
+    monkeypatch.undo()
+    assert avg_signature_details(a, 1009).value == avg_signature(a, 1009)
+
+
 def test_trivial_root_rejects_bad_mode():
     # the omega = 1 shortcut and rho's d = 1 return come after the mode check
     message = "mode must be 'exact' or 'float', got 'fast'"
@@ -826,6 +844,11 @@ def _cosine_floats(q):
     return alexander._scaled_floats(alexander._cosine_coefficients(q))
 
 
+def _certified_brackets(q, cosine, count, roots):
+    """alexander._certified_brackets for q in Z[x]."""
+    return alexander._certified_brackets(alexander._cosine_coefficients(q), q, cosine, count, roots)
+
+
 def _times_x(r):
     """x r for r in Z[x]: the band recurrence in the monomial basis."""
     return [0] + r
@@ -1456,8 +1479,9 @@ def test_point_enclosure_takes_the_exact_sign_where_floats_decline(monkeypatch):
     alexander._root_arcs.cache_clear()
     assert alexander._root_arcs(TREFOIL) == want
     unit = 1 << alexander._ROOT_BITS
-    # Q at the dyadic candidate x = 1 (isolation), R_1 there, Q halfway down to -2
-    assert exact == [unit, unit, -unit // 2]
+    # Q at the dyadic candidate x = 1 (isolation) and R_1 there; below the
+    # last enclosure Q has the sign of Q(-2), read off its coefficients
+    assert exact == [unit, unit]
     alexander._root_arcs.cache_clear()
 
 
@@ -1599,7 +1623,7 @@ def test_root_isolation_falls_back_to_bisection_for_close_roots():
     cosine = _cosine_floats(q)
     assert len(alexander._float_roots(cosine)) == 13
     assert sturm.count(chain, -2 * sturm.UNIT, 2 * sturm.UNIT) == alexander._descartes_bound(q) == 15
-    assert alexander._certified_brackets(q, cosine, 15, alexander._float_roots(cosine)) is None
+    assert _certified_brackets(q, cosine, 15, alexander._float_roots(cosine)) is None
     same_q, cells, several = alexander._descartes_bisection(q)
     assert same_q is q and len(cells) == 15 and several == 0
     enclosures = _enclosures(a)
@@ -1649,10 +1673,10 @@ def test_certificate_rejects_a_float_root_found_twice():
     assert sturm.count(chain, -2 * sturm.UNIT, 2 * sturm.UNIT) == alexander._descartes_bound(q) == 2
     cosine = _cosine_floats(q)
     good = [(1 + math.sqrt(5)) / 2, (1 - math.sqrt(5)) / 2]
-    assert alexander._certified_brackets(q, cosine, 2, good) is not None
+    assert _certified_brackets(q, cosine, 2, good) is not None
     twice = [good[0], good[0] - 2.0**-46]
-    assert alexander._certified_brackets(q, cosine, 2, twice) is None
-    assert alexander._certified_brackets(q, cosine, 3, good) is None
+    assert _certified_brackets(q, cosine, 2, twice) is None
+    assert _certified_brackets(q, cosine, 3, good) is None
     # Two float estimates of the dyadic root x = 1 of the trefoil's
     # q = x - 1 both round to the point enclosure (1, 1): a second point
     # on the first must be rejected like an overlapping bracket.
@@ -1660,8 +1684,8 @@ def test_certificate_rejects_a_float_root_found_twice():
     assert q == [-1, 1]
     unit = 1 << alexander._ROOT_BITS
     cosine = _cosine_floats(q)
-    assert alexander._certified_brackets(q, cosine, 1, [1.0]) == [(unit, unit)]
-    assert alexander._certified_brackets(q, cosine, 2, [1.0, 1.0 - 2.0**-50]) is None
+    assert _certified_brackets(q, cosine, 1, [1.0]) == [(unit, unit, 0)]
+    assert _certified_brackets(q, cosine, 2, [1.0, 1.0 - 2.0**-50]) is None
 
 
 def _exact_sign(q, x: float) -> int:
@@ -1951,6 +1975,182 @@ def test_descartes_excess_is_certified_by_the_isolated_count(monkeypatch):
     assert len(enclosures) == 1
     monkeypatch.undo()
     assert _assert_enclosures(a) == enclosures
+
+
+def _arcs_by_route(mp, a, degree=True):
+    """(_root_arcs(a) from a cold entry, route): the route is "degree"
+    where degree and parity certified the float brackets, "descartes"
+    where the Descartes count did, "bisection" where Descartes bisection
+    ran, and None where no float stage ran.  degree=False makes degree and
+    parity decline, the route before them."""
+    routes = []
+    certifies, bisection = alexander._degree_certifies, alexander._descartes_bisection
+
+    def degree_route(*args):
+        certified = degree and certifies(*args)
+        routes.append("degree" if certified else "descartes")
+        return certified
+
+    def bisection_route(*args):
+        routes.append("bisection")
+        return bisection(*args)
+
+    mp.setattr(alexander, "_degree_certifies", degree_route)
+    mp.setattr(alexander, "_descartes_bisection", bisection_route)
+    alexander._root_arcs.cache_clear()
+    arcs = alexander._root_arcs(a)
+    alexander._root_arcs.cache_clear()
+    return arcs, "bisection" if "bisection" in routes else routes[0] if routes else None
+
+
+def _certificate_input(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return _random_tridiagonal_knot(rng, rng.randint(1, 8))
+    if kind == 1:
+        return random_knot_seifert(rng, size_max=16, spread=rng.choice((1, 3, 10, 1000)))
+    if kind == 2:
+        return rng.choice((jn_seifert, torus_knot_seifert))(rng.randint(1, 60))
+    if kind == 3:
+        return mirror(jn_seifert(rng.randint(1, 60)))
+    k = rng.choice((TREFOIL, torus_knot_seifert(2), jn_seifert(2)))
+    k = _random_tridiagonal_knot(rng, rng.randint(1, 3)) if rng.random() < 0.5 else k
+    return _connected_sum(k, k)
+
+
+@given(st.integers(0, 10**9))
+def test_degree_and_parity_certify_what_the_descartes_count_would(seed):
+    # With degree and parity declined, root isolation takes the Descartes
+    # count of Q as before: the enclosures (bit for bit) and the arc sigmas
+    # are the same, and wherever degree and parity certify, Q is real-rooted,
+    # so its Descartes count equals the bracket count and would have
+    # certified the same brackets.  Random tridiagonal and dense
+    # knots, jn and torus2 with n <= 60, mirrored jn, and K # K.
+    rng = random.Random(seed)
+    a = _certificate_input(rng)
+    with pytest.MonkeyPatch.context() as mp:
+        arcs, route = _arcs_by_route(mp, a)
+        declined, route_before = _arcs_by_route(mp, a, degree=False)
+    assert [(lo.hex(), hi.hex(), sigma) for lo, hi, sigma in arcs] == [
+        (lo.hex(), hi.hex(), sigma) for lo, hi, sigma in declined
+    ]
+    if route == "degree":
+        assert route_before == "descartes"
+        assert alexander._descartes_bound(_knot_q(a)) == len(arcs)
+    else:
+        assert route_before == route
+
+
+def test_degree_and_parity_routes_on_the_families(monkeypatch):
+    # torus2:n has all n roots of Q on the unit circle (k = n); jn:n and its
+    # mirror have n - 1 of n, the parity case, with no Descartes count.
+    # K # K doubles every root, which neither count certifies, so it
+    # reaches Descartes bisection.
+    built = []
+    convert = alexander._from_cosine
+    monkeypatch.setattr(alexander, "_from_cosine", lambda b: built.append(len(b)) or convert(b))
+    for n in range(1, 61):
+        for a in (torus_knot_seifert(n), jn_seifert(n), mirror(jn_seifert(n))):
+            built.clear()
+            arcs, route = _arcs_by_route(monkeypatch, a)
+            assert route == "degree"
+            assert len(arcs) == (n if a == torus_knot_seifert(n) else n - 1)
+            # Q in Z[x] only for its exact sign at x = 1, a root where 3 divides 2n + 1
+            assert len(built) <= ((1.0, 1.0) in [(lo, hi) for lo, hi, _ in arcs])
+    for k in (TREFOIL, torus_knot_seifert(2), torus_knot_seifert(5), jn_seifert(2), jn_seifert(4)):
+        arcs, route = _arcs_by_route(monkeypatch, _connected_sum(k, k))
+        assert route == "bisection"
+        assert len(arcs) == len(_enclosures(k))
+
+
+def test_degree_and_parity_decide_by_the_root_count_alone():
+    # k brackets of a Q of degree n with Q(2) Q(-2) of either sign: k = n
+    # always certifies, k = n - 1 only with the parity of [Q(-2) Q(2) < 0]
+    # (and Q(2) != 0), fewer never.  x^2 - 1 has its two roots inside and
+    # Q(2) Q(-2) = 9 > 0, so one bracket must not certify.
+    certifies = alexander._degree_certifies
+    assert certifies(3, 3, 1, -5) and certifies(3, 3, -1, 5)
+    assert certifies(3, 2, 1, 5) and certifies(3, 2, -1, -5)
+    assert not certifies(3, 2, 1, -5) and not certifies(3, 2, 0, 5)
+    assert certifies(4, 3, 1, -5) and not certifies(4, 3, 1, 5)
+    assert not certifies(3, 1, 1, -5) and not certifies(2, 0, 3, 3)
+    assert not certifies(2, 1, 3, 3)
+    assert certifies(1, 0, 1, 3) and not certifies(1, 0, 1, -3)
+
+
+def _arc_grids():
+    """(knot, d, on_grid): torus2:n at multiples of 2n + 1, whose even
+    multiples put a grid point on each root, and the prime-avg knots at
+    primes, where no grid point meets an enclosure."""
+    cases = [
+        (torus_knot_seifert(n), m * (2 * n + 1), m % 2 == 0) for n in (1, 2, 3, 5) for m in (16, 17, 30, 41)
+    ]
+    for n, d in ((1, 701), (3, 337), (6, 241), (6, 1009)):
+        cases += [(build(n), d, False) for build in (torus_knot_seifert, jn_seifert)]
+    return cases
+
+
+def _spy_on_walks(monkeypatch) -> list:
+    """Record the (d, end) of every walk of the grid placement."""
+    walks = []
+    walk = signature._grid_walk
+    monkeypatch.setattr(signature, "_grid_walk", lambda *args, **kw: walks.append(args[:2]) or walk(*args, **kw))
+    return walks
+
+
+class _OffGuess:
+    """math, for signature, with ceil off by `off`: only the acos guess of
+    _place_enclosure rounds up with it."""
+
+    def __init__(self, off):
+        self.off = off
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def ceil(self, x):
+        return math.ceil(x) + self.off
+
+
+def test_arc_sums_match_with_the_guess_off_and_on_the_declined_route(monkeypatch):
+    # With the acos guess of every root off by up to 3 grid points, each
+    # placement takes the walk, and the arc sum is still the whole grid's,
+    # with the certified arc sigmas and, declined, with one point per run;
+    # so it is where grid points meet the enclosures of torus roots, which
+    # walk with the guess on.
+    cases = [(a, d, _whole_grid(a, d)) for a, d, _ in _arc_grids()]
+    roots = sum(len(_enclosures(a)) for a, _, _ in cases)
+    on_grid = sum(len(_enclosures(a)) for a, _, on_grid in _arc_grids() if on_grid)
+    walks = _spy_on_walks(monkeypatch)
+    for declined in (False, True):
+        if declined:
+            monkeypatch.setattr(signature, "_root_arcs", _declined)
+        for off in (-3, -1, 0, 1, 3):
+            monkeypatch.setattr(signature, "math", _OffGuess(off))
+            walks.clear()
+            for a, d, whole in cases:
+                assert signature._sum_by_arcs(a, d)
+                assert signature._exact_sum(a, d, signature._arc_points(a, d)) == whole, (a.entries, d, off)
+            assert len(walks) >= roots if off else len(walks) == on_grid
+
+
+def test_the_usual_root_costs_two_probes_and_no_walk(monkeypatch):
+    # A root whose enclosure no grid point meets is placed by the acos
+    # guess and two probes; the walk runs only for the roots of torus2:n
+    # at the grid points of multiples of 4n + 2, which meet their
+    # enclosures.
+    probes, walks = [], _spy_on_walks(monkeypatch)
+    grid_x = signature._grid_x
+    monkeypatch.setattr(signature, "_grid_x", lambda k, d: probes.append(k) or grid_x(k, d))
+    for a, d, on_grid in _arc_grids():
+        roots = len(_enclosures(a))
+        probes.clear()
+        walks.clear()
+        signature._arc_points(a, d)
+        if on_grid:
+            assert len(walks) == roots and len(probes) > 2 * roots
+        else:
+            assert not walks and len(probes) == 2 * roots, (a.entries, d)
 
 
 def test_exact_average_by_arcs_leaves_numpy_unloaded():
