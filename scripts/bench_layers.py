@@ -65,7 +65,19 @@ on one machine.  Standard library only.  The layers:
   trees under labels of their own, gives alternating runs;
 - "delta_dense": Delta of scrambled torus2:n, n = 2 .. 15 (sizes 4 to 30;
   differential.scrambled with random.Random(5)), cold, best of
-  DENSE_RUNS, with a digest of the answer.
+  DENSE_RUNS, with a digest of the answer;
+- "warm_equal": exact averages of the twelve prime-avg knots, each warm
+  (an equal matrix lives and has averaged at the knot's second prime) but
+  through a new equal matrix per call, as for the equal matrices of a
+  prime-avg round; WARM_EQUAL_CALLS matrices per knot, built before the
+  clock starts; the mean per call summed over the twelve, median of
+  REPEATS;
+- "residue_table": the exact fallback through the public functions, each
+  cache cleared first, best of FALLBACK_RUNS, with the answer: the exact
+  average of link14() (the block sum of differential's 4x4 'zero' link,
+  torus2:3 and 'zero' again, scrambled with random.Random(3)) at d = 30
+  and d = 60, and sigma of scrambled torus2:5 # torus2:5 # torus2:5
+  (size 30, as in "exact_fallback") at 1/22.
 
 Times are in seconds (µs per point for "arc_point").
 """
@@ -84,7 +96,7 @@ import sys
 import time
 
 from knotrho import alexander, cyclotomic, signature
-from knotrho.seifert import jn_seifert, torus_knot_seifert
+from knotrho.seifert import SeifertMatrix, jn_seifert, torus_knot_seifert
 from knotrho.verify import random_knot_seifert
 
 REPEATS = 21
@@ -118,6 +130,7 @@ JUMP = {
 }
 JUMP_TIMEOUT_S = 60
 DENSE_RUNS = 5
+WARM_EQUAL_CALLS = 50
 COLD_IMPORTS = {
     "prime-avg": "import knotrho, knotrho.seifert, knotrho.signature, knotrho.cyclotomic",
     "cli": "import knotrho.cli",
@@ -425,6 +438,64 @@ def delta_dense() -> dict:
     return out
 
 
+def warm_equal() -> dict:
+    knots = [(build, n) for build in (torus_knot_seifert, jn_seifert) for n in AVERAGE_GRIDS]
+    totals = []
+    for _ in range(REPEATS):
+        clear_caches()
+        total = 0.0
+        for build, n in knots:
+            first = build(n)
+            signature.avg_signature_details(first, AVERAGE_GRIDS[n][1])
+            equal = [build(n) for _ in range(WARM_EQUAL_CALLS)]
+            t0 = time.perf_counter()
+            for a in equal:
+                signature.avg_signature_details(a, AVERAGE_GRIDS[n][0])
+            total += (time.perf_counter() - t0) / WARM_EQUAL_CALLS
+        totals.append(total)
+    return {"warm_equal_s": statistics.median(totals), "knots": len(knots), "calls": WARM_EQUAL_CALLS}
+
+
+def link14() -> SeifertMatrix:
+    from differential import links, scrambled
+
+    zero = dict(links())["link-zero"].entries
+    blocks = (zero, torus_knot_seifert(3).entries, zero)
+    m = sum(map(len, blocks))
+    rows, at = [], 0
+    for block in blocks:
+        rows += [(0,) * at + row + (0,) * (m - at - len(row)) for row in block]
+        at += len(block)
+    return scrambled(SeifertMatrix(tuple(rows), kind="link"), random.Random(3))
+
+
+def residue_table() -> dict:
+    from differential import connected_sum, scrambled
+
+    big = torus_knot_seifert(5)
+    for _ in range(2):
+        big = connected_sum(big, torus_knot_seifert(5))
+    big = scrambled(big, random.Random(5))
+    link = link14()
+    cases = {
+        "average link14 30": lambda: str(signature.avg_signature_details(link, 30).value),
+        "average link14 60": lambda: str(signature.avg_signature_details(link, 60).value),
+        "sigma torus2:5#torus2:5#torus2:5 1/22": lambda: str(
+            signature.signature_details(big, cyclotomic.UnitRoot(1, 22)).inertia.as_tuple()
+        ),
+    }
+    out = {}
+    for name, run in cases.items():
+        times = []
+        for _ in range(FALLBACK_RUNS):
+            clear_caches()
+            t0 = time.perf_counter()
+            answer = run()
+            times.append(time.perf_counter() - t0)
+        out[name] = {"best_s": min(times), "answer": answer}
+    return out
+
+
 LAYERS = {
     "isolation": isolation,
     "isolation_random": isolation_random,
@@ -435,6 +506,8 @@ LAYERS = {
     "exact_fallback": exact_fallback,
     "jump": jump,
     "delta_dense": delta_dense,
+    "warm_equal": warm_equal,
+    "residue_table": residue_table,
 }
 
 

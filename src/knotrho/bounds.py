@@ -15,7 +15,7 @@ from typing import Optional
 
 from .exceptions import InvalidParameterError, InvalidSlopeError
 from .records import Record
-from .seifert import SeifertMatrix
+from .seifert import SeifertMatrix, _check_slope
 from .signature import avg_signature
 
 # Universal bound: |rho| <= this constant times the number of tetrahedra.
@@ -146,8 +146,7 @@ class BoundReport(Record):
 
 def lower_bound_slice_genus(n: int, g4: int) -> Fraction:
     """(|n| - 3 - 6*g4) / 627419520; may be negative (vacuous), returned as-is."""
-    if n == 0:
-        raise InvalidSlopeError("surgery slope must be nonzero")
+    _check_slope(n)
     if g4 < 0:
         raise InvalidParameterError(f"slice genus must be nonnegative, got {g4}")
     return Fraction(abs(n) - 3 - 6 * g4, LOWER_BOUND_DENOM)
@@ -155,8 +154,7 @@ def lower_bound_slice_genus(n: int, g4: int) -> Fraction:
 
 def lower_bound_crossing(n: int, c: int) -> Fraction:
     """(|n| - 3 - 6*c) / 627419520: crossing number dominates slice genus."""
-    if n == 0:
-        raise InvalidSlopeError("surgery slope must be nonzero")
+    _check_slope(n)
     if c < 0:
         raise InvalidParameterError(f"crossing number must be nonnegative, got {c}")
     return Fraction(abs(n) - 3 - 6 * c, LOWER_BOUND_DENOM)
@@ -164,8 +162,7 @@ def lower_bound_crossing(n: int, c: int) -> Fraction:
 
 def lower_bound_signature(a: SeifertMatrix, n: int, mode: str = "exact") -> Fraction:
     """(3|avg-sigma(K, |n|)| - |n| + 1) / 627419520."""
-    if n == 0:
-        raise InvalidSlopeError("surgery slope must be nonzero")
+    _check_slope(n)
     avg = avg_signature(a, abs(n), mode)
     return Fraction(3 * abs(avg) - abs(n) + 1, 1) / LOWER_BOUND_DENOM
 
@@ -244,8 +241,7 @@ def bound_report(
     mode: str = "exact",
 ) -> BoundReport:
     """Aggregate every bound that applies to surgery slope n on the knot."""
-    if n == 0:
-        raise InvalidSlopeError("surgery slope must be nonzero")
+    _check_slope(n)
     avg = avg_signature(a, abs(n), mode)
     lower_sig = Fraction(3 * abs(avg) - abs(n) + 1, 1) / LOWER_BOUND_DENOM
     lows = [lower_sig]

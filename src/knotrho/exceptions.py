@@ -15,7 +15,7 @@ class InvalidParameterError(KnotRhoError, ValueError):
 
 
 class InvalidSlopeError(InvalidParameterError):
-    """Surgery slope 0 where a nonzero slope is required."""
+    """A surgery slope that is not a nonzero int (a bool is not), or (0, 0)."""
 
 
 class InconsistentModulusError(InvalidParameterError):

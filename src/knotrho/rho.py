@@ -28,11 +28,10 @@ from fractions import Fraction
 from .exceptions import (
     InternalInconsistencyError,
     InvalidParameterError,
-    InvalidSlopeError,
     MissingCableDataError,
 )
 from .records import Record
-from .seifert import SeifertMatrix, SurgeryPresentation, knot_surgery_presentation, mirror
+from .seifert import SeifertMatrix, SurgeryPresentation, _check_slope, knot_surgery_presentation, mirror
 from .signature import (
     HermitianForm,
     _mode_error,
@@ -178,8 +177,7 @@ def rho_finite_cyclic(
 def rho_knot_surgery(a: SeifertMatrix, n: int, mode: str = "exact") -> Fraction:
     """Rho of the n-framed knot surgery over its first homology:
     |n|/3 + 2/(3|n|) - 1 + avg-sigma(K', |n|), mirroring K when n < 0."""
-    if n == 0:
-        raise InvalidSlopeError("surgery slope must be nonzero")
+    _check_slope(n)
     knot = a if n > 0 else mirror(a)
     m = abs(n)
     return (
@@ -192,5 +190,6 @@ def rho_knot_surgery(a: SeifertMatrix, n: int, mode: str = "exact") -> Fraction:
 
 def rho_knot_surgery_result(a: SeifertMatrix, n: int, mode: str = "exact") -> RhoResult:
     """Full RhoResult for a knot surgery (per-level values included)."""
+    _check_slope(n)
     pres = knot_surgery_presentation(n, abs(n))
     return rho_finite_cyclic(pres, CableData.trivial_cable(a), abs(n), mode)

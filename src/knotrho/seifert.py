@@ -3,11 +3,11 @@
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe for unrestricted concurrent use.
 
-per_matrix_cache memoises functions of a Seifert matrix for as long as the
-matrix lives.  It keeps that promise: two threads may compute the same
-entry twice, and the later store replaces the earlier, equal value, but
-no thread ever reads an entry computed for a different matrix or
-arguments.  Its hit and miss counts are kept under a lock.
+per_matrix_cache memoises functions of a Seifert matrix while the first
+live matrix of its value lives.  Two threads may compute the same entry
+twice, and the later store replaces the earlier, equal value, but no
+thread ever reads an entry computed for another matrix value or other
+arguments.  Hit and miss counts are kept under a lock.
 """
 
 from __future__ import annotations
@@ -82,6 +82,14 @@ def _is_integer_type(t: type) -> bool:
     return issubclass(t, int) and not issubclass(t, bool)
 
 
+def _check_slope(n) -> None:
+    """Raise InvalidSlopeError unless n is a nonzero int (a bool is not)."""
+    if not _is_integer_type(type(n)):
+        raise InvalidSlopeError(f"surgery slope must be an integer, got {n!r}")
+    if n == 0:
+        raise InvalidSlopeError("surgery slope must be nonzero")
+
+
 class SeifertMatrix(Record):
     """Integer Seifert pairing of a spanning surface.
 
@@ -105,9 +113,10 @@ class SeifertMatrix(Record):
                 raise InvalidSeifertMatrixError(f"entries must be integers, got {bad!r}")
         # _hash is hashed once: every cache lookup keyed by the matrix would
         # otherwise re-hash all m^2 entries.  _tridiagonal is scanned once,
-        # for validation and for the signature engine's layout.
+        # for validation and the engine's layout.  _row: see per_matrix_cache.
         tridiagonal = _is_tridiagonal(rows)
-        self.__dict__.update(entries=rows, kind=kind, _hash=hash((rows, kind)), _tridiagonal=tridiagonal)
+        hashed = hash((rows, kind))
+        self.__dict__.update(entries=rows, kind=kind, _hash=hashed, _tridiagonal=tridiagonal, _row=None)
         if kind == "knot":
             if m % 2 != 0:
                 raise InvalidSeifertMatrixError(f"knot Seifert matrix must have even size, got {m}")
@@ -157,6 +166,10 @@ class SeifertMatrix(Record):
 
 _MISSING = object()
 
+# per_matrix_cache's table: a weak reference to the first live matrix of a
+# value, with _rows.pop as its callback -> (that reference, {(fn, args): value}).
+_rows: dict = {}
+
 
 class _CacheInfo(NamedTuple):
     hits: int
@@ -165,73 +178,63 @@ class _CacheInfo(NamedTuple):
     currsize: int
 
 
-def per_matrix_cache(fn):
-    """Memoise fn(a, *args) for a SeifertMatrix a, for as long as a lives.
+def _enter(a: SeifertMatrix) -> tuple:
+    """The row of a live matrix equal to a, or a new row keyed by a; a key
+    that finds another row is dropped here, before a dies, and never fires."""
+    key = weakref.ref(a, _rows.pop)
+    row = _rows.setdefault(key, (key, {}))
+    a.__dict__["_row"] = row[0]
+    return row
 
-    Each matrix gets a dict of entries keyed by the other (positional,
-    hashable) arguments.  A front table keyed by id(a) finds that dict by
-    identity on every call.  Only a matrix new to the front table consults
-    the table of shared entries, keyed by the matrix's plain weak
-    reference: a matrix equal to a live one shares that one's entries,
-    found by a single m^2 comparison, and the entries go when that first
-    matrix is collected, after which the others start afresh.  Each front
-    row holds a weak reference whose callback drops the row when its
-    matrix is collected, before its id can be reused; the row also checks
-    its matrix by identity.  The callbacks are dict methods, which run no
-    Python code: Python reports and drops an exception raised in a weak
-    reference callback, so a KeyboardInterrupt due while a Python callback
-    ran, even on its first line, would be lost and the computation would
-    go on.  No cached value may refer to its matrix, or the matrix would
-    never be freed.  cache_clear() and cache_info() behave as for
-    functools.lru_cache(maxsize=None), currsize counting live entries.
+
+def per_matrix_cache(fn):
+    """Memoise fn(a, *args) for a SeifertMatrix a and positional, hashable
+    args, in the one table _rows that every cached function shares.
+
+    A matrix enters the table on its first cached call: it joins the row
+    of an equal live matrix, found by a single m^2 comparison, or starts
+    a row of its own, and keeps the row's key as _row, so each later call
+    finds its entries by two dict lookups.  Across all cached functions,
+    entries live while the first live matrix of their value lives; when
+    it is collected its row goes, and the equal matrices start afresh.
+    The key's callback is a dict method, which runs no Python code:
+    Python reports and drops an exception raised in a weak reference
+    callback, so a KeyboardInterrupt due while a Python callback ran
+    would be lost and the computation would go on.  No cached value may
+    refer to its matrix, or the matrix would never be freed.  cache_info()
+    counts fn's hits and misses, currsize its live entries; cache_clear()
+    drops fn's entries and counts, and no row.
     """
-    table: dict = {}  # weak reference -> {0: entries}, a box emptied when its matrix dies
-    front: dict = {}  # id(matrix) -> (box, weak references to the matrix)
     counts = [0, 0]  # hits, misses
     lock = threading.Lock()  # guards counts
 
-    def enter(a: SeifertMatrix) -> dict:
-        """a's entries, after one lookup among the shared ones: a is new to
-        the front table, or the matrix whose entries it read has died."""
-        key = weakref.ref(a)
-        box = table.get(key)
-        # Read the box once: its owner may die, and empty it, at any moment.
-        entries = None if box is None else box.get(0)
-        ident = id(a)
-        forget = [functools.partial(front.pop, ident)]
-        if entries is None:
-            entries = {}
-            box = table[key] = {0: entries}
-            forget += [functools.partial(box.pop, 0), functools.partial(table.pop, key)]
-        # Each callback pops its key with the dead reference as the default.
-        front[ident] = (box, *(weakref.ref(a, f) for f in forget))
-        return entries
-
     @functools.wraps(fn)
     def cached(a: SeifertMatrix, *args):
-        row = front.get(id(a))
-        entries = row[0].get(0) if row is not None and row[1]() is a else None
-        if entries is None:
-            entries = enter(a)
-        value = entries.get(args, _MISSING)
+        entries = (_rows.get(a._row) or _enter(a))[1]
+        key = (fn, args)
+        value = entries.get(key, _MISSING)
         lock.acquire()  # a with block would cost three times as much per call
         try:
             counts[value is _MISSING] += 1
         finally:
             lock.release()
         if value is _MISSING:
-            value = entries[args] = fn(a, *args)
+            value = entries[key] = fn(a, *args)
         return value
 
+    def own_keys() -> list:  # (entries, key) of each live entry of fn
+        rows = list(_rows.values())
+        return [(entries, key) for _, entries in rows for key in list(entries) if key[0] is fn]
+
     def cache_info() -> _CacheInfo:
-        size = sum(len(box.get(0, ())) for box in list(table.values()))
+        size = len(own_keys())
         with lock:
             return _CacheInfo(counts[0], counts[1], None, size)
 
     def cache_clear() -> None:
+        for entries, key in own_keys():
+            entries.pop(key, None)
         with lock:
-            front.clear()
-            table.clear()
             counts[:] = [0, 0]
 
     cached.cache_info = cache_info
@@ -341,22 +344,24 @@ class SurgeryPresentation(Record):
         r = len(rows)
         if r < 1:
             raise InvalidParameterError("a presentation needs at least one component")
+        if not _is_integer_type(type(modulus)):
+            raise InvalidParameterError(f"modulus must be an integer, got {modulus!r}")
         if modulus < 1:
             raise InvalidParameterError(f"modulus must be positive, got {modulus}")
         for row in rows:
             if len(row) != r:
                 raise InvalidParameterError("linking matrix must be square")
             for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
+                if not _is_integer_type(type(x)):
                     raise InvalidParameterError(f"linking entries must be integers, got {x!r}")
-        for i in range(r):
-            for j in range(r):
-                if rows[i][j] != rows[j][i]:
-                    raise InvalidParameterError("linking matrix must be symmetric")
+        if rows != tuple(zip(*rows)):
+            raise InvalidParameterError("linking matrix must be symmetric")
         if len(residues) != r:
             raise InvalidParameterError(
                 f"need {r} meridian residues, got {len(residues)}"
             )
+        if not all(_is_integer_type(type(x)) for x in residues):
+            raise InvalidParameterError(f"meridian residues must be integers, got {residues!r}")
         res = tuple(x % modulus for x in residues)
         for i in range(r):
             s = sum(rows[i][j] * res[j] for j in range(r))
@@ -388,8 +393,7 @@ class SurgeryPresentation(Record):
 def knot_surgery_presentation(n: int, d: int) -> SurgeryPresentation:
     """Single-component presentation for n-framed surgery on a knot, with
     the natural map onto H_1 = Z_|n| (so d must equal |n|)."""
-    if n == 0:
-        raise InvalidSlopeError("surgery slope must be nonzero")
+    _check_slope(n)
     if d != abs(n):
         raise InconsistentModulusError(
             f"modulus {d} does not match H_1 = Z_{abs(n)} of the surgery manifold"

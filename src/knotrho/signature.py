@@ -163,13 +163,12 @@ class HermitianForm:
 # -- exact entries ---------------------------------------------------------
 
 
-@per_matrix_cache
 def _herm_residues(a: SeifertMatrix, den: int):
     """Full entry table of (1-x)A + (1-x^{-1})A^T over the conductor-den ring.
 
     The residues depend only on the conductor, not on which primitive root
-    evaluates them, so one table serves every k/den grid point.  Only
-    the exact characteristic polynomial and hermitian_form read it.
+    evaluates them.  Only hermitian_form and the exact characteristic
+    polynomial read it, whose O(m^4) products dwarf its O(m^2 phi(den)).
     """
     fld = cyc_field(den)
     u, v = fld.one() - fld.gen(), fld.one() - fld.gen_inv()

@@ -26,7 +26,6 @@ from knotrho.seifert import (
     unknot_seifert,
 )
 from knotrho.signature import (
-    _herm_residues,
     _minor_chain,
     _tridiag_layout,
     alexander_at,
@@ -53,7 +52,6 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 def test_criterion_1_litherland_oracle():
     for cache in (
         _tridiag_layout,
-        _herm_residues,
         _minor_chain,
             alexander_polynomial,
     ):

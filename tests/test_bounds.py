@@ -22,9 +22,10 @@ from knotrho.bounds import (
     universal_rho_bound,
     upper_bound,
 )
+from knotrho import bounds, rho
 from knotrho.exceptions import InvalidParameterError, InvalidSlopeError
-from knotrho.rho import rho_knot_surgery
-from knotrho.seifert import jn_seifert, trefoil_seifert, unknot_seifert
+from knotrho.rho import rho_knot_surgery, rho_knot_surgery_result
+from knotrho.seifert import jn_seifert, knot_surgery_presentation, trefoil_seifert, unknot_seifert
 
 TREFOIL = trefoil_seifert()
 UNKNOT = unknot_seifert()
@@ -159,6 +160,32 @@ def test_bound_report_large_slope_unknot():
 def test_bound_report_requires_nonzero_slope():
     with pytest.raises(InvalidSlopeError):
         bound_report(TREFOIL, 0)
+
+
+@pytest.mark.parametrize("slope", [7.0, True, False, Fraction(7), "7", None], ids=repr)
+def test_every_slope_that_is_not_a_nonzero_int_is_refused_before_any_work(slope, monkeypatch):
+    # A float slope used to compute the average and then fail with a bare
+    # TypeError; True answered as the slope 1.
+    def no_work(*args):
+        raise AssertionError("an average ran for a refused slope")
+
+    monkeypatch.setattr(bounds, "avg_signature", no_work)
+    monkeypatch.setattr(rho, "avg_signature", no_work)
+    monkeypatch.setattr(rho, "levine_tristram", no_work)
+    calls = [
+        lambda: rho_knot_surgery(jn_seifert(3), slope),
+        lambda: rho_knot_surgery_result(jn_seifert(3), slope),
+        lambda: bound_report(jn_seifert(3), slope, crossing=5, g4=1),
+        lambda: lower_bound_signature(jn_seifert(3), slope),
+        lambda: lower_bound_crossing(slope, 1),
+        lambda: lower_bound_slice_genus(slope, 1),
+        lambda: knot_surgery_presentation(slope, 7),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidSlopeError, match="surgery slope must be"):
+            call()
+    with pytest.raises(InvalidSlopeError, match="surgery slope must be an integer"):
+        lower_bound_crossing(7.5, 1)
 
 
 def test_bound_report_vacuous_flag():

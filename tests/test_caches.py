@@ -18,13 +18,7 @@ from knotrho.cyclotomic import UnitRoot
 from knotrho.floatpass import _tridiag_layout
 from knotrho.rho import rho_knot_surgery_result
 from knotrho.seifert import SeifertMatrix, jn_seifert, per_matrix_cache, torus_knot_seifert
-from knotrho.signature import (
-    _herm_residues,
-    _minor_chain,
-    avg_signature,
-    avg_signature_details,
-    hermitian_form,
-)
+from knotrho.signature import _minor_chain, avg_signature, avg_signature_details, hermitian_form
 
 from clirun import run_cli
 
@@ -32,7 +26,6 @@ MATRIX_CACHES = (
     alexander_polynomial,
     _root_arcs,
     _tridiag_layout,
-    _herm_residues,
     _minor_chain,
 )
 
@@ -210,7 +203,9 @@ def test_concurrent_lookups_read_only_their_own_entries():
         try:
             for _ in range(calls_per_thread):
                 n, k = rng.randint(1, 6), rng.randint(0, 3)
-                a = jn_seifert(n) if rng.random() < 0.5 else torus_knot_seifert(n)
+                # link copies, whose values no other module keeps alive
+                knot = jn_seifert(n) if rng.random() < 0.5 else torus_knot_seifert(n)
+                a = SeifertMatrix(knot.entries, kind="link")
                 if fingerprint(a, k) != (a.entries, a.kind, k):
                     errors.append((seed, n, k))
         except Exception as exc:  # reported below, not swallowed
@@ -232,3 +227,54 @@ def test_concurrent_lookups_read_only_their_own_entries():
     info = fingerprint.cache_info()
     assert info.hits + info.misses == 8 * calls_per_thread
     assert info.currsize == 0
+
+
+def test_entries_of_a_short_lived_equal_matrix_live_with_the_first():
+    # The entries that an equal matrix adds to a live matrix's row stay
+    # while that first matrix lives, and go when it dies.
+    @per_matrix_cache
+    def fingerprint(a, k):
+        return (a.entries, a.kind, k)
+
+    first = SeifertMatrix(jn_seifert(4).entries, kind="link")
+    fingerprint(first, 0)
+    for k in range(1, 4):
+        equal = SeifertMatrix(jn_seifert(4).entries, kind="link")
+        assert fingerprint(equal, k) == (first.entries, "link", k)
+        assert equal._row is first._row
+        del equal
+        gc.collect()
+        assert fingerprint.cache_info().currsize == k + 1
+    assert fingerprint(first, 3) == (first.entries, "link", 3)
+    assert tuple(fingerprint.cache_info()) == (1, 4, None, 4)
+    del first
+    gc.collect()
+    assert fingerprint.cache_info().currsize == 0
+
+
+def test_a_matrix_enters_the_table_once():
+    # However many cached functions read it, a matrix has one row and one
+    # weak reference with a callback: the row's key.
+    _clear()
+    a = SeifertMatrix(jn_seifert(5).entries, kind="knot")
+    assert a._row is None and weakref.getweakrefcount(a) == 0
+    alexander_polynomial(a)
+    _root_arcs(a)
+    _tridiag_layout(a)
+    assert weakref.getweakrefcount(a) == 1
+    assert weakref.getweakrefs(a) == [a._row]
+    assert [key for key in list(seifert._rows) if key() is a] == [a._row]
+    row = seifert._rows[a._row]
+    assert row[0] is a._row
+    assert sorted(key[0].__name__ for key in row[1]) == ["_root_arcs", "_tridiag_layout", "alexander_polynomial"]
+    rows = len(seifert._rows)
+    b = jn_seifert(5)
+    alexander_polynomial(b)
+    _root_arcs(b)
+    assert b._row is a._row and weakref.getweakrefcount(b) == 0
+    assert len(seifert._rows) == rows
+    del a
+    gc.collect()
+    assert len(seifert._rows) == rows - 1
+    alexander_polynomial(b)
+    assert weakref.getweakrefs(b) == [b._row] and seifert._rows[b._row][0] is b._row

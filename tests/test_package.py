@@ -272,7 +272,7 @@ RECORDS = [
     ),
 ]
 # Attributes a record stores that take no part in equality, hashing or repr.
-DERIVED = {UnitRoot: ("num", "den"), SeifertMatrix: ("_hash", "_tridiagonal")}
+DERIVED = {UnitRoot: ("num", "den"), SeifertMatrix: ("_hash", "_tridiagonal", "_row")}
 
 
 def test_every_record_class_is_in_the_table():

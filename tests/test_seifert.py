@@ -1,6 +1,7 @@
 """Seifert matrices, families, presentations, and JSON input."""
 
 import json
+import re
 import random
 from fractions import Fraction
 
@@ -195,6 +196,26 @@ def test_presentation_validation():
     p = SurgeryPresentation(((2, 1), (1, 2)), (1, 4), 3)
     assert p.residues == (1, 1)
     assert p.residue_quadratic() == 2 + 1 + 1 + 2
+
+
+@pytest.mark.parametrize(
+    "linking, residues, modulus, message",
+    [
+        (((7,),), (1.0,), 7, "meridian residues must be integers, got (1.0,)"),
+        (((7,),), (True,), 7, "meridian residues must be integers, got (True,)"),
+        (((7,),), (Fraction(1),), 7, "meridian residues must be integers"),
+        (((7,),), (1,), 7.0, "modulus must be an integer, got 7.0"),
+        (((1,),), (1,), True, "modulus must be an integer, got True"),
+        (((7,),), (1,), "7", "modulus must be an integer, got '7'"),
+        (((7.0,),), (1,), 7, "linking entries must be integers, got 7.0"),
+    ],
+)
+def test_presentation_takes_only_int_modulus_and_residues(linking, residues, modulus, message):
+    # SurgeryPresentation(((7,),), (1.0,), 7) used to build and then fail
+    # in rho_finite_cyclic with a bare TypeError; a modulus of True was Z_1.
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        SurgeryPresentation(linking, residues, modulus)
+    assert SurgeryPresentation(((7,),), (1,), 7).residues == (1,)
 
 
 def test_twist_reduction_examples():
