@@ -11,17 +11,19 @@ on one machine.  Standard library only.  The layers:
 - "isolation": root isolation of jn:60, jn:150 and jn:300 with cold
   caches, best of three, with the number of exact bracket signs
   (_dyadic_sign calls) it made: the per-matrix entry of root enclosures
-  and arc signatures (_root_arcs), or _alexander_root_enclosures of older
-  trees, which kept the arc signatures apart;
+  and arc signatures (_root_arcs);
 - "isolation_random": root isolation of RANDOM_KNOTS random knots of size
   up to 24 (random_knot_seifert with random.Random(1), each entry spread
   drawn from 1, 3, 10 and 1000 before its knot), with Alexander
   polynomials cached and root enclosures cold, best of three passes over
-  all of them; and, in a fourth pass, how many knots were certified by
-  the degree and parity of Q (the first _certified_brackets call, with
-  no Descartes count made; none on trees without that route), by the
-  Descartes count of Q (the first call, after a count), by the root
-  count of the fallback (the second) and by its refined cells (neither);
+  all of them; and, in a fourth pass, which certificate gave each knot's
+  enclosures, read off the calls of _degree_certifies,
+  _descartes_bisection and _certified_brackets: the degree and parity of
+  Q (degree_parity), the Descartes count of Q that trees before the
+  bisection-only route made in between (descartes_count: a certificate
+  after a declined degree test, with no bisection), the number of roots
+  that Descartes bisection isolated (bisection_count) or its refined
+  cells (refined); constant_q counts the knots with no root to isolate;
 - "averages": exact averages of the twelve prime-avg knots (torus2:n and
   jn:n, n = 1 .. 6) at one prime each, summed over the twelve, cold (every
   cache cleared, root isolation included) and warm (root enclosures
@@ -29,18 +31,14 @@ on one machine.  Standard library only.  The layers:
   matrices of a prime-avg round); median of REPEATS;
 - "arc_point": the cost of one sigma at the arc points of torus2:6 and
   jn:6 at d = 1009, one per arc as where no arc signature is certified
-  (trees that certify them are made to decline while the points are
-  picked), through the core (_exact_counts) with the layout
-  fetched once and, for trees that have one, through the per-matrix memo
-  of older trees (_signature_exact_cached, cleared before each pass, so
-  every call misses; null where the tree has none); median of REPEATS
-  passes, divided by the number of points;
+  (the arc signatures are made to decline while the points are picked),
+  through the core (_exact_counts) with the layout fetched once; median
+  of REPEATS passes, divided by the number of points;
 - "arc_sweep": one live jn:100 and one live jn:300, each with every
   cache cleared: the cold build of the root enclosures with the arc
-  signatures (_root_arcs, or _alexander_root_enclosures and then
-  _arc_signatures of older trees; null for trees without arc
-  signatures), then the exact averages at d = 20011, the first, which
-  isolates the roots, and at d = 20021, the second; best of SWEEP_RUNS;
+  signatures (_root_arcs), then the exact averages at d = 20011, the
+  first, which isolates the roots, and at d = 20021, the second; best of
+  SWEEP_RUNS;
 - "cold_import": the import of prime-avg's modules (knotrho, seifert,
   signature, cyclotomic) and of knotrho.cli, each timed in COLD_RUNS fresh
   interpreters started with this one's environment: the median time and
@@ -101,6 +99,7 @@ from knotrho.verify import random_knot_seifert
 
 REPEATS = 21
 RANDOM_KNOTS = 400
+ISOLATION_ROUTES = ("degree_parity", "descartes_count", "bisection_count", "refined", "constant_q")
 # Torus parameter n -> a prime near the middle centre of prime-avg's
 # EXACT_CENTERS, and a second prime that warms the root enclosures.
 AVERAGE_GRIDS = {1: (701, 541), 2: (419, 337), 3: (337, 277), 4: (293, 241), 5: (263, 211), 6: (241, 199)}
@@ -152,13 +151,8 @@ def clear_caches() -> None:
                 value.cache_clear()
 
 
-def arc_entry():
-    """The per-matrix entry that holds the root enclosures."""
-    return getattr(alexander, "_root_arcs", None) or alexander._alexander_root_enclosures
-
-
 def root_enclosures(a) -> tuple:
-    return tuple((lo, hi) for lo, hi, *_ in arc_entry()(a))
+    return tuple((lo, hi) for lo, hi, _ in alexander._root_arcs(a))
 
 
 def isolation() -> dict:
@@ -194,41 +188,55 @@ def isolation_random() -> dict:
         alexander.alexander_polynomial(a)
     times = []
     for _ in range(3):
-        arc_entry().cache_clear()
+        alexander._root_arcs.cache_clear()
         t0 = time.perf_counter()
         for a in knots:
             root_enclosures(a)
         times.append(time.perf_counter() - t0)
-    certified, counted = [], []
-    certify, count = alexander._certified_brackets, alexander._descartes_bound
+    calls = []  # per knot, (name, result) of each spied call in order
+    names = ("_degree_certifies", "_descartes_bisection", "_certified_brackets")
+    spied = {name: getattr(alexander, name) for name in names}
 
-    def recording(*args):
-        out = certify(*args)
-        certified[-1].append(out is not None)
-        return out
+    def spy(name):
+        def call(*args):
+            out = spied[name](*args)
+            calls[-1].append((name, out))
+            return out
+        return call
 
-    def counting(q):
-        counted[-1] = True
-        return count(q)
-
-    arc_entry().cache_clear()
-    alexander._certified_brackets, alexander._descartes_bound = recording, counting
+    alexander._root_arcs.cache_clear()
+    for name in spied:
+        setattr(alexander, name, spy(name))
     try:
         for a in knots:
-            certified.append([])
-            counted.append(False)
+            calls.append([])
             root_enclosures(a)
     finally:
-        alexander._certified_brackets, alexander._descartes_bound = certify, count
-    routes = [calls.index(True) if True in calls else 2 for calls in certified]
+        for name, original in spied.items():
+            setattr(alexander, name, original)
+    routes = [isolation_route(knot_calls) for knot_calls in calls]
     return {
         "best_s": min(times),
         "knots": len(knots),
-        "degree_parity": sum(route == 0 and not c for route, c in zip(routes, counted)),
-        "descartes_count": sum(route == 0 and c for route, c in zip(routes, counted)),
-        "fallback_count": routes.count(1),
-        "refined": routes.count(2),
+        **{route: routes.count(route) for route in ISOLATION_ROUTES},
     }
+
+
+def isolation_route(calls: list) -> str:
+    """The certificate of one knot's enclosures, from the (name, result)
+    of its calls: degree and parity are tested first, a bisection runs
+    only where the float brackets were not certified before it, and every
+    _certified_brackets call before the bisection then returned None.  A
+    bisection that isolates no root certifies that there is none, whatever
+    the float stage found."""
+    names = [name for name, _ in calls]
+    if "_degree_certifies" not in names:
+        return "constant_q"
+    if "_descartes_bisection" in names:
+        _, cells, _ = next(out for name, out in reversed(calls) if name == "_descartes_bisection")
+        certified = any(name == "_certified_brackets" and out is not None for name, out in calls)
+        return "bisection_count" if certified or not cells else "refined"
+    return "degree_parity" if calls[0][1] else "descartes_count"
 
 
 def averages() -> dict:
@@ -256,73 +264,46 @@ def averages() -> dict:
 
 
 def arc_point() -> dict:
-    core = getattr(signature, "_exact_counts", None)
-    cached = getattr(signature, "_signature_exact_cached", None)
     out = {}
     d = 1009
     knots = (("torus2:6", torus_knot_seifert(6)), ("jn:6", jn_seifert(6)))
     # one point per arc, as where no crossing is certified
-    if hasattr(signature, "_root_arcs"):
-        attr, declined = "_root_arcs", lambda a: tuple((lo, hi, None) for lo, hi in root_enclosures(a))
-    else:
-        attr, declined = "_arc_signatures", lambda a: (None,) * len(root_enclosures(a))
-    crossings = getattr(signature, attr, None)
-    if crossings is not None:
-        setattr(signature, attr, declined)
+    crossings = signature._root_arcs
+    signature._root_arcs = lambda a: tuple((lo, hi, None) for lo, hi in root_enclosures(a))
     try:
         arcs = {name: signature._arc_points(a, d) for name, a in knots}
     finally:
-        if crossings is not None:
-            setattr(signature, attr, crossings)
+        signature._root_arcs = crossings
     for name, a in knots:
         points = [(k // math.gcd(k, d), d // math.gcd(k, d)) for k, _ in arcs[name]]
-        memo, direct = [], []
+        direct = []
         for _ in range(REPEATS):
-            if cached is not None:
-                cached.cache_clear()
-                t0 = time.perf_counter()
-                for num, den in points:
-                    cached(a, num, den)
-                memo.append(time.perf_counter() - t0)
-            if core is not None:
-                t0 = time.perf_counter()
-                layout = signature._tridiag_layout(a)
-                for num, den in points:
-                    core(a, layout, num, den)
-                direct.append(time.perf_counter() - t0)
-        out[name] = {
-            "points": len(points),
-            "memo_us": 1e6 * statistics.median(memo) / len(points) if memo else None,
-            "core_us": 1e6 * statistics.median(direct) / len(points) if direct else None,
-        }
+            t0 = time.perf_counter()
+            layout = signature._tridiag_layout(a)
+            for num, den in points:
+                signature._exact_counts(a, layout, num, den)
+            direct.append(time.perf_counter() - t0)
+        out[name] = {"points": len(points), "core_us": 1e6 * statistics.median(direct) / len(points)}
     return out
 
 
 def arc_sweep() -> dict:
-    crossings = getattr(alexander, "_arc_signatures", None)
-    merged = hasattr(alexander, "_root_arcs")
     out = {}
     for n in (100, 300):
         runs = []
         for _ in range(SWEEP_RUNS):
             a = jn_seifert(n)
             clear_caches()
-            record = {"arc_entry_s": None}
-            if merged or crossings is not None:
-                t0 = time.perf_counter()
-                arc_entry()(a)
-                if crossings is not None:
-                    crossings(a)
-                record["arc_entry_s"] = time.perf_counter() - t0
-                clear_caches()
+            t0 = time.perf_counter()
+            alexander._root_arcs(a)
+            record = {"arc_entry_s": time.perf_counter() - t0}
+            clear_caches()
             for label, d in zip(("first_s", "second_s"), SWEEP_GRIDS):
                 t0 = time.perf_counter()
                 signature.avg_signature_details(a, d)
                 record[label] = time.perf_counter() - t0
             runs.append(record)
-        out[f"jn:{n}"] = {
-            key: min(r[key] for r in runs) if runs[0][key] is not None else None for key in runs[0]
-        }
+        out[f"jn:{n}"] = {key: min(r[key] for r in runs) for key in runs[0]}
     return out
 
 

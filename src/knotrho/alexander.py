@@ -18,20 +18,20 @@ float root is then rounded outward to a dyadic bracket of width 2^-40,
 certified by the signs of Q at its two ends and by a count of the roots:
 disjoint brackets with a sign change each hold one simple root each, and
 there is no other root, if there are deg Q of them, or deg Q - 1 of the
-parity that the signs of Q(2) and Q(-2) give, or as many as the sign
-variations of Q carried by a Moebius map from (-2, 2) onto (0, inf)
-(Descartes' rule of signs).  The signs come from Clenshaw's recurrence on the same
+parity that the signs of Q(2) and Q(-2) give.  Neither sign is zero for
+a knot: Q(2) = Delta(1) = +-1, and Q(-2) = +-Delta(-1) is odd, as
+A + A^T = A - A^T mod 2.  The signs come from Clenshaw's recurrence on the same
 scaled coefficients with a rigorous running error bound; integer Horner
 at the dyadic point decides only where the float value does not clear
-it, and at a dyadic candidate root.  Any other case (more variations
-than brackets, from complex roots near the interval or from the repeated
-roots of K # K; roots closer together than the sampling step; clustered
-roots that the floats cannot place within 2^-41) falls back to Descartes
-bisection of Q over the dyadic tree of [-2, 2], on the squarefree part q
-of Q where a repeated root keeps a cell of unit width from isolating a
-root: the number of roots it isolates certifies the float brackets of q
-the same way, or else its cells, refined by sign bisection to width
-2^-48, are the enclosures.  The signature engine's exact averages sum by
+it, and at a dyadic candidate root.  Any other case (two or more roots
+of Q off [-2, 2], which are roots of Delta off the unit circle; the
+repeated roots of K # K; roots closer together than the sampling step;
+clustered roots that the floats cannot place within 2^-41) falls back to
+Descartes bisection of Q over the dyadic tree of [-2, 2], on the
+squarefree part q of Q where a repeated root keeps a cell of unit width
+from isolating a root: the number of roots it isolates certifies the
+float brackets of q, or else its cells, refined by sign bisection to
+width 2^-48, are the enclosures.  The signature engine's exact averages sum by
 the arcs between the enclosures.  For a tridiagonal knot, the signature
 on every arc follows from the enclosures too, in the same entry: the band
 pass that gives Q gives the penultimate leading minor R_(m-1) as well,
@@ -122,7 +122,7 @@ def alexander_at(a: SeifertMatrix, root: UnitRoot) -> CyclotomicElement:
     return cyc_field(root.den).element(alexander_polynomial(a))
 
 
-# -- the band recurrence, Q(x) with Delta(t) = t^g Q(t + 1/t), the Descartes count
+# -- the band recurrence, Q(x) with Delta(t) = t^g Q(t + 1/t), sign variations
 
 
 def _band_q(a: SeifertMatrix, start: int, stop: int, times_x) -> list[list]:
@@ -230,12 +230,6 @@ def _variations(p: list[int]) -> int:
     Akritas, 1976).  Roots at 0 and 1 are zero coefficients of T, skipped."""
     signs = [c > 0 for c in _shift_by_one(p) if c]
     return sum(s != t for s, t in zip(signs, signs[1:]))
-
-
-def _descartes_bound(q: list[int]) -> int:
-    """V of q over (-2, 2), through q(4z - 2); it equals the number of
-    roots there when q is real-rooted."""
-    return _variations(_on_unit_interval(q))
 
 
 # -- Descartes bisection --------------------------------------------------------
@@ -496,9 +490,10 @@ def _certified_brackets(
     opposite signs at the two ends of a bracket, so each holds an odd
     number of roots, and the brackets must be disjoint.  Those signs come
     from _sign_at, and from _dyadic_sign at the dyadic candidate.  count
-    bounds the roots of F in (-2, 2) that the brackets can hold, and as
-    many brackets as count then hold one simple root each, and there are
-    no others (see _root_enclosures for the counts).  below is the sign of
+    is a certified number of roots of F in (-2, 2), the number that degree
+    and parity allow or that Descartes bisection isolated (see
+    _root_enclosures), and as many brackets as count then hold one simple
+    root each, and there are no others.  below is the sign of
     F on the gap below the enclosure, as far as the bracket signs certify
     it: F(lo) for a bracket; for a point, the sign at the high end of the
     bracket that comes next, or 0 where a point or nothing does.
@@ -555,11 +550,12 @@ def _degree_certifies(n: int, k: int, at_2: int, at_minus_2: int) -> bool:
     """Whether k disjoint brackets, each with nonzero opposite signs of Q at
     its ends and so an odd number of roots, hold every root of Q, of degree
     n, in (-2, 2), one simple root each, given Q(2) = at_2 and
-    Q(-2) = at_minus_2 != 0.  They hold k roots or more, and Q has n.  So
-    k = n leaves one root to each bracket and none elsewhere.  k = n - 1
-    does where Q(2) != 0 and n - 1 has the parity of [Q(-2) Q(2) < 0],
-    which is that of the number of roots in (-2, 2): that number, n - 1
-    or n, is then n - 1, and the root left over lies outside [-2, 2]."""
+    Q(-2) = at_minus_2, both odd for a knot.  They hold k roots or more,
+    and Q has n.  So k = n leaves one root to each bracket and none
+    elsewhere.  k = n - 1 does where Q(2) != 0 and n - 1 has the parity of
+    [Q(-2) Q(2) < 0], which is that of the number of roots in (-2, 2):
+    that number, n - 1 or n, is then n - 1, and the root left over lies
+    outside [-2, 2]."""
     return k == n or (k == n - 1 and at_2 != 0 and k % 2 == (at_2 * at_minus_2 < 0))
 
 
@@ -573,36 +569,31 @@ def _root_enclosures(b: list[int], q: list[int], cosine) -> list[tuple[int, int,
     enclosure or to -2, where isolation certified it, and 0 elsewhere.
 
     Float brackets of the roots of Q (_float_roots, _certified_brackets)
-    are certified by degree and parity (_degree_certifies), with
-    Q(+-2) = b_0 + 2 sum (+-1)^j b_j read off b (V_j(+-2) = 2 (+-1)^j; for
-    a knot Q(2) = Delta(1) = +-1 and Delta(-1) is odd), or else by the
-    Descartes count of Q, which counts the roots in (-2, 2) with
-    multiplicity; a count of 0 needs no brackets.  A real-rooted Q has a
-    Descartes count equal to its root count, so wherever degree and parity
-    certify, the count would certify the same brackets.  Where both fail
-    (complex roots near the interval, a repeated root, roots the floats
-    cannot separate or place), Descartes bisection isolates the distinct
-    roots of Q, or of its squarefree part where a repeated root needs it.
-    Their number certifies float brackets as the Descartes count does,
-    unless a unit cell may hold several; failing that, the cells, refined
-    by _refine_root, are the enclosures: the aligned cells of width 2^-48
-    that hold the roots, or the dyadic roots themselves.  below comes from
-    the bracket signs of Q (not of a squarefree part), and from Q(-2)
-    below the last enclosure.
+    have two certificates.  The first is degree and parity
+    (_degree_certifies), with Q(+-2) = b_0 + 2 sum (+-1)^j b_j read off b
+    (V_j(+-2) = 2 (+-1)^j); for a knot Q(2) = Delta(1) = +-1 and
+    Q(-2) = +-Delta(-1) is odd, so the float stage always runs.  Where it
+    fails (two or more roots of Q off [-2, 2], a repeated root, roots the
+    floats cannot separate or place), Descartes bisection isolates the
+    distinct roots of Q, or of its squarefree part where a repeated root
+    needs it, and their number is the second, unless a unit cell may hold
+    several.  Its root node makes the sign variations of Q over (-2, 2),
+    so wherever that Descartes count would certify the brackets, Q has
+    that many simple roots there and the bisection isolates as many.
+    Failing both, the cells, refined by _refine_root, are the enclosures:
+    the aligned cells of width 2^-48 that hold the roots, or the dyadic
+    roots themselves.  below comes from the bracket signs of Q (not of a
+    squarefree part), and from Q(-2) below the last enclosure.
     """
     at_2 = b[0] + 2 * sum(b[1:])
     at_minus_2 = b[0] + 2 * sum(b[2::2]) - 2 * sum(b[1::2])
-    found = roots = None
-    if at_minus_2:
-        roots = _float_roots(cosine)
-        if _degree_certifies(len(b) - 1, len(roots), at_2, at_minus_2):
-            found = _certified_brackets(b, q, cosine, len(roots), roots)
-        else:
-            count = _descartes_bound(_exact_q(b, q))
-            found = _certified_brackets(b, q, cosine, count, roots if count else [])
+    roots = _float_roots(cosine)
+    found = None
+    if _degree_certifies(len(b) - 1, len(roots), at_2, at_minus_2):
+        found = _certified_brackets(b, q, cosine, len(roots), roots)
     if found is None:
         square_free, cells, several = _descartes_bisection(_exact_q(b, q))
-        if roots is not None and not several:  # Q(-2) != 0, and one root per cell
+        if not several:  # one root per cell
             if square_free is q:
                 found = _certified_brackets(b, q, cosine, len(cells), roots)
             else:

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .exceptions import InvalidParameterError, InvalidSlopeError
 from .records import Record
-from .seifert import SeifertMatrix, _check_slope
+from .seifert import SeifertMatrix, _check_slope, _is_integer_type
 from .signature import avg_signature
 
 # Universal bound: |rho| <= this constant times the number of tetrahedra.
@@ -144,19 +144,32 @@ class BoundReport(Record):
         return self.best_lower <= 0
 
 
+def _check_integer(value, what: str) -> None:
+    """Raise InvalidParameterError naming what unless value is an int (a
+    bool is not), as _check_slope does for slopes."""
+    if not _is_integer_type(type(value)):
+        raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
+
+
+def _check_count(value, what: str) -> None:
+    """Raise InvalidParameterError naming what unless value is a
+    nonnegative int."""
+    _check_integer(value, what)
+    if value < 0:
+        raise InvalidParameterError(f"{what} must be nonnegative, got {value}")
+
+
 def lower_bound_slice_genus(n: int, g4: int) -> Fraction:
     """(|n| - 3 - 6*g4) / 627419520; may be negative (vacuous), returned as-is."""
     _check_slope(n)
-    if g4 < 0:
-        raise InvalidParameterError(f"slice genus must be nonnegative, got {g4}")
+    _check_count(g4, "slice genus")
     return Fraction(abs(n) - 3 - 6 * g4, LOWER_BOUND_DENOM)
 
 
 def lower_bound_crossing(n: int, c: int) -> Fraction:
     """(|n| - 3 - 6*c) / 627419520: crossing number dominates slice genus."""
     _check_slope(n)
-    if c < 0:
-        raise InvalidParameterError(f"crossing number must be nonnegative, got {c}")
+    _check_count(c, "crossing number")
     return Fraction(abs(n) - 3 - 6 * c, LOWER_BOUND_DENOM)
 
 
@@ -169,15 +182,13 @@ def lower_bound_signature(a: SeifertMatrix, n: int, mode: str = "exact") -> Frac
 
 def upper_bound(n: int, c: int) -> int:
     """96|n| + 128*c(K)."""
-    if c < 0:
-        raise InvalidParameterError(f"crossing number must be nonnegative, got {c}")
+    _check_count(c, "crossing number")
     return UPPER_SLOPE_COEFF * abs(n) + UPPER_CROSSING_COEFF * c
 
 
 def universal_rho_bound(complexity: int) -> int:
     """209139840 * c(M): every rho value is bounded by this."""
-    if complexity < 0:
-        raise InvalidParameterError(f"complexity must be nonnegative, got {complexity}")
+    _check_count(complexity, "complexity")
     return UNIVERSAL_RHO_PER_TET * complexity
 
 
@@ -225,6 +236,8 @@ def gromov_norm_bound(constants: PublishedConstants = PUBLISHED) -> GromovNormBo
 
 def gap_lower_bound(n: int, d: int) -> Fraction:
     """Gap bound (3(1 - 1/d^2) n - (d+7)) / 627419520 - 6 for n > 2, d > 1."""
+    _check_integer(n, "n")
+    _check_integer(d, "d")
     if d <= 1:
         raise InvalidParameterError(f"need a fixed d > 1, got {d}")
     if n <= 2:
@@ -242,17 +255,12 @@ def bound_report(
 ) -> BoundReport:
     """Aggregate every bound that applies to surgery slope n on the knot."""
     _check_slope(n)
+    # the count bounds first: they check their arguments before the average runs
+    lower_cross = lower_bound_crossing(n, crossing) if crossing is not None else None
+    lower_g4 = lower_bound_slice_genus(n, g4) if g4 is not None else None
     avg = avg_signature(a, abs(n), mode)
     lower_sig = Fraction(3 * abs(avg) - abs(n) + 1, 1) / LOWER_BOUND_DENOM
-    lows = [lower_sig]
-    lower_cross = None
-    if crossing is not None:
-        lower_cross = lower_bound_crossing(n, crossing)
-        lows.append(lower_cross)
-    lower_g4 = None
-    if g4 is not None:
-        lower_g4 = lower_bound_slice_genus(n, g4)
-        lows.append(lower_g4)
+    lows = [low for low in (lower_sig, lower_cross, lower_g4) if low is not None]
     upper = upper_bound(n, crossing) if crossing is not None else None
     return BoundReport(
         slope=n,

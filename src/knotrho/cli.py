@@ -32,11 +32,7 @@ from .exceptions import CertificationError, KnotRhoError, KnotSpecError
 from .cyclotomic import UnitRoot
 from .rho import rho_knot_surgery_result
 from .seifert import KNOT_FAMILIES, SeifertMatrix, jn_seifert, seifert_from_json, unknot_seifert
-from .signature import (
-    alexander_at,
-    avg_signature_details,
-    signature_details,
-)
+from .signature import avg_signature_details, signature_details
 
 EXIT_VERIFY_FAILED = 1
 EXIT_INVALID_INPUT = 2
@@ -429,10 +425,6 @@ def sig(spec: str, omega: str, mode: str, require_certified: bool, fmt: str):
         raise CertificationError(
             f"float result at {omega} is uncertified; rerun with --mode exact"
         )
-    if mode == "exact" and not root.is_one:
-        singular = alexander_at(matrix, root).is_zero
-    else:
-        singular = res.singular
     record = {
         "spec": label,
         "omega": str(root),
@@ -440,7 +432,7 @@ def sig(spec: str, omega: str, mode: str, require_certified: bool, fmt: str):
         "positive": res.inertia.positive,
         "zero": res.inertia.zero,
         "negative": res.inertia.negative,
-        "singular": singular,
+        "singular": res.singular,
         "certified": res.certified,
         "mode": mode,
     }

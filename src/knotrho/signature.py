@@ -227,17 +227,19 @@ def _sturm_inertia_from_signs(signs: list[int]) -> InertiaTriple:
     return InertiaTriple(m - neg - zero, zero, neg, certified=True)
 
 
-def _chain(diag, off) -> tuple:
-    """Exact leading principal minors D_1..D_k of an unreduced tridiagonal.
+def _chain(diag, upper, lower) -> tuple:
+    """Exact leading principal minors D_1..D_k of an unreduced Hermitian
+    tridiagonal with diagonal a, superdiagonal b and subdiagonal conj b.
 
-    D_i = a_i D_{i-1} - |b_{i-1}|^2 D_{i-2}.
+    D_i = a_i D_{i-1} - |b_{i-1}|^2 D_{i-2}, with |b_{i-1}|^2 the product
+    of the two off-diagonal entries, which needs no conjugation.
     """
     chain = []
     d2 = diag[0].field.one()
     d1 = diag[0]
     chain.append(d1)
     for i in range(1, len(diag)):
-        nrm = off[i - 1] * off[i - 1].conjugate()
+        nrm = upper[i - 1] * lower[i - 1]
         d2, d1 = d1, diag[i] * d1 - nrm * d2
         chain.append(d1)
     return tuple(chain)
@@ -368,8 +370,9 @@ def _inertia_exact(form: HermitianForm) -> InertiaTriple:
             # Forms given by residues skip the pivot count and read every
             # sign off the exact chain.
             diag = [entries[i][i] for i in range(start, stop)]
-            off = [entries[i][i + 1] for i in range(start, stop - 1)]
-            settled = _settle_signs(_chain(diag, off), root)
+            upper = [entries[i][i + 1] for i in range(start, stop - 1)]
+            lower = [entries[i + 1][i] for i in range(start, stop - 1)]
+            settled = _settle_signs(_chain(diag, upper, lower), root)
             neg += settled.negative
             zero += settled.zero
     return InertiaTriple(m - neg - zero, zero, neg)

@@ -403,5 +403,5 @@ def run_suites(
     if suite in ("gap", "all"):
         results += gap_suite(n_max or 20)
     if suite == "all":
-        results += property_suite(count if count is not None else 40)
+        results += property_suite(count if count is not None else 40, seed=seed)
     return results

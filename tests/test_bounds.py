@@ -188,6 +188,41 @@ def test_every_slope_that_is_not_a_nonzero_int_is_refused_before_any_work(slope,
         lower_bound_crossing(7.5, 1)
 
 
+def test_counts_and_gap_arguments_that_are_not_ints_are_refused():
+    # Each used to answer or fail late: upper_bound(7, 1.5) gave 864.0,
+    # universal_rho_bound(1.5) 313709760.0 and gap_lower_bound(3.5, 2) a
+    # float; gap_lower_bound(5, 2.0) and lower_bound_crossing(7, 1.5)
+    # raised a bare TypeError; the slice genus True counted as 1.
+    calls = (
+        (lambda: upper_bound(7, 1.5), "crossing number"),
+        (lambda: universal_rho_bound(1.5), "complexity"),
+        (lambda: gap_lower_bound(3.5, 2), "n"),
+        (lambda: gap_lower_bound(5, 2.0), "d"),
+        (lambda: lower_bound_crossing(7, 1.5), "crossing number"),
+        (lambda: lower_bound_crossing(7, True), "crossing number"),
+        (lambda: lower_bound_slice_genus(7, True), "slice genus"),
+        (lambda: lower_bound_slice_genus(7, Fraction(1)), "slice genus"),
+    )
+    for call, name in calls:
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be an integer, got "):
+            call()
+    with pytest.raises(InvalidParameterError, match="complexity must be nonnegative, got -1"):
+        universal_rho_bound(-1)
+    assert upper_bound(7, 2) == 96 * 7 + 128 * 2
+    assert universal_rho_bound(2) == 2 * UNIVERSAL_RHO_PER_TET
+
+
+@pytest.mark.parametrize("crossing, g4, name", [(1.5, None, "crossing number"), (None, True, "slice genus"),
+                                                (3, 1.0, "slice genus"), (-1, None, "crossing number")])
+def test_bound_report_refuses_bad_counts_before_any_work(crossing, g4, name, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("an average ran for a refused count")
+
+    monkeypatch.setattr(bounds, "avg_signature", no_work)
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be "):
+        bound_report(jn_seifert(3), 7, crossing=crossing, g4=g4)
+
+
 def test_bound_report_vacuous_flag():
     rep = bound_report(UNKNOT, 2)
     assert rep.vacuous

@@ -13,7 +13,8 @@ import pytest
 import knotrho
 from knotrho.cli import parse_knot_spec
 from knotrho.exceptions import InvalidParameterError, KnotSpecError
-from knotrho.seifert import KNOT_FAMILIES, KnotFamilyId, jn_seifert
+from knotrho.seifert import KNOT_FAMILIES, KnotFamilyId, SeifertMatrix, jn_seifert
+from knotrho.signature import alexander_polynomial
 
 from clirun import run_cli
 
@@ -54,6 +55,39 @@ def test_sig_singular_point():
     rec = last_json(output)
     assert rec["sigma"] == 1
     assert rec["singular"] is True
+
+
+def test_sig_records_read_singularity_from_the_engine(tmp_path):
+    # The singularity flag is the engine's zero count, det H = 0 exactly
+    # where Delta(w) = 0, for knots and for a link with Delta = 0 alike.
+    link = tmp_path / "link.json"
+    link.write_text(
+        SeifertMatrix(((2, 0, 0, 1), (0, 0, 0, 0), (1, 0, -1, 1), (0, 0, 2, 1)), kind="link").to_json()
+    )
+    cases = (
+        ("torus2:1", "1/6", (1, 1, 1, 0, True)),
+        ("torus2:1", "1/5", (2, 2, 0, 0, False)),
+        ("jn:3", "1/7", (2, 4, 0, 2, False)),
+        (f"file:{link}", "1/3", (1, 2, 1, 1, True)),
+        (f"file:{link}", "1/2", (1, 2, 1, 1, True)),
+        (f"file:{link}", "0/1", (0, 0, 4, 0, True)),
+    )
+    for spec, omega, (sigma, positive, zero, negative, singular) in cases:
+        for mode in ("exact", "float"):
+            code, output = run_cli(["sig", spec, "--omega", omega, "--mode", mode, "--format", "json"])
+            assert code == 0
+            assert last_json(output) == {
+                "spec": spec, "omega": omega, "sigma": sigma, "positive": positive, "zero": zero,
+                "negative": negative, "singular": singular, "certified": True, "mode": mode,
+            }
+
+
+def test_sig_on_a_tridiagonal_knot_builds_no_alexander_polynomial():
+    before = alexander_polynomial.cache_info().misses
+    for omega in ("1/7", "3/100003"):
+        code, _ = run_cli(["sig", "jn:40", "--omega", omega])
+        assert code == 0
+    assert alexander_polynomial.cache_info().misses == before
 
 
 def test_sig_bad_spec_exits_2():

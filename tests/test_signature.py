@@ -660,7 +660,9 @@ def test_minor_chain_signs_match_the_residue_chain():
             for start, stop in blocks_den2 if d == 2 else blocks:
                 mine = _minor_chain(a, d, start, stop)
                 diag = [table[i][i] for i in range(start, stop)]
-                ref = signature._chain(diag, [table[i][i + 1] for i in range(start, stop - 1)])
+                upper = [table[i][i + 1] for i in range(start, stop - 1)]
+                lower = [table[i + 1][i] for i in range(start, stop - 1)]
+                ref = signature._chain(diag, upper, lower)
                 assert len(mine) == len(ref) == stop - start
                 factor = fld.one()
                 for i, (x, y) in enumerate(zip(mine, ref), 1):
@@ -828,6 +830,13 @@ def _sigmas(a):
 def _knot_q(a):
     """Q with Delta(t) = t^g Q(t + 1/t) for the knot matrix a, from Delta."""
     return alexander._delta_q(alexander_polynomial(a), a.size)
+
+
+def _descartes_count(q):
+    """V of q over (-2, 2), through q(4z - 2): the Descartes count, at
+    least the number of roots there with multiplicity and of its parity,
+    and equal to it when q is real-rooted."""
+    return alexander._variations(alexander._on_unit_interval(q))
 
 
 def _q_from_the_band(a):
@@ -1622,7 +1631,7 @@ def test_root_isolation_falls_back_to_bisection_for_close_roots():
     assert oracle_q == q
     cosine = _cosine_floats(q)
     assert len(alexander._float_roots(cosine)) == 13
-    assert sturm.count(chain, -2 * sturm.UNIT, 2 * sturm.UNIT) == alexander._descartes_bound(q) == 15
+    assert sturm.count(chain, -2 * sturm.UNIT, 2 * sturm.UNIT) == _descartes_count(q) == 15
     assert _certified_brackets(q, cosine, 15, alexander._float_roots(cosine)) is None
     same_q, cells, several = alexander._descartes_bisection(q)
     assert same_q is q and len(cells) == 15 and several == 0
@@ -1633,8 +1642,8 @@ def test_root_isolation_falls_back_to_bisection_for_close_roots():
 
 
 def test_certified_roots_cost_two_exact_signs_each(monkeypatch):
-    # The Descartes count of Q certifies the float brackets of the families,
-    # so they never reach Descartes bisection, and the float signs decide
+    # Degree and parity certify the float brackets of the families, so
+    # they never reach Descartes bisection, and the float signs decide
     # every bracket end: the one exact sign is the test of the dyadic
     # candidate x = 1, an exact root, whatever the degree.
     calls = {"bisection": 0, "sign": 0}
@@ -1670,7 +1679,7 @@ def test_certificate_rejects_a_float_root_found_twice():
     q = _knot_q(torus_knot_seifert(2))
     assert q == [-1, -1, 1]
     chain = sturm.sturm_chain(q)
-    assert sturm.count(chain, -2 * sturm.UNIT, 2 * sturm.UNIT) == alexander._descartes_bound(q) == 2
+    assert sturm.count(chain, -2 * sturm.UNIT, 2 * sturm.UNIT) == _descartes_count(q) == 2
     cosine = _cosine_floats(q)
     good = [(1 + math.sqrt(5)) / 2, (1 - math.sqrt(5)) / 2]
     assert _certified_brackets(q, cosine, 2, good) is not None
@@ -1855,7 +1864,7 @@ def test_descartes_bound_counts_roots_in_the_open_interval(real, quadratics):
     q = _poly_from_factors(linear + complex_pairs)
     if len(q) == 1:
         return
-    v = alexander._descartes_bound(q)
+    v = _descartes_count(q)
     assert v >= inside and (v - inside) % 2 == 0
     if not complex_pairs:
         assert v == inside
@@ -1864,10 +1873,10 @@ def test_descartes_bound_counts_roots_in_the_open_interval(real, quadratics):
 def test_descartes_bound_on_known_polynomials():
     # x^2 - x - 1 (torus2:2): roots 1.618 and -0.618; (x - 1)^3 (x + 3);
     # x^2 + 1 has no real root but two sign changes after the map
-    assert alexander._descartes_bound([-1, -1, 1]) == 2
-    assert alexander._descartes_bound(_poly_from_factors([[-1, 1]] * 3 + [[3, 1]])) == 3
-    assert alexander._descartes_bound([1, 0, 1]) == 2
-    assert alexander._descartes_bound([-2, 1]) == 0  # the root x = 2 is not in (-2, 2)
+    assert _descartes_count([-1, -1, 1]) == 2
+    assert _descartes_count(_poly_from_factors([[-1, 1]] * 3 + [[3, 1]])) == 3
+    assert _descartes_count([1, 0, 1]) == 2
+    assert _descartes_count([-2, 1]) == 0  # the root x = 2 is not in (-2, 2)
 
 
 @given(
@@ -1932,7 +1941,7 @@ def test_repeated_unit_circle_roots_take_the_squarefree_route(monkeypatch):
     )
     for knot, bound, want in cases:
         q = _knot_q(knot)
-        assert alexander._descartes_bound(q) == bound
+        assert _descartes_count(q) == bound
         built.clear()
         alexander._root_arcs.cache_clear()
         got = _enclosures(knot)
@@ -1943,9 +1952,10 @@ def test_repeated_unit_circle_roots_take_the_squarefree_route(monkeypatch):
 
 def test_descartes_excess_is_certified_by_the_isolated_count(monkeypatch):
     # Q has one root in (-2, 2) and a complex pair that adds two sign
-    # variations after the map: the Descartes count 3 rejects the one
-    # float bracket, and the one root that Descartes bisection isolates
-    # certifies it, so no cell is refined.
+    # variations after the map: degree and parity reject the one float
+    # bracket of a cubic, as the Descartes count 3 would, and the one root
+    # that Descartes bisection isolates certifies it, so no cell is
+    # refined.
     a = SeifertMatrix(
         (
             (3, -1, -2, -3, 2, -1),
@@ -1959,7 +1969,7 @@ def test_descartes_excess_is_certified_by_the_isolated_count(monkeypatch):
     )
     q = _knot_q(a)
     assert q == [-12169, 19011, -9897, 1717]
-    assert alexander._descartes_bound(q) == 3
+    assert _descartes_count(q) == 3
     assert sturm.count(sturm.sturm_chain(q), -2 * sturm.UNIT, 2 * sturm.UNIT) == 1
     isolated = []
     bisection = alexander._descartes_bisection
@@ -1979,16 +1989,16 @@ def test_descartes_excess_is_certified_by_the_isolated_count(monkeypatch):
 
 def _arcs_by_route(mp, a, degree=True):
     """(_root_arcs(a) from a cold entry, route): the route is "degree"
-    where degree and parity certified the float brackets, "descartes"
-    where the Descartes count did, "bisection" where Descartes bisection
-    ran, and None where no float stage ran.  degree=False makes degree and
-    parity decline, the route before them."""
+    where degree and parity certified the float brackets, "bisection"
+    where Descartes bisection ran, and None where Q is constant and no
+    isolation ran.  degree=False makes degree and parity decline, and
+    bisection the route."""
     routes = []
     certifies, bisection = alexander._degree_certifies, alexander._descartes_bisection
 
     def degree_route(*args):
         certified = degree and certifies(*args)
-        routes.append("degree" if certified else "descartes")
+        routes.append("degree" if certified else "bisection")
         return certified
 
     def bisection_route(*args):
@@ -2019,13 +2029,14 @@ def _certificate_input(rng):
 
 
 @given(st.integers(0, 10**9))
-def test_degree_and_parity_certify_what_the_descartes_count_would(seed):
-    # With degree and parity declined, root isolation takes the Descartes
-    # count of Q as before: the enclosures (bit for bit) and the arc sigmas
-    # are the same, and wherever degree and parity certify, Q is real-rooted,
-    # so its Descartes count equals the bracket count and would have
-    # certified the same brackets.  Random tridiagonal and dense
-    # knots, jn and torus2 with n <= 60, mirrored jn, and K # K.
+def test_degree_and_parity_certify_what_the_bisection_count_would(seed):
+    # With degree and parity declined, root isolation takes Descartes
+    # bisection, whose count of isolated roots certifies the float
+    # brackets: the enclosures (bit for bit) and the arc sigmas are the
+    # same.  Wherever degree and parity certify, Q is real-rooted, so its
+    # Descartes count and the bisection's count equal the bracket count.
+    # Random tridiagonal and dense knots, jn and torus2 with n <= 60,
+    # mirrored jn, and K # K.
     rng = random.Random(seed)
     a = _certificate_input(rng)
     with pytest.MonkeyPatch.context() as mp:
@@ -2035,8 +2046,10 @@ def test_degree_and_parity_certify_what_the_descartes_count_would(seed):
         (lo.hex(), hi.hex(), sigma) for lo, hi, sigma in declined
     ]
     if route == "degree":
-        assert route_before == "descartes"
-        assert alexander._descartes_bound(_knot_q(a)) == len(arcs)
+        assert route_before == "bisection"
+        q = _knot_q(a)
+        _, cells, several = alexander._descartes_bisection(q)
+        assert _descartes_count(q) == len(cells) == len(arcs) and several == 0
     else:
         assert route_before == route
 
@@ -2044,8 +2057,8 @@ def test_degree_and_parity_certify_what_the_descartes_count_would(seed):
 def test_degree_and_parity_routes_on_the_families(monkeypatch):
     # torus2:n has all n roots of Q on the unit circle (k = n); jn:n and its
     # mirror have n - 1 of n, the parity case, with no Descartes count.
-    # K # K doubles every root, which neither count certifies, so it
-    # reaches Descartes bisection.
+    # K # K doubles every root, which degree and parity do not certify, so
+    # it reaches Descartes bisection.
     built = []
     convert = alexander._from_cosine
     monkeypatch.setattr(alexander, "_from_cosine", lambda b: built.append(len(b)) or convert(b))
@@ -2076,6 +2089,35 @@ def test_degree_and_parity_decide_by_the_root_count_alone():
     assert not certifies(3, 1, 1, -5) and not certifies(2, 0, 3, 3)
     assert not certifies(2, 1, 3, 3)
     assert certifies(1, 0, 1, 3) and not certifies(1, 0, 1, -3)
+
+
+@given(st.integers(0, 10**9))
+def test_knot_q_is_odd_at_both_ends(seed):
+    # Delta(1) = det(A^T - A) = +-1 and Delta(-1) = det(A^T + A) is odd,
+    # as A + A^T = A - A^T mod 2, so Q(2) = Delta(1) and
+    # Q(-2) = (-1)^g Delta(-1) never vanish: root isolation's float stage
+    # and degree-and-parity certificate always apply to a knot.  Random
+    # tridiagonal and dense knots, jn and torus2 and their mirrors, and
+    # K # K.
+    rng = random.Random(seed)
+    kind = rng.randrange(4)
+    if kind == 0:
+        a = _random_tridiagonal_knot(rng, rng.randint(1, 8))
+    elif kind == 1:
+        a = random_knot_seifert(rng, size_max=16, spread=rng.choice((1, 3, 10, 1000)))
+    else:
+        a = rng.choice((jn_seifert, torus_knot_seifert))(rng.randint(1, 40))
+    if rng.random() < 0.5:
+        a = mirror(a)
+    if kind == 3:
+        a = _connected_sum(a, a)
+    delta = alexander_polynomial(a)
+    at_1 = sum(delta)
+    at_minus_1 = sum(-c if i & 1 else c for i, c in enumerate(delta))
+    assert at_1 in (1, -1) and at_minus_1 % 2 == 1
+    q = _knot_q(a)
+    assert sum(c << i for i, c in enumerate(q)) == at_1
+    assert sum(c * (-2) ** i for i, c in enumerate(q)) == (-1) ** (a.size // 2) * at_minus_1
 
 
 def _arc_grids():

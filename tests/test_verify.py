@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from knotrho import verify
 from knotrho.verify import (
     CheckResult,
     SUITE_NAMES,
@@ -17,6 +18,8 @@ from knotrho.verify import (
     random_root,
     run_suites,
 )
+
+from clirun import run_cli
 
 
 def test_check_result_line_format():
@@ -42,6 +45,23 @@ def test_all_suite_covers_every_family():
     suites = {r.suite for r in results}
     assert suites == {"litherland", "gilmer", "bounds", "published", "gap", "properties"}
     assert all(r.passed for r in results)
+
+
+def test_the_seed_reaches_the_property_suite(monkeypatch):
+    # `knotrho verify all --seed 3` used to run the property suite at its
+    # default seed 7.
+    seen = []
+
+    def spy(count=60, size_max=12, seed=7, d_max=36):
+        seen.append((count, seed))
+        return []
+
+    monkeypatch.setattr(verify, "property_suite", spy)
+    run_suites("all", n_max=2, d_max=4, count=3, seed=3)
+    run_suites("all", n_max=2, d_max=4, count=3)
+    code, _ = run_cli(["verify", "all", "--n-max", "2", "--d-max", "4", "--count", "3", "--seed", "11"])
+    assert code == 0
+    assert seen == [(3, 3), (3, 7), (3, 11)]
 
 
 def test_singular_report_mentions_both_values():
